@@ -881,17 +881,18 @@ let seed_arg =
   Arg.(value & opt int 0 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
 (* Shared by mc and fuzz. Both engines are deterministic in their
-   arguments *excluding* jobs for mc (verdict and distinct-states
-   agree with the sequential run; interleaving-dependent counters may
-   differ) and *including* jobs for fuzz (byte-identical JSON for any
-   job count). *)
+   arguments *excluding* jobs for mc (one task-queue engine, run
+   inline at jobs = 1, where every counter is reproducible; at
+   jobs > 1 verdict and distinct states agree with jobs = 1 while
+   interleaving-dependent counters may differ) and *including* jobs
+   for fuzz (byte-identical JSON for any job count). *)
 let jobs_arg =
   Arg.(
     value & opt int 1
     & info [ "jobs"; "j" ] ~docv:"J"
         ~doc:
-          "Explore with $(docv) parallel domains (default 1 = the \
-           sequential engine). mc: same verdict and distinct-states \
+          "Explore with $(docv) parallel domains (default 1: the same \
+           engine, run inline). mc: same verdict and distinct-states \
            count as --jobs 1; fuzz: byte-identical report for any \
            $(docv).")
 

@@ -52,6 +52,6 @@ module Make (M : MOVE) : sig
       current budgets dominate the stored ones (the coverage about to
       be walked then includes the stored coverage, so the entry still
       describes a walked exploration). Callers running under a lock
-      (the parallel checker) get atomicity of the decision and the
-      update for free. *)
+      (the checker holds the key's stripe lock) get atomicity of the
+      decision and the update for free. *)
 end

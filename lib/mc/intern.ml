@@ -13,10 +13,20 @@
    test_mc.ml).
 
    [Striped] is the multicore variant: an N-way sharded table with a
-   per-stripe mutex, the shared visited set of the parallel checker.
+   per-stripe mutex, the model checker's shared visited set.
    Insertion order assigns compact ids from one atomic counter, so
    [length] — the checker's [distinct_states] — is an O(1) read of
-   the id watermark, with no stripe lock held. *)
+   the id watermark, with no stripe lock held.
+
+   Stripe/bucket invariant: a stripe's [Hashtbl] indexes its buckets
+   by the low bits of the cached hash, so the stripe index must come
+   from bits that bucket indexing never reads. It is taken from bits
+   [stripe_shift] and up; picking it from the low bits instead would
+   confine every key of stripe i to the buckets whose index is
+   congruent to i — 1/stripes of them — and multiply every chain by
+   the stripe count. Keys therefore need a full-width hash
+   ([Codec.bytes_hash] is 63 bits); a narrower hash stays correct but
+   lands every key in stripe 0. *)
 
 type 'a hashed = { ih : int; iv : 'a }
 
@@ -78,6 +88,10 @@ module Striped (K : KEY) = struct
   }
 
   let rec pow2 n k = if k >= n then k else pow2 n (k * 2)
+
+  (* see the header: disjoint from every bucket index below 2^40 *)
+  let stripe_shift = 40
+  let stripe t (k : _ hashed) = (k.ih lsr stripe_shift) land t.mask
 
   let create ?(stripes = 64) cap =
     let s = pow2 (max 1 (min stripes 4096)) 1 in
@@ -162,7 +176,7 @@ module Striped (K : KEY) = struct
   (* ---- core operations ------------------------------------------ *)
 
   let with_key t k f =
-    let i = k.ih land t.mask in
+    let i = stripe t k in
     let m = t.locks.(i) in
     Mutex.lock m;
     Fun.protect
@@ -181,7 +195,7 @@ module Striped (K : KEY) = struct
         r)
 
   let intern t k mk =
-    let i = k.ih land t.mask in
+    let i = stripe t k in
     let m = t.locks.(i) in
     Mutex.lock m;
     Fun.protect
@@ -197,6 +211,14 @@ module Striped (K : KEY) = struct
           let v = mk id in
           T.add t.tables.(i) k v;
           (v, true))
+
+  let stripe_stats t =
+    Array.mapi
+      (fun i tbl ->
+        Mutex.lock t.locks.(i);
+        Fun.protect ~finally:(fun () -> Mutex.unlock t.locks.(i)) (fun () ->
+            T.stats tbl))
+      t.tables
 
   (* ---- checkpoint image ----------------------------------------- *)
 

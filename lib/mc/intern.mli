@@ -49,11 +49,16 @@ end
 
 module Striped (K : KEY) : sig
   (** An N-way striped hash table with a per-stripe mutex: the shared
-      visited set of the parallel model checker. The stripe is chosen
-      by the key's cached hash, so a lookup locks exactly one mutex
-      and never re-hashes. Insertions draw compact ids from a single
+      visited set of the model checker. The stripe is chosen by the
+      key's cached hash, so a lookup locks exactly one mutex and never
+      re-hashes. The stripe index is read from hash bits 40 and up,
+      which no stripe's bucket index uses, so the keys of one stripe
+      spread over all of that stripe's buckets. Keys should therefore
+      carry a full-width hash such as [Codec.bytes_hash]; a hash
+      narrower than 41 bits stays correct but puts every key in one
+      stripe. Insertions draw compact ids from a single
       atomic counter; {!length} is an O(1) read of that id watermark
-      (no stripe lock), which is what lets the parallel checker read
+      (no stripe lock), which is what lets the checker read
       [distinct_states] and enforce [max_states] cheaply. *)
 
   type 'v t
@@ -79,6 +84,10 @@ module Striped (K : KEY) : sig
   (** [intern t k mk] finds [k]'s value, or binds it to [mk id] where
       [id] is a fresh compact id; returns the value and whether it
       was inserted. Atomic per key, like {!with_key}. *)
+
+  val stripe_stats : 'v t -> Hashtbl.statistics array
+  (** [Hashtbl.stats] of each stripe's in-memory table, in stripe
+      order: how evenly each stripe's keys fill its buckets. *)
 
   val set_spill_dir : 'v t -> string -> unit
   (** Enables disk spill: {!spill} writes stripe segments under this

@@ -580,13 +580,12 @@ module Make (A : Sim.Automaton.S) = struct
      [config_equal], by injectivity of [encode] — as the collision
      backstop (pinned in test_codec.ml). The table retains one flat
      byte string per state instead of the config heap graph. *)
-  module Tbl = Intern.Table (BKey)
   module Shared = Intern.Striped (BKey)
 
   (* The memo-coverage record (remaining depth, remaining loss budget,
      sleep set) lives in [Cover]; every absorption/update decision of
-     both the sequential and the parallel walker goes through
-     [Cov.revisit], which enforces the no-mixture rule. *)
+     the walker goes through [Cov.revisit], which enforces the
+     no-mixture rule. *)
   module Cov = Cover.Make (struct
     type t = move
 
@@ -858,20 +857,6 @@ module Make (A : Sim.Automaton.S) = struct
       moves;
     (List.rev !steps, List.rev !samples, states)
 
-  (* Shared tail of the sequential and parallel drivers: concretize
-     the violating schedule, if any, into the certified report. *)
-  let finish ~n ~inputs ~stats violation =
-    match violation with
-    | None -> { stats; violation = None }
-    | Some (cx_property, cx_detail, cx_moves) ->
-      let cx_steps, cx_samples, cx_states = concretize ~n ~inputs cx_moves in
-      {
-        stats;
-        violation =
-          Some
-            { cx_property; cx_detail; cx_moves; cx_steps; cx_samples; cx_states };
-      }
-
   (* Per-node sibling index for race partitioning. [move_dependent]
      couples a move only with same-pid non-drop moves (when itself a
      non-drop) or with the consumers of one channel (when a drop is
@@ -903,11 +888,6 @@ module Make (A : Sim.Automaton.S) = struct
         t.s_chan.(c) <- mv :: t.s_chan.(c)
       end
       else t.s_pid.(mv.m_pid) <- mv :: t.s_pid.(mv.m_pid)
-
-    let of_list ~n ms =
-      let t = create ~n in
-      List.iter (add ~n t) ms;
-      t
 
     (* membership probes only the one bucket the move could be in *)
     let mem ~n t mv =
@@ -1022,6 +1002,9 @@ module Make (A : Sim.Automaton.S) = struct
     | Suspects s -> 0x7feb352d lxor Hashtbl.hash s
     | Pair (a, b) -> (fd_hash a * 0x01000193) lxor fd_hash b
 
+  (* Keyed by (pid, state pool index, detector value): the packed
+     layout leads with the n state pool indices, so a node's own key
+     yields [states.(p)]'s index without hashing the state. *)
   module Noop_tbl = Hashtbl.Make (struct
     type t = Pid.t * int * Sim.Fd_value.t
 
@@ -1031,180 +1014,24 @@ module Make (A : Sim.Automaton.S) = struct
     let hash (p, i, f) = (((p * 31) + i) * 0x01000193) lxor fd_hash f
   end)
 
-  let run_seq ~reduction ~dedup ~delivery ~max_states ~max_drops ~stop ~n
-      ~menu ~depth ~inputs ~props () =
-    let t0 = Sim.Clock.now () in
-    let lossy = menu.Menu.lossy in
-    let menus = Array.init n (fun p -> menu.Menu.values p) in
-    let sleep = reduction <> No_reduction in
-    let dpor = reduction = Dpor in
-    (* Known no-op lambda steps ([Dpor] only): a lambda step's result
-       is a function of (pid, its state, the detector value) alone, so
-       once observed to change nothing it is skipped at move
-       generation — without re-applying [A.step] — at every later
-       node. Counted as a [self_loops] skip but not a transition; the
-       non-DPOR reductions keep their exact historical counters.
-       No-ops are never recorded in sleep sets (they are skipped
-       before the sleep check can record them), so the memo coverage
-       domination is untouched. *)
-    let noop = Noop_tbl.create 1024 in
-    let visited = Tbl.create 65536 in
-    let pool = Packed.create ~n in
-    (* one packed encode + full-width hash per transition, computed at
-       the parent and reused at the child's node; the table retains
-       only the packed bytes *)
-    let hconfig cfg = Intern.hashed Codec.bytes_hash (Packed.encode pool cfg) in
-    (* the packed layout leads with the n state pool indices, so the
-       parent's own key yields [states.(p)]'s index — the cheap [noop]
-       key that replaces hashing the state structurally per probe *)
-    let state_ix (hc : Bytes.t Intern.hashed) p =
-      let pos = ref 0 in
-      for _ = 1 to p do
-        ignore (Codec.read_varint hc.Intern.iv pos)
-      done;
-      Codec.read_varint hc.Intern.iv pos
-    in
-    let transitions = ref 0
-    and dedup_hits = ref 0
-    and self_loops = ref 0
-    and sleep_skipped = ref 0
-    and races = ref 0
-    and backtracks = ref 0
-    and decided_leaves = ref 0
-    and depth_leaves = ref 0
-    and max_depth = ref 0
-    and truncated = ref false in
-    let check_props cfg path_rev =
-      List.iter
-        (fun pr ->
-          match pr.prop_check (fun p -> cfg.states.(p)) with
-          | Ok () -> ()
-          | Error d -> raise (Found (pr.prop_name, d, List.rev path_rev)))
-        props
-    in
-    let rec dfs cfg hc remaining drops slept path_rev =
-      if depth - remaining > !max_depth then max_depth := depth - remaining;
-      let expand_with slept =
-        (* the drop alphabet switches off once the path's loss budget
-           is spent *)
-        let all = moves_of ~n ~delivery ~lossy:(lossy && drops > 0) ~menus cfg in
-        (* index the inherited sleepers once per node; earlier
-           explored siblings accumulate in the same bucketed form *)
-        let sl = Sibs.of_list ~n slept in
-        let ex = Sibs.create ~n in
-        List.iter
-          (fun mv ->
-            if sleep && Sibs.mem ~n sl mv then incr sleep_skipped
-            else if
-              dpor
-              && mv.m_recv = None
-              && Noop_tbl.mem noop (mv.m_pid, state_ix hc mv.m_pid, mv.m_fd)
-            then incr self_loops
-            else begin
-              let child = apply ~n cfg mv in
-              incr transitions;
-              (* [apply] shares [chans] physically exactly when the
-                 move neither consumed nor sent, and copies [states]
-                 touching only slot [m_pid] — so the self-loop test
-                 compares one state slot on that fast path instead of
-                 the whole config *)
-              let is_self_loop =
-                if child.chans == cfg.chans then
-                  child.states.(mv.m_pid) = cfg.states.(mv.m_pid)
-                else child.states = cfg.states && child.chans = cfg.chans
-              in
-              if is_self_loop then begin
-                (* self-loop (e.g. a lambda step whose detector value
-                   unlocks nothing): no new state, and every move
-                   enabled at the child is enabled here — skip *)
-                incr self_loops;
-                if dpor && mv.m_recv = None then
-                  Noop_tbl.replace noop
-                    (mv.m_pid, state_ix hc mv.m_pid, mv.m_fd)
-                    ()
-              end
-              else begin
-              let child_slept =
-                inherit_slept ~reduction ~lossy ~races ~backtracks ~n
-                  ~explored:ex ~slept:sl mv
-              in
-              dfs child (hconfig child) (remaining - 1)
-                (if mv.m_drop then drops - 1 else drops)
-                child_slept (mv :: path_rev);
-              if sleep then Sibs.add ~n ex mv
-              end
-            end)
-          all
-      in
-      match Tbl.find_opt visited hc with
-      | Some e when dedup -> (
-        match Cov.revisit e ~remaining ~drops ~slept with
-        | `Absorbed -> incr dedup_hits
-        | `Expand slept' ->
-          if remaining > 0 then expand_with slept'
-          else incr depth_leaves)
-      | Some _ -> (* dedup off: nothing is absorbed; re-explore the revisit *)
-        if (match stop with Some f -> f (fun p -> cfg.states.(p)) | None -> false)
-        then incr decided_leaves
-        else if remaining = 0 then incr depth_leaves
-        else expand_with slept
-      | None ->
-        if Tbl.length visited >= max_states then begin
-          truncated := true;
-          raise Limit
-        end;
-        check_props cfg path_rev;
-        if
-          match stop with
-          | Some f -> f (fun p -> cfg.states.(p))
-          | None -> false
-        then begin
-          (* all-decided goal state: safety can no longer change in
-             the checked scope; never expand, at any budget *)
-          Tbl.add visited hc (Cov.goal ());
-          incr decided_leaves
-        end
-        else begin
-          Tbl.add visited hc (Cov.make ~remaining ~drops ~slept);
-          if remaining = 0 then incr depth_leaves else expand_with slept
-        end
-    in
-    let root = initial_config ~n ~inputs in
-    let violation =
-      try
-        dfs root (hconfig root) depth max_drops [] [];
-        None
-      with
-      | Limit -> None
-      | Found (prop, detail, moves) -> Some (prop, detail, moves)
-    in
-    let stats =
-      {
-        transitions = !transitions;
-        distinct_states = Tbl.length visited;
-        dedup_hits = !dedup_hits;
-        self_loops = !self_loops;
-        sleep_skipped = !sleep_skipped;
-        races = !races;
-        backtracks = !backtracks;
-        decided_leaves = !decided_leaves;
-        depth_leaves = !depth_leaves;
-        max_depth = !max_depth;
-        truncated = !truncated;
-        wall_seconds = Sim.Clock.elapsed t0;
-      }
-    in
-    finish ~n ~inputs ~stats violation
+  let noop_key (hc : Bytes.t Intern.hashed) mv =
+    let pos = ref 0 in
+    for _ = 1 to mv.m_pid do
+      ignore (Codec.read_varint hc.Intern.iv pos)
+    done;
+    (mv.m_pid, Codec.read_varint hc.Intern.iv pos, mv.m_fd)
 
   (* ---------------------------------------------------------------- *)
   (* Campaign checkpoints                                              *)
   (* ---------------------------------------------------------------- *)
 
   (* Schema version of the mc checkpoint container. The fuzz
-     checkpoint uses a different version number on the same container,
-     so resuming an mc campaign from a fuzz file fails as
-     [Bad_version], before any unmarshalling. *)
-  let ckpt_version = 1
+     checkpoint uses a different version number on the same container
+     (2), so resuming an mc campaign from a fuzz file fails as
+     [Bad_version], before any unmarshalling. Version 1 is the older
+     mc schema whose no-op memo held decoded states; it is refused
+     too. *)
+  let ckpt_version = 3
 
   (* Everything that must match for a resume to be meaningful: the
      campaign shape. [max_states] is deliberately absent — resuming a
@@ -1230,6 +1057,8 @@ module Make (A : Sim.Automaton.S) = struct
     ck_msgs : A.message array;  (* Packed message pool, index order *)
     ck_visited : (int * Bytes.t * Cov.entry) array;
         (* (cached hash, packed key, coverage) per visited state *)
+    ck_noops : (Pid.t * int * Sim.Fd_value.t) array;
+        (* known no-op lambda keys ([Noop_tbl]), all workers' *)
     ck_tasks : (config * int * int * move list * move list) array;
         (* the frontier task queue, as built by the prefix walk *)
     ck_next : int;  (* first task not yet fully expanded *)
@@ -1292,19 +1121,23 @@ module Make (A : Sim.Automaton.S) = struct
       end
 
   (* ---------------------------------------------------------------- *)
-  (* Parallel / checkpointed exploration                               *)
+  (* Exploration                                                       *)
   (* ---------------------------------------------------------------- *)
 
   (* The coordinator walks the DFS prefix up to [spawn_depth] against
-     the shared striped visited table, queuing every would-be
-     expansion at the frontier as a task; [jobs] domains then run the
-     queued expansions to completion over the same table.
+     the striped visited table, queuing every would-be expansion at
+     the frontier as a task; the queued expansions then run to
+     completion over the same table — inline, in queue order, at
+     [jobs = 1], and on [jobs] domains otherwise. At [jobs = 1] the
+     walk is therefore one deterministic order whether or not
+     checkpoints are on, and every counter is identical across
+     straight, checkpointed and killed-and-resumed runs.
 
-     Equivalence with the sequential run (same verdict, same
+     Equivalence across job counts (same verdict, same
      [distinct_states] on non-truncated explorations) holds because
-     both are order-independent: a state enters the table the first
-     time any path reaches it, memo absorption only ever cuts a visit
-     whose (depth budget, drop budget, sleep set) coverage is
+     exploration is order-independent: a state enters the table the
+     first time any path reaches it, memo absorption only ever cuts a
+     visit whose (depth budget, drop budget, sleep set) coverage is
      dominated by coverage some other visit has walked or will walk,
      and sleep sets prune transitions covered by a sibling's subtree —
      none of which depends on which worker arrives first. The
@@ -1320,21 +1153,24 @@ module Make (A : Sim.Automaton.S) = struct
 
      Checkpointing rides on the task queue: tasks are processed in
      chunks, and a checkpoint — the Codec container holding the
-     fingerprint, the packed pools, the visited export, the task
-     queue and the cursor — is written only at chunk boundaries,
-     after [Pool.run] has joined. At a boundary every claim in the
-     memo table is fulfilled (each inserted entry's coverage has been
-     fully walked), which is what makes resuming sound: a resumed run
-     re-enters the same order-independent fixpoint and reproduces the
-     uninterrupted verdict and distinct-state count exactly. For the
-     same reason the [max_states] budget is, in checkpointed mode,
-     enforced at boundaries only (a mid-task abort would leave
-     unfulfilled claims in the saved table) — the overshoot is
-     bounded by one chunk's subtrees, and the budget is cumulative
-     across segments via the restored id watermark. *)
-  let run_engine ~reduction ~dedup ~delivery ~max_states ~max_drops ~jobs
-      ~checkpoint ~resume ~spill_dir ~stop ~n ~menu ~depth ~inputs ~props () =
+     fingerprint, the packed pools, the visited export, the known
+     no-op keys, the task queue and the cursor — is written only at
+     chunk boundaries, after [Pool.run] has joined. At a boundary
+     every claim in the memo table is fulfilled (each inserted entry's
+     coverage has been fully walked), which is what makes resuming
+     sound: a resumed run re-enters the same order-independent
+     fixpoint and reproduces the uninterrupted verdict and
+     distinct-state count exactly. For the same reason the
+     [max_states] budget is, in checkpointed mode, enforced at
+     boundaries only (a mid-task abort would leave unfulfilled claims
+     in the saved table) — the overshoot is bounded by one chunk's
+     subtrees, and the budget is cumulative across segments via the
+     restored id watermark. *)
+  let run ?(reduction = Sleep_sets) ?(dedup = true) ?(delivery = `Fifo)
+      ?(max_states = 2_000_000) ?(max_drops = max_int) ?(jobs = 1) ?checkpoint
+      ?resume ?spill_dir ?stop ~n ~menu ~depth ~inputs ~props () =
     let t0 = Sim.Clock.now () in
+    let jobs = max 1 jobs in
     let lossy = menu.Menu.lossy in
     let menus = Array.init n (fun p -> menu.Menu.values p) in
     let sleep = reduction <> No_reduction in
@@ -1361,6 +1197,9 @@ module Make (A : Sim.Automaton.S) = struct
     let pool =
       match resumed with Some (_, p) -> p | None -> Packed.create ~n
     in
+    (* one packed encode + full-width hash per transition, computed at
+       the parent and reused at the child's node; the table retains
+       only the packed bytes *)
     let hconfig cfg =
       Intern.hashed Codec.bytes_hash (Packed.encode pool cfg)
     in
@@ -1370,8 +1209,7 @@ module Make (A : Sim.Automaton.S) = struct
     (* per-worker counters, slot 0 = the coordinator's prefix walk —
        and, on a resume, the restored cumulative totals of the prior
        segments, so the final sums span the whole campaign *)
-    let nw = jobs + 1 in
-    let counters () = Array.init nw (fun _ -> ref 0) in
+    let counters () = Array.init (jobs + 1) (fun _ -> ref 0) in
     let transitions = counters ()
     and dedup_hits = counters ()
     and self_loops = counters ()
@@ -1381,6 +1219,20 @@ module Make (A : Sim.Automaton.S) = struct
     and decided_leaves = counters ()
     and depth_leaves = counters ()
     and max_depths = counters () in
+    (* Known no-op lambda steps ([Dpor] only): a lambda step's result
+       is a function of (pid, its state, the detector value) alone, so
+       once observed to change nothing it is skipped at move
+       generation — without re-applying [A.step] — at every later
+       node. Counted as a [self_loops] skip but not a transition. A
+       no-op is never recorded in a sleep set (it is skipped before
+       the sleep check could record it), so memo coverage domination
+       is untouched. One table per worker instead of a shared locked
+       one: the cache is a pure memo of [A.step], so divergence
+       between workers only costs repeated first encounters. The
+       coordinator's prefix walk ends before any worker starts and
+       shares worker 0's table, and checkpoints carry the known keys,
+       so at [jobs = 1] one table spans the whole campaign. *)
+    let noops = Array.init jobs (fun _ -> Noop_tbl.create 1024) in
     (match resumed with
     | None -> ()
     | Some (c, _) ->
@@ -1389,76 +1241,71 @@ module Make (A : Sim.Automaton.S) = struct
            (fun (ih, b, e) ->
              (Intern.hashed (fun (_ : Bytes.t) -> ih) b, e))
            c.ck_visited);
-      transitions.(0) := c.ck_counts.(0);
-      dedup_hits.(0) := c.ck_counts.(1);
-      self_loops.(0) := c.ck_counts.(2);
-      sleep_skipped.(0) := c.ck_counts.(3);
-      races.(0) := c.ck_counts.(4);
-      backtracks.(0) := c.ck_counts.(5);
-      decided_leaves.(0) := c.ck_counts.(6);
-      depth_leaves.(0) := c.ck_counts.(7);
-      max_depths.(0) := c.ck_counts.(8));
-    (* per-worker no-op caches: redundant discovery across domains
-       instead of a shared locked table — the cache is a pure
-       memo of [A.step], so divergence between workers only costs
-       repeated first encounters, never soundness *)
-    let noops =
-      Array.init nw (fun _ ->
-          (Hashtbl.create 1024
-            : (Pid.t * A.state * Sim.Fd_value.t, unit) Hashtbl.t))
-    in
+      Array.iteri
+        (fun i r -> r.(0) := c.ck_counts.(i))
+        [| transitions; dedup_hits; self_loops; sleep_skipped; races;
+           backtracks; decided_leaves; depth_leaves; max_depths |];
+      Array.iter
+        (fun t -> Array.iter (fun k -> Noop_tbl.replace t k ()) c.ck_noops)
+        noops);
     let spawn_depth = max 1 (min 2 (depth - 1)) in
     let stopped cfg =
       match stop with Some f -> f (fun p -> cfg.states.(p)) | None -> false
-    in
-    let check_props cfg path_rev =
-      List.iter
-        (fun pr ->
-          match pr.prop_check (fun p -> cfg.states.(p)) with
-          | Ok () -> ()
-          | Error d -> raise (Found (pr.prop_name, d, List.rev path_rev)))
-        props
     in
     let frontier = ref [] in
     (* [sink]: the coordinator's prefix walk queues frontier
        expansions instead of performing them; workers ([sink=false])
        expand in place. A queued task resumes exactly at the
        expansion step — its node is already in the table, claiming
-       the coverage the task will perform. *)
-    let rec expand ~w ~sink cfg remaining drops slept path_rev =
+       the coverage the task will perform. [hc] is [cfg]'s packed
+       key. *)
+    let rec expand ~w ~sink cfg hc remaining drops slept path_rev =
       if sink && depth - remaining >= spawn_depth then
         frontier := (cfg, remaining, drops, slept, path_rev) :: !frontier
       else begin
+        let noop = noops.(max 0 (w - 1)) in
+        (* the drop alphabet switches off once the path's loss budget
+           is spent *)
         let all =
           moves_of ~n ~delivery ~lossy:(lossy && drops > 0) ~menus cfg
         in
-        let sl = Sibs.of_list ~n slept in
-        let ex = Sibs.create ~n in
+        (* index the inherited sleepers once per node; earlier
+           explored siblings accumulate in the same bucketed form *)
+        let sl = Sibs.create ~n and ex = Sibs.create ~n in
+        List.iter (Sibs.add ~n sl) slept;
         List.iter
           (fun mv ->
             if sleep && Sibs.mem ~n sl mv then incr sleep_skipped.(w)
             else if
-              dpor
-              && mv.m_recv = None
-              && Hashtbl.mem noops.(w)
-                   (mv.m_pid, cfg.states.(mv.m_pid), mv.m_fd)
+              dpor && mv.m_recv = None && Noop_tbl.mem noop (noop_key hc mv)
             then incr self_loops.(w)
             else begin
               let child = apply ~n cfg mv in
               incr transitions.(w);
-              if child.states = cfg.states && child.chans = cfg.chans then begin
+              (* [apply] shares [chans] physically exactly when the
+                 move neither consumed nor sent, and copies [states]
+                 touching only slot [m_pid] — so the self-loop test
+                 compares one state slot on that fast path instead of
+                 the whole config *)
+              let is_self_loop =
+                if child.chans == cfg.chans then
+                  child.states.(mv.m_pid) = cfg.states.(mv.m_pid)
+                else child.states = cfg.states && child.chans = cfg.chans
+              in
+              if is_self_loop then begin
+                (* self-loop (e.g. a lambda step whose detector value
+                   unlocks nothing): no new state, and every move
+                   enabled at the child is enabled here — skip *)
                 incr self_loops.(w);
                 if dpor && mv.m_recv = None then
-                  Hashtbl.replace noops.(w)
-                    (mv.m_pid, cfg.states.(mv.m_pid), mv.m_fd)
-                    ()
+                  Noop_tbl.replace noop (noop_key hc mv) ()
               end
               else begin
                 let child_slept =
                   inherit_slept ~reduction ~lossy ~races:races.(w)
                     ~backtracks:backtracks.(w) ~n ~explored:ex ~slept:sl mv
                 in
-                pdfs ~w ~sink child (remaining - 1)
+                pdfs ~w ~sink child (hconfig child) (remaining - 1)
                   (if mv.m_drop then drops - 1 else drops)
                   child_slept (mv :: path_rev);
                 if sleep then Sibs.add ~n ex mv
@@ -1466,45 +1313,44 @@ module Make (A : Sim.Automaton.S) = struct
             end)
           all
       end
-    and pdfs ~w ~sink cfg remaining drops slept path_rev =
+    and pdfs ~w ~sink cfg hc remaining drops slept path_rev =
       if Atomic.get halt then raise Limit;
       if depth - remaining > !(max_depths.(w)) then
         max_depths.(w) := depth - remaining;
-      let hc = hconfig cfg in
-      (* the same domination/update logic as the sequential walker,
-         run under the stripe lock so the entry mutation is atomic *)
-      let revisit e =
-        match Cov.revisit e ~remaining ~drops ~slept with
-        | `Absorbed -> `Absorbed
-        | `Expand slept' -> `Expand slept'
-      in
       let act = function
         | `Absorbed -> incr dedup_hits.(w)
         | `Expand slept' ->
-          if remaining > 0 then expand ~w ~sink cfg remaining drops slept' path_rev
+          if remaining > 0 then
+            expand ~w ~sink cfg hc remaining drops slept' path_rev
           else incr depth_leaves.(w)
         | `Known ->
           (* dedup off: nothing is absorbed; re-explore the revisit *)
           if stopped cfg then incr decided_leaves.(w)
           else if remaining = 0 then incr depth_leaves.(w)
-          else expand ~w ~sink cfg remaining drops slept path_rev
+          else expand ~w ~sink cfg hc remaining drops slept path_rev
         | `Decided -> incr decided_leaves.(w)
         | `Inserted ->
           if remaining = 0 then incr depth_leaves.(w)
-          else expand ~w ~sink cfg remaining drops slept path_rev
+          else expand ~w ~sink cfg hc remaining drops slept path_rev
         | `Full ->
           Atomic.set truncated true;
           Atomic.set halt true;
           raise Limit
       in
-      let first =
-        Shared.with_key visited hc (fun bound ->
-            match bound with
-            | Some e when dedup -> (revisit e, None)
-            | Some _ -> (`Known, None)
-            | None -> (`Fresh, None))
+      (* the domination/update decision runs under the stripe lock, so
+         the entry mutation is atomic; [on_fresh] decides an unbound
+         key *)
+      let probe on_fresh =
+        Shared.with_key visited hc (function
+          | Some e when dedup ->
+            ( (Cov.revisit e ~remaining ~drops ~slept
+                : [ `Absorbed | `Expand of move list ]
+                :> [> `Absorbed | `Expand of move list ]),
+              None )
+          | Some _ -> (`Known, None)
+          | None -> on_fresh ())
       in
-      match first with
+      match probe (fun () -> (`Fresh, None)) with
       | `Fresh ->
         (* Property and goal evaluation run outside the stripe lock;
            the second, double-checked lookup re-examines the binding a
@@ -1515,18 +1361,23 @@ module Make (A : Sim.Automaton.S) = struct
         if (not ckpt_mode) && Shared.length visited >= max_states then
           act `Full
         else begin
-          check_props cfg path_rev;
+          List.iter
+            (fun pr ->
+              match pr.prop_check (fun p -> cfg.states.(p)) with
+              | Ok () -> ()
+              | Error d -> raise (Found (pr.prop_name, d, List.rev path_rev)))
+            props;
           let decided = stopped cfg in
           act
-            (Shared.with_key visited hc (fun bound ->
-                 match bound with
-                 | Some e when dedup -> (revisit e, None)
-                 | Some _ -> (`Known, None)
-                 | None ->
-                   if (not ckpt_mode) && Shared.length visited >= max_states
-                   then (`Full, None)
-                   else if decided then (`Decided, Some (Cov.goal ()))
-                   else (`Inserted, Some (Cov.make ~remaining ~drops ~slept))))
+            (probe (fun () ->
+                 if (not ckpt_mode) && Shared.length visited >= max_states
+                 then (`Full, None)
+                 else if decided then
+                   (* all-decided goal state: safety can no longer
+                      change in the checked scope; never expanded, at
+                      any budget *)
+                   (`Decided, Some (Cov.goal ()))
+                 else (`Inserted, Some (Cov.make ~remaining ~drops ~slept))))
         end
       | (`Absorbed | `Expand _ | `Known) as a -> act a
     in
@@ -1546,7 +1397,8 @@ module Make (A : Sim.Automaton.S) = struct
       match resumed with
       | Some (c, _) -> (c.ck_tasks, c.ck_next)
       | None ->
-        guard (fun () -> pdfs ~w:0 ~sink:true root depth max_drops [] []);
+        guard (fun () ->
+            pdfs ~w:0 ~sink:true root (hconfig root) depth max_drops [] []);
         (Array.of_list (List.rev !frontier), 0)
     in
     let ntasks = Array.length tasks in
@@ -1577,6 +1429,13 @@ module Make (A : Sim.Automaton.S) = struct
             ck_states = sp;
             ck_msgs = mp;
             ck_visited = vis;
+            ck_noops =
+              (* union of the workers' tables: each key stored once *)
+              (let all = Noop_tbl.create 1024 in
+               Array.iter
+                 (Noop_tbl.iter (fun k () -> Noop_tbl.replace all k ()))
+                 noops;
+               Array.of_seq (Noop_tbl.to_seq_keys all));
             ck_tasks = tasks;
             ck_next = next;
             ck_counts = snapshot ();
@@ -1587,21 +1446,22 @@ module Make (A : Sim.Automaton.S) = struct
       if not (Atomic.get halt) then begin
         let cfg, remaining, drops, slept, path_rev = tasks.(i) in
         guard (fun () ->
-            expand ~w:(worker + 1) ~sink:false cfg remaining drops slept
-              path_rev)
+            expand ~w:(worker + 1) ~sink:false cfg (hconfig cfg) remaining
+              drops slept path_rev)
       end
     in
     (if not ckpt_mode then
-       Pool.run ~jobs ntasks (fun ~worker i -> run_task ~worker i)
+       Pool.run ~jobs ntasks run_task
      else begin
        (* Chunked driver: budget check, then a joined chunk of tasks,
           then (possibly) a checkpoint and a spill — always at a
           boundary where every memo claim is fulfilled. At [jobs = 1]
-          the chunks run inline in task order, so a resumed campaign
-          is counter-for-counter identical to a straight-through one;
-          at [jobs > 1] the order-independent quantities (verdict,
-          distinct states, decided leaves) are identical and the rest
-          varies as it already does across parallel runs. *)
+          the chunks run inline in task order — the unchunked order —
+          so checkpointed, resumed and straight runs are
+          counter-for-counter identical; at [jobs > 1] the
+          order-independent quantities (verdict, distinct states,
+          decided leaves) are identical and the rest varies as it
+          already does across parallel runs. *)
        let chunk = max 1 (4 * jobs) in
        let next = ref start in
        let continue = ref true in
@@ -1659,22 +1519,14 @@ module Make (A : Sim.Automaton.S) = struct
         wall_seconds = Sim.Clock.elapsed t0;
       }
     in
-    finish ~n ~inputs ~stats (Atomic.get violation)
-
-  let run ?(reduction = Sleep_sets) ?(dedup = true) ?(delivery = `Fifo)
-      ?(max_states = 2_000_000) ?(max_drops = max_int) ?(jobs = 1) ?checkpoint
-      ?resume ?spill_dir ?stop ~n ~menu ~depth ~inputs ~props () =
-    (* any checkpoint-related option routes through the chunked
-       engine, even at [jobs = 1]: checkpoints need the task queue *)
-    if
-      jobs <= 1 && checkpoint = None && resume = None && spill_dir = None
-    then
-      run_seq ~reduction ~dedup ~delivery ~max_states ~max_drops ~stop ~n
-        ~menu ~depth ~inputs ~props ()
-    else
-      run_engine ~reduction ~dedup ~delivery ~max_states ~max_drops
-        ~jobs:(max 1 jobs) ~checkpoint ~resume ~spill_dir ~stop ~n ~menu
-        ~depth ~inputs ~props ()
+    let violation =
+      match Atomic.get violation with
+      | None -> None
+      | Some (cx_property, cx_detail, cx_moves) ->
+        let cx_steps, cx_samples, cx_states = concretize ~n ~inputs cx_moves in
+        Some { cx_property; cx_detail; cx_moves; cx_steps; cx_samples; cx_states }
+    in
+    { stats; violation }
 
   let replay_counterexample ~n ~inputs cx = R.replay ~n ~inputs cx.cx_steps
 

@@ -16,7 +16,7 @@ open Procset
 module Intern : module type of Intern
 (** Cached-hash interning tables: hash a canonical state once, reuse
     the hash for every later lookup; the striped variant is the
-    parallel checker's shared visited set (with optional disk spill of
+    checker's shared visited set (with optional disk spill of
     cold stripes). *)
 
 module Codec : module type of Codec
@@ -329,35 +329,38 @@ module Make (A : Sim.Automaton.S) : sig
       so absorption stays sound across paths that reach a state with
       different budgets.
 
-      [jobs] (default 1) parallelizes the exploration over that many
-      domains: the root frontier (depth-2 expansions) is fanned out
-      over a striped shared visited table ({!Intern.Striped}), with
-      sleep-set pruning kept per-worker. [jobs <= 1] is exactly the
-      sequential walker. At [jobs > 1] the verdict and — on
-      non-truncated explorations — [distinct_states] and
-      [decided_leaves] equal the sequential run's (exploration order
-      does not change which states are reachable within the bounds;
-      pinned per menu family in test_mc.ml), while the
-      interleaving-dependent counters ([transitions], [dedup_hits],
-      [self_loops], [sleep_skipped], [races], [backtracks],
-      [depth_leaves], [max_depth]) and
-      the identity of the counterexample, when one exists, may vary.
+      [jobs] (default 1) sets how many domains run the exploration.
+      There is one engine: a prefix walk queues the root frontier
+      (depth-2 expansions) as tasks over a striped visited table
+      ({!Intern.Striped}), and the tasks run to completion — inline,
+      in queue order, at [jobs <= 1]; fanned out over [jobs] domains
+      otherwise, with sleep-set pruning kept per worker. At
+      [jobs = 1] the walk is deterministic, and every counter is
+      identical with or without [checkpoint] and across kill/resume.
+      At any [jobs] the verdict and — on non-truncated explorations —
+      [distinct_states] and [decided_leaves] are the same
+      (exploration order does not change which states are reachable
+      within the bounds; pinned per menu family in test_mc.ml), while
+      the interleaving-dependent counters ([transitions],
+      [dedup_hits], [self_loops], [sleep_skipped], [races],
+      [backtracks], [depth_leaves], [max_depth]) and the identity of
+      the counterexample, when one exists, may vary with [jobs > 1].
       [wall_seconds] is always one monotonic-clock read on the
       coordinating domain, never a per-domain sum.
 
       [checkpoint:(path, every_n_states)] makes the campaign
-      resumable: the run is driven through the parallel task queue
-      (even at [jobs = 1], where it is deterministic) and a versioned
-      snapshot — fingerprint, packed state/message pools, the visited
-      set as packed bytes, the task queue and cursor, cumulative
-      counters — is written to [path] (atomically, temp + rename)
+      resumable: the task queue is processed in chunks and a
+      versioned snapshot — fingerprint, packed state/message pools,
+      the visited set as packed bytes, the known no-op lambda steps,
+      the task queue and cursor, cumulative counters — is written to [path] (atomically, temp + rename)
       whenever at least [every_n_states] new distinct states have
       accumulated since the last write, always at a task-chunk
       boundary where every memoization claim is fulfilled. [resume]
       restores such a snapshot after full validation (raising
       {!Resume_rejected} otherwise) and continues from the cursor: a
       resumed campaign reproduces the uninterrupted run's verdict and
-      [distinct_states] exactly, and its [max_states] budget is
+      [distinct_states] exactly (at [jobs = 1], every counter but
+      [wall_seconds]), and its [max_states] budget is
       cumulative across segments (a truncated campaign resumed under
       the same budget truncates again immediately; [stats.truncated]
       reflects the whole campaign). In checkpointed mode the budget

@@ -303,11 +303,35 @@ let test_striped_collisions_through_spill () =
       let exported = Striped_bytes.export t in
       Alcotest.(check int) "export sees both" 2 (Array.length exported))
 
+(* Each stripe's table indexes its buckets by the low hash bits, so
+   the stripe index must come from other bits: with the stripe taken
+   from the low bits, the keys of stripe i all land in the buckets
+   whose index is congruent to i, and a 64-way table fills 1/64 of
+   each stripe's buckets. Full-width packed-state hashes must reach
+   most buckets of every stripe instead. *)
+let test_striped_keys_spread_over_buckets () =
+  let t = Striped_bytes.create ~stripes:64 16 in
+  for i = 0 to (64 * 512) - 1 do
+    let b = Bytes.of_string (Printf.sprintf "packed state %d" i) in
+    ignore
+      (Striped_bytes.intern t (Mc.Intern.hashed Mc.Codec.bytes_hash b)
+         (fun id -> id))
+  done;
+  Array.iteri
+    (fun i (s : Hashtbl.statistics) ->
+      let used = s.num_buckets - s.bucket_histogram.(0) in
+      Alcotest.(check bool)
+        (Printf.sprintf "stripe %d: %d of %d buckets hold its %d keys" i used
+           s.num_buckets s.num_bindings)
+        true
+        (2 * used >= min s.num_bindings s.num_buckets))
+    (Striped_bytes.stripe_stats t)
+
 (* -------------------------------------------------------------- *)
 (* Checkpoint / resume of mc campaigns                             *)
 (* -------------------------------------------------------------- *)
 
-let run_anuc ?max_states ?checkpoint ?resume ~depth () =
+let run_anuc ?reduction ?max_states ?checkpoint ?resume ~depth () =
   let pattern = Sim.Failure_pattern.make ~n ~crashes:[ (2, depth + 1) ] in
   let menu = Mc.Menu.contamination ~plus:true ~n ~faulty () in
   let props =
@@ -318,32 +342,62 @@ let run_anuc ?max_states ?checkpoint ?resume ~depth () =
     M_anuc.decided_stop ~decision:Core.Anuc.decision
       ~scope:(Sim.Failure_pattern.correct pattern)
   in
-  M_anuc.run ~n ~menu ~depth ~inputs:proposals ~props ~stop ?max_states
-    ?checkpoint ?resume ()
+  M_anuc.run ?reduction ~n ~menu ~depth ~inputs:proposals ~props ~stop
+    ?max_states ?checkpoint ?resume ()
 
+(* Every [stats] field but [wall_seconds], named, so a mismatch says
+   which counter moved. *)
+let stats_fields (s : Mc.stats) =
+  [
+    ("transitions", s.Mc.transitions);
+    ("distinct_states", s.Mc.distinct_states);
+    ("dedup_hits", s.Mc.dedup_hits);
+    ("self_loops", s.Mc.self_loops);
+    ("sleep_skipped", s.Mc.sleep_skipped);
+    ("races", s.Mc.races);
+    ("backtracks", s.Mc.backtracks);
+    ("decided_leaves", s.Mc.decided_leaves);
+    ("depth_leaves", s.Mc.depth_leaves);
+    ("max_depth", s.Mc.max_depth);
+    ("truncated", Bool.to_int s.Mc.truncated);
+  ]
+
+let check_same_stats msg a b =
+  Alcotest.(check (list (pair string int))) msg (stats_fields a)
+    (stats_fields b)
+
+(* At jobs = 1 the walk is one deterministic order, so a campaign
+   killed by its budget and resumed from the checkpoint must match the
+   straight run counter for counter — under dpor too, whose no-op
+   cache travels in the checkpoint. *)
 let test_checkpoint_resume_equality () =
-  with_temp (fun path ->
-      let depth = 8 in
-      let straight = run_anuc ~depth () in
-      let truncated =
-        run_anuc ~depth ~max_states:500 ~checkpoint:(path, 100) ()
-      in
-      Alcotest.(check bool)
-        "segment truncated" true truncated.M_anuc.stats.Mc.truncated;
-      Alcotest.(check bool)
-        "segment saw fewer states" true
-        (truncated.M_anuc.stats.Mc.distinct_states
-        < straight.M_anuc.stats.Mc.distinct_states);
-      let resumed = run_anuc ~depth ~resume:path ~checkpoint:(path, 100) () in
-      Alcotest.(check bool)
-        "resumed not truncated" false resumed.M_anuc.stats.Mc.truncated;
-      Alcotest.(check bool)
-        "resumed verdict matches straight" true
-        (resumed.M_anuc.violation = None && straight.M_anuc.violation = None);
-      Alcotest.(check int)
-        "resumed distinct states match straight"
-        straight.M_anuc.stats.Mc.distinct_states
-        resumed.M_anuc.stats.Mc.distinct_states)
+  List.iter
+    (fun reduction ->
+      with_temp (fun path ->
+          let tag s = Format.asprintf "%a: %s" Mc.pp_reduction reduction s in
+          let depth = 8 in
+          let straight = run_anuc ~reduction ~depth () in
+          let truncated =
+            run_anuc ~reduction ~depth ~max_states:500 ~checkpoint:(path, 100)
+              ()
+          in
+          Alcotest.(check bool)
+            (tag "segment truncated") true truncated.M_anuc.stats.Mc.truncated;
+          Alcotest.(check bool)
+            (tag "segment saw fewer states") true
+            (truncated.M_anuc.stats.Mc.distinct_states
+            < straight.M_anuc.stats.Mc.distinct_states);
+          let resumed =
+            run_anuc ~reduction ~depth ~resume:path ~checkpoint:(path, 100) ()
+          in
+          Alcotest.(check bool)
+            (tag "resumed verdict matches straight") true
+            (resumed.M_anuc.violation = None
+            && straight.M_anuc.violation = None);
+          check_same_stats
+            (tag "resumed stats match straight")
+            straight.M_anuc.stats resumed.M_anuc.stats))
+    [ Mc.Sleep_sets; Mc.Dpor ]
 
 let test_checkpoint_max_states_cumulative () =
   with_temp (fun path ->
@@ -390,10 +444,8 @@ let test_checkpoint_completed_campaign () =
       (* a campaign that completes writes a final checkpoint; resuming
          it finds no pending work and reproduces the verdict *)
       let finished = run_anuc ~depth ~checkpoint:(path, 1_000) () in
-      Alcotest.(check int)
-        "checkpointed run matches straight"
-        straight.M_anuc.stats.Mc.distinct_states
-        finished.M_anuc.stats.Mc.distinct_states;
+      check_same_stats "checkpointed run matches straight"
+        straight.M_anuc.stats finished.M_anuc.stats;
       let resumed = run_anuc ~depth ~resume:path () in
       Alcotest.(check int)
         "resumed completed campaign reproduces distinct states"
@@ -439,6 +491,8 @@ let () =
             test_striped_collisions_distinct;
           Alcotest.test_case "collisions through spill" `Quick
             test_striped_collisions_through_spill;
+          Alcotest.test_case "stripes spread keys over their buckets" `Quick
+            test_striped_keys_spread_over_buckets;
         ] );
       ( "checkpoint",
         [

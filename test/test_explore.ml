@@ -253,16 +253,35 @@ let test_checkpoint_resume_byte_identical () =
 
 (* The fuzz and mc checkpoints share the container but not the schema
    version, so resuming across kinds is a typed rejection, never a
-   misinterpretation of the payload. *)
+   misinterpretation of the payload — checked both ways on real
+   checkpoint files. *)
 let test_checkpoint_wrong_kind_rejected () =
-  with_ckpt_file (fun path ->
-      (* version 1 is the mc checkpoint schema *)
-      Mc.Codec.write_file ~path ~version:1 "not a fuzz checkpoint";
-      match ckpt_run ~jobs:1 ~resume:path () with
-      | exception Mc.Resume_rejected (Mc.Codec.Bad_version 1) -> ()
-      | exception Mc.Resume_rejected e ->
-        Alcotest.failf "wrong rejection: %s" (Mc.Codec.error_to_string e)
-      | _ -> Alcotest.fail "mc checkpoint accepted by fuzz")
+  let mc_run ?checkpoint ?resume () =
+    Ex.M.run ~max_states:200 ?checkpoint ?resume ~stop ~n ~menu ~depth:8
+      ~inputs:proposals ~props:[] ()
+  in
+  let rejected_version what f =
+    match f () with
+    | exception Mc.Resume_rejected (Mc.Codec.Bad_version v) -> v
+    | exception Mc.Resume_rejected e ->
+      Alcotest.failf "%s: wrong rejection: %s" what
+        (Mc.Codec.error_to_string e)
+    | _ -> Alcotest.failf "%s: checkpoint accepted" what
+  in
+  let mc_version =
+    with_ckpt_file (fun path ->
+        ignore (mc_run ~checkpoint:(path, 50) ());
+        rejected_version "mc checkpoint into fuzz" (fun () ->
+            ckpt_run ~jobs:1 ~resume:path ()))
+  in
+  let fuzz_version =
+    with_ckpt_file (fun path ->
+        ignore (ckpt_run ~jobs:1 ~checkpoint:(path, 1) ~max_batches:1 ());
+        rejected_version "fuzz checkpoint into mc" (fun () ->
+            mc_run ~resume:path ()))
+  in
+  Alcotest.(check bool)
+    "mc and fuzz checkpoint versions differ" true (mc_version <> fuzz_version)
 
 (* A schedule that never violates is a shrinker error, not a bogus
    one-move "counterexample". *)

@@ -486,11 +486,13 @@ let test_fuzz_shrink_confirmed_by_mc () =
 (* Parallel driver: sequential equivalence, interning, wall clock  *)
 (* -------------------------------------------------------------- *)
 
-(* The parallel driver ([run ~jobs]) must agree with the sequential
-   one on every order-independent observable: the verdict, the
-   distinct-state count, and the decided-leaf count — per menu
-   family, at a pinned depth. Interleaving-dependent counters
-   (transitions, dedup_hits, max_depth) may legitimately differ. *)
+(* Every job count must reproduce the order-independent observables —
+   the verdict, the distinct-state count and the decided-leaf count —
+   per menu family, at a pinned depth. The pins were recorded from the
+   dedicated sequential walker the engine used to keep for jobs = 1,
+   so they stay an oracle independent of the task-queue engine.
+   Interleaving-dependent counters (transitions, dedup_hits,
+   max_depth) may legitimately differ across job counts. *)
 let test_parallel_matches_sequential () =
   let depth = 5 in
   let pattern = pattern ~depth in
@@ -503,33 +505,24 @@ let test_parallel_matches_sequential () =
       ~scope:(Sim.Failure_pattern.correct pattern)
   in
   List.iter
-    (fun (menu : Mc.Menu.t) ->
-      let run ~jobs =
-        M_naive.run ~jobs ~n ~menu ~depth ~inputs:proposals ~props ~stop
-          ~max_drops:1 ()
-      in
-      let seq = run ~jobs:1 and par = run ~jobs:3 in
-      Alcotest.(check bool)
-        (menu.Mc.Menu.name ^ ": same verdict")
-        (Option.is_none seq.M_naive.violation)
-        (Option.is_none par.M_naive.violation);
-      Alcotest.(check int)
-        (menu.Mc.Menu.name ^ ": same distinct states")
-        seq.M_naive.stats.Mc.distinct_states
-        par.M_naive.stats.Mc.distinct_states;
-      Alcotest.(check int)
-        (menu.Mc.Menu.name ^ ": same decided leaves")
-        seq.M_naive.stats.Mc.decided_leaves
-        par.M_naive.stats.Mc.decided_leaves;
-      Alcotest.(check bool)
-        (menu.Mc.Menu.name ^ ": neither truncated")
-        false
-        (seq.M_naive.stats.Mc.truncated || par.M_naive.stats.Mc.truncated))
+    (fun ((menu : Mc.Menu.t), pin) ->
+      List.iter
+        (fun jobs ->
+          let r =
+            M_naive.run ~jobs ~n ~menu ~depth ~inputs:proposals ~props ~stop
+              ~max_drops:1 ()
+          in
+          Tutil.check_mc_pin
+            ~tag:(Printf.sprintf "%s, jobs=%d: %s" menu.Mc.Menu.name jobs)
+            pin
+            ~violated:(Option.is_some r.M_naive.violation)
+            r.M_naive.stats)
+        [ 1; 3 ])
     [
-      Mc.Menu.contamination ~n ~faulty ();
-      Mc.Menu.lossy ~n ~faulty ();
-      Mc.Menu.omega_sigma_nu ~n ~faulty;
-      Mc.Menu.omega_sigma ~n ~faulty;
+      (Mc.Menu.contamination ~n ~faulty (), (true, 601, 0));
+      (Mc.Menu.lossy ~n ~faulty (), (true, 1377, 0));
+      (Mc.Menu.omega_sigma_nu ~n ~faulty, (true, 2085, 0));
+      (Mc.Menu.omega_sigma ~n ~faulty, (true, 2159, 0));
     ]
 
 (* The same contract for A_nuc under the plus family — the other
@@ -546,17 +539,17 @@ let test_parallel_matches_sequential_anuc () =
     M_anuc.decided_stop ~decision:Core.Anuc.decision
       ~scope:(Sim.Failure_pattern.correct pattern)
   in
-  let run ~jobs =
-    M_anuc.run ~jobs ~n ~menu ~depth ~inputs:proposals ~props ~stop ()
-  in
-  let seq = run ~jobs:1 and par = run ~jobs:4 in
-  Alcotest.(check bool) "same verdict"
-    (Option.is_none seq.M_anuc.violation)
-    (Option.is_none par.M_anuc.violation);
-  Alcotest.(check int) "same distinct states"
-    seq.M_anuc.stats.Mc.distinct_states par.M_anuc.stats.Mc.distinct_states;
-  Alcotest.(check int) "same decided leaves"
-    seq.M_anuc.stats.Mc.decided_leaves par.M_anuc.stats.Mc.decided_leaves
+  List.iter
+    (fun jobs ->
+      let r =
+        M_anuc.run ~jobs ~n ~menu ~depth ~inputs:proposals ~props ~stop ()
+      in
+      Tutil.check_mc_pin
+        ~tag:(Printf.sprintf "jobs=%d: %s" jobs)
+        (true, 3392, 0)
+        ~violated:(Option.is_some r.M_anuc.violation)
+        r.M_anuc.stats)
+    [ 1; 4 ]
 
 (* A violation found by the parallel driver is a real one: at the
    certified horizon the parallel run still convicts the naive

@@ -1,8 +1,9 @@
-(* Shared helpers for the consensus and core test suites: run a
-   consensus automaton under a given oracle family over randomized
-   patterns and seeds, evaluate the problem's properties, and the one
-   shared definition of a randomly generated environment/failure
-   pattern for qcheck properties. *)
+(* Shared helpers for the test suites: run a consensus automaton
+   under a given oracle family over randomized patterns and seeds,
+   evaluate the problem's properties, the one shared definition of a
+   randomly generated environment/failure pattern for qcheck
+   properties, and the model checker's pinned order-independent
+   observables. *)
 open Procset
 
 module type CONSENSUS = sig
@@ -449,3 +450,14 @@ let shrink_family_spec s =
 let arb_family_spec ~n =
   QCheck.make ~print:print_family_spec ~shrink:shrink_family_spec
     (family_spec_gen ~n)
+
+(* A model-checking run against its pin: (verdict clean, distinct
+   states, decided leaves) — the observables no exploration order or
+   job count may change — and not truncated. *)
+let check_mc_pin ~tag (verdict_clean, states, decided) ~violated
+    (s : Mc.stats) =
+  Alcotest.(check (triple bool int int))
+    (tag "verdict, distinct states, decided leaves")
+    (verdict_clean, states, decided)
+    (not violated, s.Mc.distinct_states, s.Mc.decided_leaves);
+  Alcotest.(check bool) (tag "not truncated") false s.Mc.truncated

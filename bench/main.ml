@@ -2,27 +2,31 @@
 
    The paper is a theory paper, so there are no tables or figures of
    measurements to replicate; its "evaluation" is a set of theorems.
-   This harness regenerates, on every run:
+   This harness regenerates, on every run, every section of
+   [Experiments.sections], in order:
 
    - the E-table: one row per theorem/proof-scenario experiment
-     (E1-E9, see DESIGN.md), each validated by independent property
+     (see DESIGN.md), each validated by independent property
      checkers over randomized or scripted runs;
-   - the B-tables: decision latency of the consensus algorithms
-     across environments (B1), sensitivity to the detectors'
-     stabilization time (B2), the cost of the DAG-based
-     transformation machinery (B3), model-checker throughput (B6),
-     liveness degradation under injected message loss (B7), and
-     randomized-explorer throughput and coverage saturation (B8);
-   - bechamel microbenchmarks of the substrate hot paths (B4).
+   - the B-tables: decision latency across environments (B1),
+     sensitivity to the detectors' stabilization time (B2), the cost
+     of the DAG-based transformation machinery (B3), the mechanism
+     ablation (B5), model-checker throughput (B6), liveness
+     degradation under injected message loss (B7), randomized-explorer
+     throughput and coverage saturation (B8), multicore scaling of
+     both engines (B9), replicated-log serving (B10), partial-order
+     reduction (B11), the packed state codec (B12), quorum families
+     (B13), the ring transport with snapshot reads (B14) and bechamel
+     microbenchmarks of the substrate hot paths (B4);
+   - the counters of one instrumented reference run.
 
    Run with: dune exec bench/main.exe
-   With --json [FILE] every table is also serialized to FILE
+   With --json [FILE] every section is also serialized to FILE
    (default BENCH_<date>.json), establishing the perf trajectory;
-   see DESIGN.md for the schema (lib/report holds the printer and
-   the authoritative top-level key list). With --smoke every sweep
-   is cut to a few seconds' worth — for CI, where the point is that
-   the harness runs and the E-table passes, not the numbers. *)
-open Procset
+   see DESIGN.md for the schema (each table's column spec in
+   lib/experiments is the authoritative row shape). With --smoke every
+   sweep is cut to a few seconds' worth — for CI, where the point is
+   that the harness runs and the E-table passes, not the numbers. *)
 
 let pf = Format.printf
 
@@ -31,583 +35,16 @@ let hr title =
   pf "%s@." title;
   pf "===================================================================@."
 
-module Json = Report
-
-(* ---------------------------------------------------------------- *)
-(* E-table                                                           *)
-(* ---------------------------------------------------------------- *)
-
-let experiment_table () =
-  hr "E-table: theorem validation (quick sweeps; full sweeps in `dune \
-      runtest`)";
-  let rows = Experiments.all ~quick:true () in
-  List.iter (fun r -> pf "%a@.@." Experiments.pp_row r) rows;
-  let failed = List.filter (fun r -> not r.Experiments.pass) rows in
-  pf "E-table summary: %d/%d experiments PASS@."
-    (List.length rows - List.length failed)
-    (List.length rows);
-  rows
-
-let json_of_e_rows rows =
-  Json.List
-    (List.map
-       (fun (r : Experiments.row) ->
-         Json.Obj
-           [
-             ("id", Json.Str r.id);
-             ("theorem", Json.Str r.theorem);
-             ("expected", Json.Str r.expected);
-             ("measured", Json.Str r.measured);
-             ("pass", Json.Bool r.pass);
-           ])
-       rows)
-
-(* ---------------------------------------------------------------- *)
-(* B1: decision latency across environments                          *)
-(* ---------------------------------------------------------------- *)
-
-let b1_latency ~smoke () =
-  hr "B1: decision latency (avg over seeds; rounds = consensus rounds of \
-      correct deciders)";
-  pf "%s@." Experiments.latency_header;
-  let seeds = if smoke then [ 0 ] else [ 0; 1; 2; 3; 4 ] in
-  let acc = ref [] in
-  let emit r =
-    acc := r :: !acc;
-    pf "%a@." Experiments.pp_latency_row r
-  in
-  List.iter
-    (fun n ->
-      List.iter
-        (fun t ->
-          if t < n then begin
-            if 2 * t < n then begin
-              emit (Experiments.latency Experiments.Mr_majority ~n ~t ~seeds);
-              emit (Experiments.latency Experiments.Ct ~n ~t ~seeds)
-            end;
-            emit (Experiments.latency Experiments.Mr_sigma ~n ~t ~seeds);
-            emit (Experiments.latency Experiments.Anuc ~n ~t ~seeds)
-          end)
-        (if smoke then [ 1 ] else [ 1; 2; 4 ]))
-    (if smoke then [ 3 ] else [ 3; 5; 7 ]);
-  pf "@.Stack (consensus from raw (Omega, Sigma-nu), incl. the emulation \
-      layer):@.";
-  List.iter
-    (fun (n, t) ->
-      emit
-        (Experiments.latency Experiments.Stack ~n ~t
-           ~seeds:(if smoke then [ 0 ] else [ 0; 1; 2 ])))
-    (if smoke then [ (4, 1) ] else [ (4, 1); (4, 3) ]);
-  List.rev !acc
-
-let json_of_latency_rows rows =
-  Json.List
-    (List.map
-       (fun (r : Experiments.latency_row) ->
-         Json.Obj
-           [
-             ("algorithm", Json.Str r.algorithm);
-             ("n", Json.Int r.n);
-             ("t", Json.Int r.t);
-             ("runs", Json.Int r.runs);
-             ("decided", Json.Int r.decided);
-             ("avg_rounds", Json.Float r.avg_rounds);
-             ("avg_steps", Json.Float r.avg_steps);
-             ("avg_msgs", Json.Float r.avg_msgs);
-             ("avg_mailbox_hwm", Json.Float r.avg_hwm);
-           ])
-       rows)
-
-(* ---------------------------------------------------------------- *)
-(* B2: sensitivity to detector stabilization time                    *)
-(* ---------------------------------------------------------------- *)
-
-let b2_stabilization ~smoke () =
-  hr "B2: steps to full decision vs detector stabilization time (n=5, t=2)";
-  pf "%-12s %10s %8s %12s@." "algorithm" "stab_time" "runs" "avg_steps";
-  List.map
-    (fun (name, algo) ->
-      let rows =
-        Experiments.stabilization_series algo ~n:5 ~t:2
-          ~stabs:(if smoke then [ 0; 150 ] else [ 0; 50; 150; 300 ])
-          ~seeds:(if smoke then [ 0 ] else [ 0; 1; 2 ])
-      in
-      List.iter
-        (fun r ->
-          pf "%-12s %10d %8d %12.1f@." name r.Experiments.stab_time
-            r.Experiments.s_runs r.Experiments.s_avg_steps)
-        rows;
-      (name, rows))
-    [ ("MR-Sigma", Experiments.Mr_sigma); ("A_nuc", Experiments.Anuc) ]
-
-let json_of_stab_series series =
-  Json.List
-    (List.concat_map
-       (fun (name, rows) ->
-         List.map
-           (fun (r : Experiments.stab_row) ->
-             Json.Obj
-               [
-                 ("algorithm", Json.Str name);
-                 ("stab_time", Json.Int r.stab_time);
-                 ("runs", Json.Int r.s_runs);
-                 ("avg_steps", Json.Float r.s_avg_steps);
-               ])
-           rows)
-       series)
-
-(* ---------------------------------------------------------------- *)
-(* B3: transformation cost                                           *)
-(* ---------------------------------------------------------------- *)
-
-let b3_dag_growth ~smoke () =
-  hr "B3: T_{Sigma-nu -> Sigma-nu+} cost vs run length (n=4; DAG pruned to \
-      a sliding window)";
-  pf "%8s %10s %10s %12s %10s %9s %10s@." "steps" "dag_nodes" "weave_len"
-    "extractions" "messages" "mbox_hwm" "wall_ms";
-  let rows =
-    Experiments.dag_growth ~n:4
-      ~steps_list:(if smoke then [ 200; 400 ] else [ 200; 400; 800; 1600 ])
-  in
-  List.iter
-    (fun r ->
-      pf "%8d %10d %10d %12d %10d %9d %10.1f@." r.Experiments.d_steps
-        r.Experiments.dag_nodes r.Experiments.spine_len
-        r.Experiments.extractions_total r.Experiments.d_msgs
-        r.Experiments.d_hwm r.Experiments.wall_ms)
-    rows;
-  rows
-
-let json_of_dag_rows rows =
-  Json.List
-    (List.map
-       (fun (r : Experiments.dag_row) ->
-         Json.Obj
-           [
-             ("steps", Json.Int r.d_steps);
-             ("dag_nodes", Json.Int r.dag_nodes);
-             ("weave_len", Json.Int r.spine_len);
-             ("extractions", Json.Int r.extractions_total);
-             ("messages_sent", Json.Int r.d_msgs);
-             ("mailbox_hwm", Json.Int r.d_hwm);
-             ("wall_ms", Json.Float r.wall_ms);
-           ])
-       rows)
-
-(* ---------------------------------------------------------------- *)
-(* B5: the mechanism ablation                                        *)
-(* ---------------------------------------------------------------- *)
-
-let b5_ablation () =
-  hr "B5: A_nuc mechanism ablation (scripted Sec-6.3 adversary + \
-      randomized adversarial sweeps, n=4)";
-  pf "%s@." Experiments.ablation_header;
-  let rows = Experiments.ablation ~quick:true () in
-  List.iter (fun r -> pf "%a@." Experiments.pp_ablation_row r) rows;
-  rows
-
-let json_of_ablation_rows rows =
-  Json.List
-    (List.map
-       (fun (r : Experiments.ablation_row) ->
-         Json.Obj
-           [
-             ("variant", Json.Str r.variant);
-             ("script_outcome", Json.Str r.script_outcome);
-             ("script_violated", Json.Bool r.script_violated);
-             ("sweep_runs", Json.Int r.sweep_runs);
-             ("sweep_violations", Json.Int r.sweep_violations);
-             ("avg_rounds", Json.Float r.a_avg_rounds);
-           ])
-       rows)
-
-(* ---------------------------------------------------------------- *)
-(* B6: model-checker throughput                                      *)
-(* ---------------------------------------------------------------- *)
-
-let b6_model_check ~smoke () =
-  hr "B6: bounded model checker (lib/mc) — the two E11 explorations on \
-      E_1(3)";
-  pf "%s@." Experiments.mc_header;
-  let rows = Experiments.mc_table ~quick:smoke () in
-  List.iter (fun r -> pf "%a@." Experiments.pp_mc_row r) rows;
-  rows
-
-let json_of_mc_rows rows =
-  Json.List
-    (List.map
-       (fun (r : Experiments.mc_row) ->
-         let s = r.mc_stats in
-         Json.Obj
-           [
-             ("algorithm", Json.Str r.mc_algorithm);
-             ("menu", Json.Str r.mc_menu);
-             ("depth", Json.Int r.mc_depth);
-             ("transitions", Json.Int s.Mc.transitions);
-             ("distinct_states", Json.Int s.Mc.distinct_states);
-             ("dedup_hits", Json.Int s.Mc.dedup_hits);
-             ("self_loops", Json.Int s.Mc.self_loops);
-             ("sleep_skipped", Json.Int s.Mc.sleep_skipped);
-             ("races", Json.Int s.Mc.races);
-             ("backtracks", Json.Int s.Mc.backtracks);
-             ("decided_leaves", Json.Int s.Mc.decided_leaves);
-             ("depth_leaves", Json.Int s.Mc.depth_leaves);
-             ("truncated", Json.Bool s.Mc.truncated);
-             ("wall_seconds", Json.Float s.Mc.wall_seconds);
-             ("states_per_sec", Json.Float (Mc.states_per_sec s));
-             ("outcome", Json.Str r.mc_outcome);
-             ("pass", Json.Bool r.mc_pass);
-           ])
-       rows)
-
-(* ---------------------------------------------------------------- *)
-(* B7: liveness degradation under message loss                       *)
-(* ---------------------------------------------------------------- *)
-
-let b7_fault_latency ~smoke () =
-  hr "B7: A_nuc decision latency vs message-drop rate (n=4, t=1; \
-      non-deciders hit the step budget — nothing retransmits a dropped \
-      message)";
-  pf "%s@." Experiments.fault_header;
-  let rows = Experiments.fault_table ~quick:smoke () in
-  List.iter (fun r -> pf "%a@." Experiments.pp_fault_row r) rows;
-  rows
-
-let json_of_fault_rows rows =
-  Json.List
-    (List.map
-       (fun (r : Experiments.fault_row) ->
-         Json.Obj
-           [
-             ("algorithm", Json.Str r.f_algorithm);
-             ("drop_rate", Json.Float r.f_drop);
-             ("runs", Json.Int r.f_runs);
-             ("decided", Json.Int r.f_decided);
-             ("step_budget", Json.Int r.f_budget);
-             ("avg_steps_decided", Json.Float r.f_avg_steps);
-             ("avg_net_dropped", Json.Float r.f_avg_dropped);
-           ])
-       rows)
-
-(* ---------------------------------------------------------------- *)
-(* B8: randomized-explorer throughput                                *)
-(* ---------------------------------------------------------------- *)
-
-let b8_fuzz ~smoke () =
-  hr "B8: randomized schedule explorer (lib/explore) — the two E13 \
-      campaigns on E_2(5)";
-  pf "%s@." Experiments.fuzz_header;
-  let rows = Experiments.fuzz_table ~quick:smoke () in
-  List.iter (fun r -> pf "%a@." Experiments.pp_fuzz_row r) rows;
-  rows
-
-let json_of_fuzz_rows rows =
-  Json.List
-    (List.map
-       (fun (r : Experiments.fuzz_row) ->
-         Json.Obj
-           [
-             ("algorithm", Json.Str r.fz_algorithm);
-             ("mode", Json.Str r.fz_mode);
-             ("runs", Json.Int r.fz_runs);
-             ("steps", Json.Int r.fz_steps);
-             ("runs_per_sec", Json.Float r.fz_runs_per_sec);
-             ("distinct_states", Json.Int r.fz_states);
-             ("last_batch_new_states", Json.Int r.fz_last_new_states);
-             ("shrink_ratio", Json.Float r.fz_shrink_ratio);
-             ("outcome", Json.Str r.fz_outcome);
-           ])
-       rows)
-
-(* ---------------------------------------------------------------- *)
-(* B9: parallel exploration scaling                                  *)
-(* ---------------------------------------------------------------- *)
-
-let b9_parallel ~smoke () =
-  hr "B9: multicore scaling of the exploration engines (mc ~jobs over \
-      the striped table; fuzz ~jobs batch sharding) — speedups are \
-      honest host measurements, ~1x on single-core containers";
-  pf "%s@." Experiments.b9_header;
-  let rows = Experiments.b9_parallel_table ~quick:smoke () in
-  List.iter (fun r -> pf "%a@." Experiments.pp_b9_row r) rows;
-  rows
-
-let json_of_b9_rows rows =
-  Json.List
-    (List.map
-       (fun (r : Experiments.b9_row) ->
-         Json.Obj
-           [
-             ("workload", Json.Str r.b9_workload);
-             ("jobs", Json.Int r.b9_jobs);
-             ("wall_seconds", Json.Float r.b9_wall);
-             ("throughput", Json.Float r.b9_throughput);
-             ("speedup", Json.Float r.b9_speedup);
-             ("sequential_equivalent", Json.Bool r.b9_equal);
-           ])
-       rows)
-
-(* ---------------------------------------------------------------- *)
-(* B10: served replication throughput                                *)
-(* ---------------------------------------------------------------- *)
-
-let b10_serve ~smoke () =
-  hr "B10: closed-loop replicated-log serving (Smr over A_nuc), clients x \
-      batch, on the deterministic simulator and the concurrent executor — \
-      latencies are logical ticks; executor wall times on single-core \
-      containers include domain scheduling overhead";
-  pf "%s@." Experiments.b10_header;
-  let rows = Experiments.b10_serve_table ~quick:smoke () in
-  List.iter (fun r -> pf "%a@." Experiments.pp_b10_row r) rows;
-  rows
-
-(* ---------------------------------------------------------------- *)
-(* B11: partial-order reduction                                      *)
-(* ---------------------------------------------------------------- *)
-
-let b11_dpor ~smoke () =
-  hr "B11: the E11 A_nuc verification under each reduction (none / sleep \
-      sets / happens-before DPOR) — pass re-checks verdict and \
-      distinct-state equality against the unreduced row";
-  pf "%s@." Experiments.b11_header;
-  let rows = Experiments.b11_dpor_table ~quick:smoke () in
-  List.iter (fun r -> pf "%a@." Experiments.pp_b11_row r) rows;
-  rows
-
-(* ---------------------------------------------------------------- *)
-(* B12: packed canonical-state codec                                 *)
-(* ---------------------------------------------------------------- *)
-
-let b12_codec ~smoke () =
-  hr "B12: packed canonical-state codec — retained bytes per state of the \
-      config-keyed memo vs the packed bytes + interning pools over the \
-      same distinct-state set (pass needs equal counts and >= 5x)";
-  pf "%s@." Experiments.b12_header;
-  let rows = Experiments.b12_codec_table ~quick:smoke () in
-  List.iter (fun r -> pf "%a@." Experiments.pp_b12_row r) rows;
-  rows
-
-(* ---------------------------------------------------------------- *)
-(* B13: quorum-family latency / resilience trade-off                 *)
-(* ---------------------------------------------------------------- *)
-
-let b13_quorum ~smoke () =
-  hr "B13: MR over pluggable quorum families — decision latency vs \
-      structural resilience (crashes at time 0; pass checks decided = \
-      live run by run, where live means the surviving set is itself a \
-      quorum)";
-  pf "%s@." Experiments.b13_header;
-  let rows = Experiments.b13_quorum_table ~quick:smoke () in
-  List.iter (fun r -> pf "%a@." Experiments.pp_b13_row r) rows;
-  rows
-
-(* ---------------------------------------------------------------- *)
-(* B14: ring transport + snapshot-served reads                       *)
-(* ---------------------------------------------------------------- *)
-
-let b14_ring ~smoke () =
-  hr "B14: the serving workload across {mutex, ring} transports x {log, \
-      snapshot} read modes on the concurrent executor — lock_ops / \
-      cas_retries / sync_ops are the contention story (the ring locks \
-      only on overflow spills; sharded counters sync per round, not per \
-      step); ok needs no divergence and stale_max within the declared \
-      bound";
-  pf "%s@." Experiments.b14_header;
-  let rows = Experiments.b14_ring_table ~quick:smoke () in
-  List.iter (fun r -> pf "%a@." Experiments.pp_b14_row r) rows;
-  rows
-
-(* ---------------------------------------------------------------- *)
-(* Substrate run metrics: one instrumented reference run             *)
-(* ---------------------------------------------------------------- *)
-
-module Anuc_runner = Sim.Runner.Make (Core.Anuc)
-
-let reference_pattern = Sim.Failure_pattern.make ~n:4 ~crashes:[]
-
-let reference_run () =
-  let oracle =
-    Fd.Oracle.pair
-      (Fd.Oracle.omega ~stab_time:0 reference_pattern)
-      (Fd.Oracle.sigma_nu_plus ~stab_time:0 reference_pattern)
-  in
-  Anuc_runner.exec ~record:false ~pattern:reference_pattern
-    ~fd:oracle.Fd.Oracle.query
-    ~inputs:(fun p -> p mod 2)
-    ~max_steps:2000
-    ~stop:(fun st _ ->
-      Pset.for_all
-        (fun p -> Core.Anuc.decision (st p) <> None)
-        (Pset.full ~n:4))
-    ()
-
-let run_metrics () =
-  hr "Run metrics: reference A_nuc consensus run (n=4, failure-free)";
-  let m = (reference_run ()).Anuc_runner.metrics in
-  pf "%a@." Sim.Runner.pp_metrics m;
-  pf "steps per process: %s@."
-    (String.concat " "
-       (Array.to_list (Array.map string_of_int m.Sim.Runner.steps_per_process)));
-  m
-
-let json_of_metrics (m : Sim.Runner.metrics) =
-  Json.Obj
-    [
-      ( "steps_per_process",
-        Json.List
-          (Array.to_list
-             (Array.map (fun s -> Json.Int s) m.steps_per_process)) );
-      ("messages_sent", Json.Int m.sent);
-      ("messages_delivered", Json.Int m.delivered);
-      ("messages_dropped", Json.Int m.dropped);
-      ("messages_duplicated", Json.Int m.duplicated);
-      ("messages_reordered", Json.Int m.reordered);
-      ("messages_undelivered_at_stop", Json.Int m.undelivered_at_stop);
-      ("mailbox_hwm", Json.Int m.mailbox_hwm);
-      ("wall_seconds", Json.Float m.wall_seconds);
-    ]
-
-(* ---------------------------------------------------------------- *)
-(* B4: bechamel microbenchmarks                                      *)
-(* ---------------------------------------------------------------- *)
-
-let bench_pset =
-  let a = Pset.of_list [ 0; 2; 4; 6 ] and b = Pset.of_list [ 1; 2; 3 ] in
-  Bechamel.Test.make ~name:"pset-inter-subset"
-    (Bechamel.Staged.stage (fun () ->
-         ignore (Pset.intersects a b);
-         ignore (Pset.subset (Pset.inter a b) a)))
-
-let bench_qhist_distrust =
-  let h =
-    List.fold_left
-      (fun h (p, q) -> Core.Qhist.add h p (Pset.of_list q))
-      Core.Qhist.empty
-      [
-        (0, [ 0; 1 ]);
-        (0, [ 0; 2 ]);
-        (1, [ 1; 2 ]);
-        (2, [ 2; 3 ]);
-        (3, [ 0; 3 ]);
-        (3, [ 3 ]);
-      ]
-  in
-  Bechamel.Test.make ~name:"qhist-distrusts"
-    (Bechamel.Staged.stage (fun () ->
-         ignore (Core.Qhist.distrusts ~self:0 ~n:4 h 3)))
-
-let bench_dag_add =
-  Bechamel.Test.make ~name:"dag-add-sample-100"
-    (Bechamel.Staged.stage (fun () ->
-         let g = ref Dagsim.Dag.empty in
-         for i = 1 to 100 do
-           g :=
-             Dagsim.Dag.add_sample !g
-               {
-                 Dagsim.Node.owner = i mod 4;
-                 index = 1 + (i / 4);
-                 value = Sim.Fd_value.Quorum (Pset.singleton (i mod 4));
-               }
-         done))
-
-let dag_200 =
-  let g = ref Dagsim.Dag.empty in
-  for i = 1 to 200 do
-    g :=
-      Dagsim.Dag.add_sample !g
-        {
-          Dagsim.Node.owner = i mod 4;
-          index = 1 + (i / 4);
-          value = Sim.Fd_value.Quorum (Pset.singleton (i mod 4));
-        }
-  done;
-  !g
-
-let bench_dag_weave =
-  let from = List.hd (Dagsim.Dag.samples_of dag_200 0) in
-  Bechamel.Test.make ~name:"dag-weave-200"
-    (Bechamel.Staged.stage (fun () ->
-         ignore (Dagsim.Dag.weave dag_200 ~from)))
-
-let bench_anuc_consensus =
-  Bechamel.Test.make ~name:"anuc-full-consensus-n4"
-    (Bechamel.Staged.stage (fun () -> ignore (reference_run ())))
-
-let b4_micro ~smoke () =
-  hr "B4: microbenchmarks (bechamel, ns per run)";
-  let tests =
-    Bechamel.Test.make_grouped ~name:"micro"
-      [
-        bench_pset;
-        bench_qhist_distrust;
-        bench_dag_add;
-        bench_dag_weave;
-        bench_anuc_consensus;
-      ]
-  in
-  let instances = Bechamel.Toolkit.Instance.[ monotonic_clock ] in
-  let cfg =
-    Bechamel.Benchmark.cfg
-      ~limit:(if smoke then 100 else 1000)
-      ~quota:(Bechamel.Time.second (if smoke then 0.05 else 0.4))
-      ()
-  in
-  let raw = Bechamel.Benchmark.all cfg instances tests in
-  let analyzed =
-    Bechamel.Analyze.all
-      (Bechamel.Analyze.ols ~bootstrap:0 ~r_square:false
-         ~predictors:[| Bechamel.Measure.run |])
-      Bechamel.Toolkit.Instance.monotonic_clock raw
-  in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols ->
-      let est =
-        match Bechamel.Analyze.OLS.estimates ols with
-        | Some [ e ] -> Some e
-        | Some _ | None ->
-          pf
-            "WARNING: benchmark %s: OLS estimates had an unexpected shape; \
-             no ns/run figure@."
-            name;
-          None
-      in
-      rows := (name, est) :: !rows)
-    analyzed;
-  let rows = List.sort compare !rows in
-  List.iter
-    (fun (name, est) ->
-      match est with
-      | Some e -> pf "%-32s %14.1f ns/run@." name e
-      | None -> pf "%-32s %14s@." name "(no estimate)")
-    rows;
-  rows
-
-let json_of_micro_rows rows =
-  Json.List
-    (List.map
-       (fun (name, est) ->
-         Json.Obj
-           [
-             ("name", Json.Str name);
-             ( "ns_per_run",
-               match est with Some e -> Json.Float e | None -> Json.Null );
-           ])
-       rows)
-
-(* ---------------------------------------------------------------- *)
-(* Entry point                                                       *)
-(* ---------------------------------------------------------------- *)
-
 let default_json_file () =
   let tm = Unix.localtime (Unix.time ()) in
   Printf.sprintf "BENCH_%04d-%02d-%02d.json" (tm.Unix.tm_year + 1900)
     (tm.Unix.tm_mon + 1) tm.Unix.tm_mday
 
 (* Recognizes [--json FILE], [--json] (default file name), [--smoke]
-   and [--only KEY] (run one B-table and emit only its document
+   and [--only KEY] (run one section and emit only its document
    fragment — what the CI smoke jobs validate without paying for the
-   whole harness; KEY is b11, b12 or b13). *)
+   whole harness; KEY is a section's document key or the part of it
+   before the first '_', e.g. b12_codec or b12). *)
 let parse_args () =
   let rec scan json smoke only = function
     | [] -> (json, smoke, only)
@@ -621,82 +58,32 @@ let parse_args () =
   in
   scan None false None (List.tl (Array.to_list Sys.argv))
 
-let write_json file doc =
-  let oc = open_out file in
-  Json.to_channel oc doc;
-  close_out oc;
-  pf "@.wrote %s@." file
-
-let run_only ~smoke ~json_file key =
-  let fragment =
-    match key with
-    | "b11" | "b11_dpor" ->
-      Some ("b11_dpor", Experiments.json_of_b11_rows (b11_dpor ~smoke ()))
-    | "b12" | "b12_codec" ->
-      Some ("b12_codec", Experiments.json_of_b12_rows (b12_codec ~smoke ()))
-    | "b10" | "b10_serve" ->
-      Some ("b10_serve", Experiments.json_of_b10_rows (b10_serve ~smoke ()))
-    | "b13" | "b13_quorum" ->
-      Some ("b13_quorum", Experiments.json_of_b13_rows (b13_quorum ~smoke ()))
-    | "b14" | "b14_ring" ->
-      Some ("b14_ring", Experiments.json_of_b14_rows (b14_ring ~smoke ()))
-    | k ->
-      pf "unknown --only key %S (expected b10 | b11 | b12 | b13 | b14)@." k;
-      exit 2
-  in
-  match (fragment, json_file) with
-  | Some frag, Some file -> write_json file (Json.Obj [ frag ])
-  | _ -> ()
+let names_section key (s : Experiments.section) =
+  key = s.key || key = List.hd (String.split_on_char '_' s.key)
 
 let () =
   let json_file, smoke, only = parse_args () in
   pf "nonuniform-consensus benchmark harness%s@."
     (if smoke then " (smoke: reduced sweeps)" else "");
-  match only with
-  | Some key -> run_only ~smoke ~json_file key
-  | None ->
-  let e_rows = experiment_table () in
-  let b1 = b1_latency ~smoke () in
-  let b2 = b2_stabilization ~smoke () in
-  let b3 = b3_dag_growth ~smoke () in
-  let b5 = b5_ablation () in
-  let b6 = b6_model_check ~smoke () in
-  let b7 = b7_fault_latency ~smoke () in
-  let b8 = b8_fuzz ~smoke () in
-  let b9 = b9_parallel ~smoke () in
-  let b10 = b10_serve ~smoke () in
-  let b11 = b11_dpor ~smoke () in
-  let b12 = b12_codec ~smoke () in
-  let b13 = b13_quorum ~smoke () in
-  let b14 = b14_ring ~smoke () in
-  let metrics = run_metrics () in
-  let b4 = b4_micro ~smoke () in
-  match json_file with
-  | None -> ()
-  | Some file ->
-    (* Values in the order of [Report.schema_keys]; [List.map2] fails
-       loudly if the document and the documented schema drift. *)
-    let values =
-      [
-        Json.Int 1;
-        Json.Float (Unix.time ());
-        json_of_e_rows e_rows;
-        json_of_latency_rows b1;
-        json_of_stab_series b2;
-        json_of_dag_rows b3;
-        json_of_ablation_rows b5;
-        json_of_mc_rows b6;
-        json_of_fault_rows b7;
-        json_of_fuzz_rows b8;
-        json_of_b9_rows b9;
-        Experiments.json_of_b10_rows b10;
-        Experiments.json_of_b11_rows b11;
-        Experiments.json_of_b12_rows b12;
-        Experiments.json_of_b13_rows b13;
-        Experiments.json_of_b14_rows b14;
-        json_of_micro_rows b4;
-        json_of_metrics metrics;
-      ]
-    in
-    let doc = Json.Obj (List.map2 (fun k v -> (k, v)) Report.schema_keys values) in
-    write_json file doc
+  let run (s : Experiments.section) =
+    hr s.title;
+    (s.key, s.run ~smoke)
+  in
+  let doc =
+    match only with
+    | None -> Experiments.document (List.map run Experiments.sections)
+    | Some key -> (
+      match List.find_opt (names_section key) Experiments.sections with
+      | Some s -> Report.Obj [ run s ]
+      | None ->
+        pf "unknown --only key %S (expected %s)@." key
+          (String.concat " | "
+             (List.map (fun (s : Experiments.section) -> s.key)
+                Experiments.sections));
+        exit 2)
+  in
+  Option.iter
+    (fun file ->
+      Report.to_file file doc;
+      pf "@.wrote %s@." file)
+    json_file

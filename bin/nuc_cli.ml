@@ -768,17 +768,9 @@ let run_fuzz algo n t runs sampler_s swarm shrink seed delivery_s max_steps_opt
    serve-smoke CI job relies on. *)
 let run_serve n clients slots batch window pipeline compaction jobs seed
     transport reads read_mode publish_every max_steps json =
-  if n < 2 then (
-    pf "serve: n must be >= 2@.";
-    exit 2);
-  if clients < 1 || slots < 1 then (
-    pf "serve: clients and slots must be >= 1@.";
-    exit 2);
-  if reads < 0 || publish_every < 1 then (
-    pf "serve: --reads must be >= 0 and --publish-every >= 1@.";
-    exit 2);
+  (* [Load.check] rejects clients < 1 below *)
   let commands_per_client =
-    max 2 (((2 * batch * slots) + clients - 1) / clients)
+    max 2 (((2 * batch * slots) + clients - 1) / max 1 clients)
   in
   let cfg =
     {
@@ -801,6 +793,11 @@ let run_serve n clients slots batch window pipeline compaction jobs seed
       publish_every;
     }
   in
+  (match Load.check cfg with
+  | Ok () -> ()
+  | Error msg ->
+    pf "serve: %s@." msg;
+    exit 2);
   pf "serve: n=%d clients=%d slots=%d batch=%d window=%d pipeline=%d \
       compaction=%d seed=%d transport=%s reads=%d read-mode=%s \
       publish-every=%d@."
@@ -1353,7 +1350,7 @@ let serve_cmd =
       & info [ "compaction" ] ~docv:"K"
           ~doc:
             "Retention bound: applied-log slots kept before compaction, \
-             and the instance-retirement horizon.")
+             and the fallback instance-retirement horizon.")
   in
   let serve_n =
     Arg.(

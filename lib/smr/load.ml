@@ -83,27 +83,44 @@ type outcome = {
   o_sync_ops : int;
 }
 
+let tuning cfg : (module Smr.TUNING) =
+  (module struct
+    let batch = cfg.batch
+    let pipeline = cfg.pipeline
+    let window = cfg.window
+    let retain = cfg.retain
+    let horizon = cfg.horizon
+  end)
+
+let check cfg =
+  let fail fmt = Printf.ksprintf (fun msg -> Error ("Load: " ^ msg)) fmt in
+  if cfg.n < 2 then fail "n must be >= 2"
+  else if cfg.n > Pset.max_size then fail "n must be <= %d" Pset.max_size
+  else if cfg.clients < 1 then fail "clients must be >= 1"
+  else if cfg.commands_per_client < 1 then
+    fail "commands_per_client must be >= 1"
+  else if cfg.target_slots < 1 then fail "target_slots must be >= 1"
+  else if cfg.max_steps < 1 then fail "max_steps must be >= 1"
+  else if cfg.reads < 0 then fail "reads must be >= 0"
+  else if cfg.publish_every < 1 then fail "publish_every must be >= 1"
+  else if cfg.shards < 0 then fail "shards must be >= 0"
+  else if cfg.ring_capacity < 1 then fail "ring_capacity must be >= 1"
+  else
+    match Smr.check_tuning (tuning cfg) with
+    | Error _ as e -> e
+    (* command values are 1 + k*clients + c, so the largest is exactly
+       clients * commands_per_client *)
+    | Ok ()
+      when cfg.batch > 1
+           && cfg.clients * cfg.commands_per_client > Smr.Batch.max_command ->
+      fail
+        "%d clients x %d commands exceeds Batch.max_command (%d); shrink \
+         the workload or use batch = 1"
+        cfg.clients cfg.commands_per_client Smr.Batch.max_command
+    | Ok () -> Ok ()
+
 let validate cfg =
-  if cfg.n < 2 then invalid_arg "Load: n must be >= 2";
-  if cfg.clients < 1 then invalid_arg "Load: clients must be >= 1";
-  if cfg.commands_per_client < 1 then
-    invalid_arg "Load: commands_per_client must be >= 1";
-  if cfg.target_slots < 1 then invalid_arg "Load: target_slots must be >= 1";
-  if cfg.reads < 0 then invalid_arg "Load: reads must be >= 0";
-  if cfg.publish_every < 1 then
-    invalid_arg "Load: publish_every must be >= 1";
-  if cfg.shards < 0 then invalid_arg "Load: shards must be >= 0";
-  if cfg.ring_capacity < 1 then
-    invalid_arg "Load: ring_capacity must be >= 1";
-  (* command values are 1 + k*clients + c, so the largest is exactly
-     clients * commands_per_client *)
-  if cfg.batch > 1 && cfg.clients * cfg.commands_per_client > Smr.Batch.max_command
-  then
-    invalid_arg
-      (Printf.sprintf
-         "Load: %d clients x %d commands exceeds Batch.max_command (%d); \
-          shrink the workload or use batch = 1"
-         cfg.clients cfg.commands_per_client Smr.Batch.max_command)
+  match check cfg with Ok () -> () | Error msg -> invalid_arg msg
 
 (* Request rounds outer, clients (ascending) inner: the stream
    interleaves one request per client per round, like a closed-loop
@@ -119,14 +136,9 @@ let commands_for cfg p =
   !buf
 
 let make_smr cfg : (module Smr.S) =
+  let module T = (val tuning cfg) in
   (module Smr.Make_tuned
-            (struct
-              let batch = cfg.batch
-              let pipeline = cfg.pipeline
-              let window = cfg.window
-              let retain = cfg.retain
-              let horizon = cfg.horizon
-            end)
+            (T)
             (struct
               include Core.Anuc
 

@@ -46,7 +46,7 @@ type config = {
   pipeline : int;  (** consensus instances open ahead *)
   window : int;  (** per-replica in-flight command cap *)
   retain : int;  (** applied-log slots kept before compaction *)
-  horizon : int;  (** instance retirement depth *)
+  horizon : int;  (** fallback retirement depth and lag bound *)
   target_slots : int;  (** stop once every correct replica decided this many *)
   max_steps : int;  (** step budget *)
   seed : int;  (** scheduler / oracle / fault seed *)
@@ -121,18 +121,27 @@ type outcome = {
   o_sync_ops : int;  (** executor coordination ops (pool claims + joins) *)
 }
 
+val check : config -> (unit, string) result
+(** [Ok ()] when {!run_sim} and {!run_exec} accept the config, else
+    why not: a field out of range ([2 <= n <= Procset.Pset.max_size],
+    [max_steps >= 1], ...), a tuning {!Smr.check_tuning} rejects, or a
+    batched workload whose command values do not fit
+    [Smr.Batch.max_command]. *)
+
 val commands_for : config -> Procset.Pid.t -> Consensus.Value.t list
 (** The command stream preloaded at one replica: its clients' streams
     interleaved round-robin, one request per client per round. Values
     are unique across the whole workload (and within
     [Smr.Batch.max_command] when [batch > 1]).
-    @raise Invalid_argument if the workload cannot be encoded. *)
+    @raise Invalid_argument with {!check}'s message on a bad config. *)
 
 val run_sim : config -> outcome
 (** The workload under the deterministic simulator. Pure function of
-    the config. *)
+    the config.
+    @raise Invalid_argument with {!check}'s message on a bad config. *)
 
 val run_exec : jobs:int -> config -> outcome
 (** The workload under the concurrent executor with [jobs] domains.
     Safety observables ([o_divergent]) hold on every interleaving;
-    throughput and latency vary run to run. *)
+    throughput and latency vary run to run.
+    @raise Invalid_argument with {!check}'s message on a bad config. *)

@@ -88,25 +88,30 @@ module type S = sig
   val equal_message : message -> message -> bool
 end
 
+let check_tuning (module T : TUNING) =
+  if T.batch < 1 || T.batch > Batch.max_len then
+    Error (Printf.sprintf "Smr: batch must be in [1, %d]" Batch.max_len)
+  else if T.pipeline < 1 then Error "Smr: pipeline must be >= 1"
+  else if T.window < 1 then Error "Smr: window must be >= 1"
+  else if T.retain < 1 then Error "Smr: retain must be >= 1"
+    (* instances for the whole pipeline window must be admissible: a
+       peer's messages for slot [st.slot + pipeline - 1] arrive while
+       we may still be at [st.slot] *)
+  else if T.horizon < T.pipeline then Error "Smr: horizon must be >= pipeline"
+  else Ok ()
+
 module Make_tuned (T : TUNING) (C : CONSENSUS) : S = struct
   module Imap = Map.Make (Int)
   module Vset = Set.Make (Int)
 
   let () =
-    if T.batch < 1 || T.batch > Batch.max_len then
-      invalid_arg
-        (Printf.sprintf "Smr: batch must be in [1, %d]" Batch.max_len);
-    if T.pipeline < 1 then invalid_arg "Smr: pipeline must be >= 1";
-    if T.window < 1 then invalid_arg "Smr: window must be >= 1";
-    if T.retain < 1 then invalid_arg "Smr: retain must be >= 1";
-    (* instances for the whole pipeline window must be admissible:
-       a peer's messages for slot [st.slot + pipeline - 1] arrive
-       while we may still be at [st.slot] *)
-    if T.horizon < T.pipeline then
-      invalid_arg "Smr: horizon must be >= pipeline"
+    match check_tuning (module T) with
+    | Ok () -> ()
+    | Error msg -> invalid_arg msg
 
   type message =
-    | Slot of { slot : int; inner : C.message }
+    | Slot of { slot : int; inner : C.message; frontier : int }
+        (** [frontier]: the sender's first undecided slot *)
     | Forward of Consensus.Value.t list
         (** a non-leader routing pending commands to the leader *)
 
@@ -137,6 +142,11 @@ module Make_tuned (T : TUNING) (C : CONSENSUS) : S = struct
     base : int; (* first retained slot *)
     digest : int; (* rolling digest of the compacted prefix *)
     slot : int; (* first undecided slot *)
+    (* heard.(p): the highest [frontier] replica p has reported, a
+       monotone max (0 until p is heard from; our own entry is unused,
+       [slot] stands in for it) *)
+    heard : int array; (* never mutated: replaced on change *)
+    floor : int; (* instances below this slot are retired *)
     rotate : int; (* round-robin cursor over open instances *)
     fwd_slot : int; (* slot at the last leader forward *)
     fwd_leader : Procset.Pid.t; (* addressee of the last forward *)
@@ -152,7 +162,7 @@ module Make_tuned (T : TUNING) (C : CONSENSUS) : S = struct
     if T.batch = 1 then (if Consensus.Value.equal v noop then [] else [ v ])
     else Batch.decode v
 
-  let initial ~n:_ ~self:_ commands =
+  let initial ~n ~self:_ commands =
     {
       pending_f = commands;
       pending_b = [];
@@ -171,6 +181,8 @@ module Make_tuned (T : TUNING) (C : CONSENSUS) : S = struct
       base = 0;
       digest = 0;
       slot = 0;
+      heard = Array.make n 0;
+      floor = 0;
       rotate = 0;
       fwd_slot = -1;
       fwd_leader = -1;
@@ -229,8 +241,6 @@ module Make_tuned (T : TUNING) (C : CONSENSUS) : S = struct
 
   (* ---------------- instance management ---------------- *)
 
-  let retire_floor st = max 0 (st.slot - T.horizon)
-
   let ensure ~n ~self st s =
     if Imap.mem s st.instances then st
     else begin
@@ -254,7 +264,20 @@ module Make_tuned (T : TUNING) (C : CONSENSUS) : S = struct
     let inst, sends = C.step ~n ~self inst received d in
     let st = { st with instances = Imap.add s inst st.instances } in
     ( st,
-      List.map (fun (dst, inner) -> (dst, Slot { slot = s; inner })) sends )
+      List.map
+        (fun (dst, inner) ->
+          (dst, Slot { slot = s; inner; frontier = st.slot }))
+        sends )
+
+  (* Reports only ever raise an entry, so dropped, duplicated and
+     reordered messages are harmless. *)
+  let hear st p frontier =
+    if frontier <= st.heard.(p) then st
+    else begin
+      let heard = Array.copy st.heard in
+      heard.(p) <- frontier;
+      { st with heard }
+    end
 
   (* ---------------- harvest / compaction / retirement ---------------- *)
 
@@ -331,18 +354,27 @@ module Make_tuned (T : TUNING) (C : CONSENSUS) : S = struct
           }
       | [] -> compact { st with app_f = List.rev st.app_b; app_b = [] }
 
-  (* Retire decided instances that fell below the horizon — without
-     this every instance ever opened stays in [instances] forever.
-     Only the slots that just crossed the floor are removed, so the
-     walk is O(slots advanced), not O(instances). *)
-  let retire ~from_slot st =
-    let old_floor = max 0 (from_slot - T.horizon) in
-    let new_floor = retire_floor st in
-    let rec drop s st =
-      if s >= new_floor then st
-      else drop (s + 1) { st with instances = Imap.remove s st.instances }
+  (* A slot every replica has reported deciding needs no instance
+     anywhere: no replica can still be waiting on its rounds. A
+     replica never heard from counts as 0, so a starved or crashed one
+     freezes this minimum, and the horizon takes over: decided
+     instances [horizon] slots behind are retired regardless. *)
+  let retire_floor ~self st =
+    let lowest = ref st.slot in
+    Array.iteri
+      (fun p r -> if p <> self && r < !lowest then lowest := r)
+      st.heard;
+    max (st.slot - T.horizon) !lowest
+
+  (* The floor is monotone but can jump, so walk every slot it crossed
+     since the last retirement — O(slots crossed), not O(instances). *)
+  let retire ~self st =
+    let floor = retire_floor ~self st in
+    let rec drop s instances =
+      if s >= floor then instances else drop (s + 1) (Imap.remove s instances)
     in
-    drop old_floor st
+    if floor <= st.floor then st
+    else { st with instances = drop st.floor st.instances; floor }
 
   let rec harvest st =
     match Imap.find_opt st.slot st.instances with
@@ -352,10 +384,10 @@ module Make_tuned (T : TUNING) (C : CONSENSUS) : S = struct
       | None -> st
       | Some v -> harvest (apply_decided st v))
 
-  let harvest_and_gc st =
+  let harvest_and_gc ~self st =
     let from_slot = st.slot in
-    let st = harvest st in
-    if st.slot = from_slot then st else compact (retire ~from_slot st)
+    let st = retire ~self (harvest st) in
+    if st.slot = from_slot then st else compact st
 
   (* ---------------- scheduling within one host step ---------------- *)
 
@@ -416,6 +448,7 @@ module Make_tuned (T : TUNING) (C : CONSENSUS) : S = struct
      forward on every lambda step floods the leader's mailbox faster
      than it can drain it and starves the consensus traffic. *)
   let forward ~self st d =
+    let st = normalize st in
     match leader_of d with
     | Some l
       when (not (Procset.Pid.equal l self))
@@ -434,6 +467,7 @@ module Make_tuned (T : TUNING) (C : CONSENSUS) : S = struct
     | _ -> (st, [])
 
   let step ~n ~self st received d =
+    let from_slot = st.slot in
     let st, sends =
       match received with
       | Some env -> (
@@ -448,25 +482,30 @@ module Make_tuned (T : TUNING) (C : CONSENSUS) : S = struct
               st cmds
           in
           (st, [])
-        | Slot { slot; inner } ->
+        | Slot { slot; inner; frontier } ->
+          let st = hear st env.Sim.Envelope.src frontier in
           (* retired below the floor, refused above the join ceiling:
-             both bound [instances]; the sender's pump re-offers the
-             slot while it stays within its own horizon *)
-          if slot < retire_floor st || slot > st.slot + T.horizon then
-            (st, [])
+             both bound [instances]. A refused message is lost for
+             good: the sender's instance sent it once and will not
+             send it again *)
+          if slot < st.floor || slot > st.slot + T.horizon then (st, [])
           else
             let inner_env = { env with Sim.Envelope.payload = inner } in
             step_instance ~n ~self st slot (Some inner_env) d)
-      | None ->
-        let st = normalize st in
-        let st, sends = step_instance ~n ~self st st.slot None d in
-        let st, fwd_sends = forward ~self st d in
-        (st, sends @ fwd_sends)
+      | None -> step_instance ~n ~self st st.slot None d
     in
-    let st = harvest_and_gc st in
+    let st = harvest_and_gc ~self st in
+    (* forward after the harvest, so a command that just lost its slot
+       (re-queued at the front) reaches the leader before it is
+       re-proposed locally *)
+    let st, fwd_sends =
+      if Option.is_none received || st.slot > from_slot then
+        forward ~self st d
+      else (st, [])
+    in
     let st, open_sends = open_window ~n ~self st d in
     let st, pump_sends = pump ~n ~self st d in
-    (st, sends @ open_sends @ pump_sends)
+    (st, sends @ fwd_sends @ open_sends @ pump_sends)
 
   (* ---------------- observers ---------------- *)
 
@@ -490,8 +529,9 @@ module Make_tuned (T : TUNING) (C : CONSENSUS) : S = struct
   let pending_len st = st.pending_n
 
   let pp_message fmt = function
-    | Slot { slot; inner } ->
-      Format.fprintf fmt "[slot %d] %a" slot C.pp_message inner
+    | Slot { slot; inner; frontier } ->
+      Format.fprintf fmt "[slot %d, frontier %d] %a" slot frontier
+        C.pp_message inner
     | Forward cmds ->
       Format.fprintf fmt "[forward %a]"
         (Format.pp_print_list
@@ -501,7 +541,9 @@ module Make_tuned (T : TUNING) (C : CONSENSUS) : S = struct
 
   let equal_message a b =
     match a, b with
-    | Slot a, Slot b -> a.slot = b.slot && C.equal_message a.inner b.inner
+    | Slot a, Slot b ->
+      a.slot = b.slot && a.frontier = b.frontier
+      && C.equal_message a.inner b.inner
     | Forward a, Forward b -> (
       try List.for_all2 Consensus.Value.equal a b
       with Invalid_argument _ -> false)

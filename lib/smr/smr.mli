@@ -7,10 +7,11 @@
     the head of its pending-command queue for each slot it opens,
     keeps up to [pipeline] instances open at once, forwards pending
     commands to the detector's current leader (whose proposals are
-    the ones that win once the detector stabilizes), retires decided
-    instances that fall below a horizon, and compacts the applied log
-    beyond a retention bound into a digest — so replica state stays
-    bounded however long the log grows.
+    the ones that win once the detector stabilizes), retires a slot's
+    instance once every replica has reported deciding the slot (or,
+    failing that, once it falls [horizon] slots behind), and compacts
+    the applied log beyond a retention bound into a digest — so
+    replica state stays bounded however long the log grows.
 
     Nonuniform consensus is the right tool when clients only talk to
     live replicas: a replica that crashes may have applied a divergent
@@ -74,13 +75,22 @@ module type TUNING = sig
       away into [snapshot_digest]/[log_base]. *)
 
   val horizon : int
-  (** Instance retirement depth, [>= pipeline]: an instance decided
-      locally is dropped once it falls this many slots behind, and
-      messages for slots further than this ahead are refused (the
-      sender's pump re-offers them). A replica more than [horizon]
-      slots behind every peer can no longer assemble quorums for its
-      next slot, so the horizon bounds the tolerated lag. *)
+  (** Fallback retirement depth and lag bound, [>= pipeline]. Every
+      slot message carries its sender's first undecided slot, and an
+      instance is retired as soon as all n replicas have reported
+      deciding its slot. A crashed or starved replica freezes that
+      report, so an instance decided locally is also dropped once it
+      falls [horizon] slots behind. Messages for slots further than
+      [horizon] ahead are refused, and a refused message is lost for
+      good: the consensus instance sends each round's messages once.
+      A replica more than [horizon] slots behind every peer can no
+      longer assemble quorums for its next slot, so the horizon
+      bounds the tolerated lag. *)
 end
+
+val check_tuning : (module TUNING) -> (unit, string) result
+(** [Ok ()] when {!Make_tuned} accepts the tuning, else the message
+    it would raise. *)
 
 module Defaults : TUNING
 (** [batch 1, pipeline 1, window unbounded, retain unbounded,
@@ -144,8 +154,10 @@ module type S = sig
   (** The first undecided slot. *)
 
   val open_instances : state -> int
-  (** Live consensus instances — bounded by the horizon (plus the
-      pipeline window), where it used to grow with the log. *)
+  (** Live consensus instances: the slots from the lowest slot some
+      replica has not yet reported deciding through the pipeline
+      window — a handful while every replica keeps up, never more
+      than [horizon] behind plus the window. *)
 
   val pending_len : state -> int
   (** Commands still queued (submitted, not yet proposed). *)

@@ -366,6 +366,32 @@ let test_serve_ring_snapshot_reads () =
       Alcotest.(check bool) "stale_ok is true" true
         (contains json "\"stale_ok\": true"))
 
+(* Every out-of-range serve flag is refused up front by [Load.check]:
+   exit 2 and the reason, never an uncaught exception (exit 125) and
+   never a run that reports a missed target. *)
+let test_serve_bad_flags () =
+  List.iter
+    (fun (flags, msg) ->
+      let code, out = run_cli_status ("serve" :: flags) in
+      let what = String.concat " " flags in
+      Alcotest.(check int) (what ^ " exits 2") 2 code;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s explains: %s" what out)
+        true
+        (contains out ("serve: " ^ msg)))
+    [
+      ([ "--batch"; "5" ], "Smr: batch must be in [1, 4]");
+      ([ "--batch"; "0" ], "Smr: batch must be in [1, 4]");
+      ([ "--pipeline"; "0" ], "Smr: pipeline must be >= 1");
+      ([ "--window"; "0" ], "Smr: window must be >= 1");
+      ([ "--compaction"; "0" ], "Smr: retain must be >= 1");
+      ([ "-n"; "63" ], "Load: n must be <= 62");
+      ([ "-n"; "1" ], "Load: n must be >= 2");
+      ([ "--clients"; "0" ], "Load: clients must be >= 1");
+      ([ "--max-steps"; "0" ], "Load: max_steps must be >= 1");
+      ([ "--publish-every"; "0" ], "Load: publish_every must be >= 1");
+    ]
+
 let () =
   Alcotest.run "cli"
     [
@@ -415,5 +441,6 @@ let () =
         [
           Alcotest.test_case "ring + snapshot reads" `Quick
             test_serve_ring_snapshot_reads;
+          Alcotest.test_case "bad flags exit 2" `Quick test_serve_bad_flags;
         ] );
     ]

@@ -109,12 +109,15 @@ let test_smr_seeds_sweep () =
       check_prefix_consistency ~pattern run)
     [ 0; 1; 2; 3 ]
 
+(* Each replica submits one command; every submitted command is
+   applied exactly once (losers of a slot are re-queued and forwarded
+   to the leader, where the old positional lookup silently dropped
+   them), and replication keeps deciding noops past the exhausted
+   queues. Regression (late forward): a non-leader forwarded only on
+   lambda steps, before harvesting, so a command that had just lost
+   its slot was re-proposed locally without the leader hearing of it,
+   and on most schedules it lost every later slot too. *)
 let test_smr_queue_exhaustion () =
-  (* each replica submits one command; every submitted command is
-     applied exactly once (losers of a slot are re-queued or
-     forwarded to the leader, where the old positional lookup
-     silently dropped them), and replication keeps deciding noops
-     past the exhausted queues *)
   let n = 3 in
   let pattern = Sim.Failure_pattern.failure_free ~n in
   let oracle =
@@ -123,33 +126,38 @@ let test_smr_queue_exhaustion () =
       (Fd.Oracle.sigma_nu_plus ~stab_time:0 pattern)
   in
   let target = 5 in
-  let run =
-    R.exec ~record:false ~pattern ~fd:oracle.Fd.Oracle.query
-      ~inputs:(fun p -> [ 100 + p ])
-      ~max_steps:30000
-      ~stop:(fun st _ ->
-        Pset.for_all
-          (fun p -> Smr.Over_anuc.slots_decided (st p) >= target)
-          (Pset.full ~n))
-      ()
-  in
-  Alcotest.(check bool) "kept deciding past the queue" true
-    run.R.stopped_early;
   List.iter
-    (fun p ->
-      let log = Smr.Over_anuc.log run.R.states.(p) in
-      List.iter
-        (fun v ->
-          Alcotest.(check int)
-            (Printf.sprintf "p%d applied command %d exactly once" p v)
-            1
-            (List.length (List.filter (Consensus.Value.equal v) log)))
-        [ 100; 101; 102 ];
+    (fun seed ->
+      let run =
+        R.exec ~seed ~record:false ~pattern ~fd:oracle.Fd.Oracle.query
+          ~inputs:(fun p -> [ 100 + p ])
+          ~max_steps:30000
+          ~stop:(fun st _ ->
+            Pset.for_all
+              (fun p -> Smr.Over_anuc.slots_decided (st p) >= target)
+              (Pset.full ~n))
+          ()
+      in
       Alcotest.(check bool)
-        (Printf.sprintf "p%d decided noops past exhaustion" p)
-        true
-        (List.exists (Consensus.Value.equal Smr.noop) log))
-    (Pid.all ~n)
+        (Printf.sprintf "seed %d kept deciding past the queue" seed)
+        true run.R.stopped_early;
+      List.iter
+        (fun p ->
+          let log = Smr.Over_anuc.log run.R.states.(p) in
+          List.iter
+            (fun v ->
+              Alcotest.(check int)
+                (Printf.sprintf "seed %d p%d applied command %d exactly once"
+                   seed p v)
+                1
+                (List.length (List.filter (Consensus.Value.equal v) log)))
+            [ 100; 101; 102 ];
+          Alcotest.(check bool)
+            (Printf.sprintf "seed %d p%d decided noops past exhaustion" seed p)
+            true
+            (List.exists (Consensus.Value.equal Smr.noop) log))
+        (Pid.all ~n))
+    (List.init 20 Fun.id)
 
 (* Regression (pending-queue bug): the old positional lookup
    [List.nth_opt commands slot] re-proposed whatever command sat at
@@ -353,6 +361,61 @@ let test_smr_bounded_instances () =
        !max_open bound)
     true (!max_open <= bound)
 
+(* A starved replica keeps the instances it still needs: the
+   retirement floor is a minimum over all n replicas, with a replica
+   never heard from counting as 0. Replica 3 takes no step while 0-2
+   decide 20 slots (fewer than the horizon), then all four step; a
+   floor taken only over the replicas heard from would retire those
+   slots everywhere and strand replica 3 at slot 0. *)
+let test_smr_lagging_replica () =
+  let n = 4 in
+  let pattern = Sim.Failure_pattern.failure_free ~n in
+  let oracle =
+    Fd.Oracle.pair
+      (Fd.Oracle.omega ~seed:0 pattern)
+      (Fd.Oracle.sigma_nu_plus ~seed:0 pattern)
+  in
+  let s =
+    R.Session.create ~record:false ~pattern ~fd:oracle.Fd.Oracle.query
+      ~inputs:commands_of ()
+  in
+  let st p = R.Session.state s p in
+  let decided p = Smr.Over_anuc.slots_decided (st p) in
+  (* round-robin over [turns], every fifth round a lambda round *)
+  let drive turns ~slots ~budget =
+    let m = List.length turns in
+    let rec go i =
+      if List.for_all (fun p -> decided p >= slots) turns then true
+      else if i >= budget then false
+      else begin
+        let p = List.nth turns (i mod m) in
+        let choice =
+          if i / m mod 5 = 0 || R.Session.pending s p = [] then R.Lambda
+          else R.Oldest
+        in
+        R.Session.step ~choice s p;
+        go (i + 1)
+      end
+    in
+    go 0
+  in
+  Alcotest.(check bool) "replicas 0-2 decided 20 slots without 3" true
+    (drive [ 0; 1; 2 ] ~slots:20 ~budget:200_000);
+  Alcotest.(check int) "replica 3 decided nothing" 0 (decided 3);
+  List.iter
+    (fun p ->
+      Alcotest.(check bool)
+        (Printf.sprintf "p%d still serves every slot replica 3 needs" p)
+        true
+        (Smr.Over_anuc.open_instances (st p) > decided p))
+    [ 0; 1; 2 ];
+  (* replica 3 takes every other step, so it drains its backlog faster
+     than the others refill it; at equal shares the others would pass
+     the horizon first, the documented lag bound *)
+  Alcotest.(check bool) "all four reached 40 slots" true
+    (drive [ 0; 3; 1; 3; 2; 3 ] ~slots:40 ~budget:400_000);
+  check_prefix_consistency ~pattern (R.Session.finish s)
+
 (* Replication from the raw weakest detector: each slot runs the full
    Theorem 6.28 stack (emulation + A_nuc). Small target, generous
    budget — this is a composability check, not a throughput one. *)
@@ -412,6 +475,8 @@ let () =
             test_smr_compaction_counts;
           Alcotest.test_case "bounded instances" `Slow
             test_smr_bounded_instances;
+          Alcotest.test_case "lagging replica catches up" `Quick
+            test_smr_lagging_replica;
           Alcotest.test_case "over the full stack" `Slow test_smr_over_stack;
         ] );
     ]

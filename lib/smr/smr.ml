@@ -405,8 +405,8 @@ module Make_tuned (T : TUNING) (C : CONSENSUS) : S = struct
 
   (* One lambda step for a rotating open instance other than the
      current slot (which already gets every lambda delivery):
-     replicas that have decided a slot keep serving it (within the
-     horizon) so slower replicas can still assemble quorums for it,
+     replicas that have decided a slot keep serving it until it
+     retires, so slower replicas can still assemble quorums for it,
      and pipelined future instances keep making local progress. *)
   let pump ~n ~self st d =
     let m =

@@ -2,52 +2,100 @@
    reproduction.
 
    Subcommands:
-     run          one consensus run (a_nuc | mr_majority | mr_sigma | stack)
+     run          one consensus run in a simulated system
      experiments  the E-table of theorem validations (see DESIGN.md)
      check        generate an oracle history and validate it
-     scenario     the proof scenarios (contamination | separation)
+     scenario     the proof scenarios (see SCENARIO in its --help)
+     ablation     the A_nuc mechanism-necessity study
      mc           exhaustive bounded model checking (lib/mc)
      fuzz         randomized schedule exploration (lib/explore)
      serve        closed-loop replicated-log serving (lib/smr Load driver)
+
+   mc and fuzz read one table of --algo targets ([targets]): each
+   entry is the automaton, its agreement flavour, mc's default depth,
+   its menus and two flag guards, and one [run_mc] / [run_fuzz]
+   applies the engine to it.
+
+   Exit codes:
+     0    verdict established
+     1    no trustworthy verdict (mc truncation, an uncertified
+          counterexample, a failed experiment or serve gate), or flags
+          that do not fit together (t >= n, a quorum family that does
+          not tile n, --quorum on a uniform algorithm)
+     2    a serve config refused by Load.check
+     124  a value the parser refuses: an unknown name, a count out of
+          range, a missing directory
 
    Every subcommand that consumes randomness takes --seed (default 0,
    deterministic); mc and scenario are fully deterministic, and fuzz
    is deterministic in --seed. *)
 
 open Procset
-
+open Cmdliner
 
 let pf = Format.printf
 
+(* Prints "error: MSG" and exits 1: flags that parse but do not fit. *)
+let fail fmt =
+  Format.kasprintf
+    (fun m ->
+      pf "error: %s@." m;
+      exit 1)
+    fmt
+
+let write_json path doc =
+  Report.to_file path doc;
+  pf "wrote %s@." path
+
 (* ---------------------------------------------------------------- *)
-(* run                                                               *)
+(* converters: a value they refuse exits 124                         *)
 (* ---------------------------------------------------------------- *)
 
-let parse_algo = function
-  | "a_nuc" -> Ok Experiments.Anuc
-  | "mr_majority" -> Ok Experiments.Mr_majority
-  | "mr_sigma" -> Ok Experiments.Mr_sigma
-  | "stack" -> Ok Experiments.Stack
-  | "ct" -> Ok Experiments.Ct
-  | s ->
-    Error
-      (`Msg
-         (Printf.sprintf
-            "unknown algorithm %S (expected a_nuc | mr_majority | mr_sigma \
-             | stack | ct)"
-            s))
+(* One of a closed set of named values, matched case-insensitively.
+   A default is printed by finding it with physical equality, so the
+   values may hold modules and closures. *)
+let choice choices =
+  let names = Arg.enum choices in
+  Arg.conv
+    ( (fun s -> Arg.conv_parser names (String.lowercase_ascii s)),
+      fun ppf v ->
+        Format.pp_print_string ppf
+          (fst (List.find (fun (_, v') -> v' == v) choices)) )
 
-let algo_conv =
-  Cmdliner.Arg.conv
-    ( parse_algo,
-      fun fmt a ->
-        Format.pp_print_string fmt
-          (match a with
-          | Experiments.Anuc -> "a_nuc"
-          | Experiments.Mr_majority -> "mr_majority"
-          | Experiments.Mr_sigma -> "mr_sigma"
-          | Experiments.Stack -> "stack"
-          | Experiments.Ct -> "ct") )
+let alts choices = String.concat " | " (List.map fst choices)
+
+(* An integer count in [min, max]. *)
+let count ?(max = max_int) min =
+  let range =
+    if max = max_int then Printf.sprintf ">= %d" min
+    else Printf.sprintf "in [%d, %d]" min max
+  in
+  let parse s =
+    match int_of_string_opt s with
+    | Some k when min <= k && k <= max -> Ok k
+    | _ ->
+      Error
+        (`Msg
+           (Printf.sprintf "invalid value '%s', expected an integer %s" s range))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+(* Process counts: [Pset] holds at most [Pset.max_size] pids, and
+   every environment needs two processes. *)
+let n_conv = count ~max:Pset.max_size 2
+
+(* A file to write, refused before the run rather than after it
+   unless its directory exists. *)
+let out_file =
+  let parse s =
+    let dir = Filename.dirname s in
+    if not (Sys.file_exists dir && Sys.is_directory dir) then
+      Error (`Msg (Printf.sprintf "no '%s' directory" dir))
+    else if Sys.file_exists s && Sys.is_directory s then
+      Error (`Msg (Printf.sprintf "'%s' is a directory" s))
+    else Ok s
+  in
+  Arg.conv (parse, Format.pp_print_string)
 
 (* --partition 20-60:0,1|2,3 — window FROM-UNTIL, then '|'-separated
    connectivity groups of ','-separated pids. *)
@@ -80,40 +128,60 @@ let partition_conv =
             }
         | _ -> Error err)
       | _ -> Error err
-    with Failure _ -> Error err
+    with Failure _ | Invalid_argument _ -> Error err
   in
-  Cmdliner.Arg.conv (parse, Sim.Faults.pp_partition)
+  Arg.conv (parse, Sim.Faults.pp_partition)
 
 let quorum_conv =
-  Cmdliner.Arg.conv
+  Arg.conv
     ( (fun s ->
         Result.map_error (fun e -> `Msg e) (Quorum_family.of_string s)),
       Quorum_family.pp )
+
+(* 'uniform', 'pct' (PCT depth 3) or 'pctD' for D >= 1. *)
+let sampler_conv =
+  let parse s =
+    match String.lowercase_ascii s with
+    | "uniform" -> Ok Explore.Uniform
+    | "pct" -> Ok (Explore.Pct 3)
+    | s -> (
+      match Scanf.sscanf_opt s "pct%u%!" Fun.id with
+      | Some d when d >= 1 -> Ok (Explore.Pct d)
+      | _ ->
+        Error (`Msg (Printf.sprintf "unknown sampler %S (uniform | pct | pctD)" s)))
+  in
+  Arg.conv (parse, Explore.pp_sampler)
 
 (* Surfaces Quorum_family's typed errors (bad shape for this n, or no
    quorum at all) instead of letting them escape as exceptions. *)
 let require_family_fits fam ~n =
   match Quorum_family.validate fam ~n ~live:(Pset.full ~n) with
   | Ok () -> ()
-  | Error e ->
-    pf "error: %s@." (Quorum_family.error_to_string e);
-    exit 1
+  | Error e -> fail "%s" (Quorum_family.error_to_string e)
+
+(* ---------------------------------------------------------------- *)
+(* run                                                               *)
+(* ---------------------------------------------------------------- *)
+
+let algos =
+  Experiments.
+    [
+      ("a_nuc", Anuc);
+      ("mr_majority", Mr_majority);
+      ("mr_sigma", Mr_sigma);
+      ("stack", Stack);
+      ("ct", Ct);
+    ]
 
 let run_consensus algo quorum n t seed drop dup reorder partitions =
-  if t >= n then (
-    pf "error: need t < n@.";
-    exit 1);
+  if t >= n then fail "need t < n";
   if quorum = None
      && (algo = Experiments.Mr_majority || algo = Experiments.Ct)
      && 2 * t >= n
-  then (
-    pf "error: this algorithm requires t < n/2 (got n=%d t=%d)@." n t;
-    exit 1);
+  then fail "this algorithm requires t < n/2 (got n=%d t=%d)" n t;
   let faults =
     try Sim.Faults.make ~drop ~dup ~reorder ~partitions ~seed ()
-    with Invalid_argument m ->
-      pf "error: %s@." m;
-      exit 1
+    with Invalid_argument m -> fail "%s" m
   in
   if not (Sim.Faults.is_none faults) then
     pf "fault spec: %a@." Sim.Faults.pp faults;
@@ -150,31 +218,7 @@ let run_experiments quick only seed =
   let rows =
     match only with
     | None -> Experiments.all ~quick ~seed_base:seed ()
-    | Some id -> (
-      let pick =
-        [
-          ("e1", fun ~quick -> Experiments.e1_extract_sigma_nu ~quick ~seed_base:seed);
-          ("e2", fun ~quick -> Experiments.e2_extract_sigma ~quick ~seed_base:seed);
-          ("e3", fun ~quick -> Experiments.e3_boost ~quick ~seed_base:seed);
-          ("e4", fun ~quick -> Experiments.e4_anuc ~quick ~seed_base:seed);
-          ("e5", fun ~quick -> Experiments.e5_stack ~quick ~seed_base:seed);
-          ("e6", fun ~quick -> Experiments.e6_contamination ~quick ~seed_base:seed);
-          ("e7", fun ~quick -> Experiments.e7_sigma_scratch ~quick ~seed_base:seed);
-          ("e8", fun ~quick -> Experiments.e8_attack ~quick);
-          ("e9", fun ~quick -> Experiments.e9_merge ~quick ?step_budget:None);
-          ("e10", fun ~quick -> Experiments.e10_not_uniform ~quick);
-          ("e11", fun ~quick -> Experiments.e11_model_check ~quick);
-          ("e12", fun ~quick -> Experiments.e12_faults ~quick ~seed_base:seed);
-          ("e13", fun ~quick -> Experiments.e13_fuzz ~quick ~seed_base:seed);
-          ("e14", fun ~quick -> Experiments.e14_dpor ~quick);
-          ("e16", fun ~quick -> Experiments.e16_quorum ~quick ~seed_base:seed);
-        ]
-      in
-      match List.assoc_opt (String.lowercase_ascii id) pick with
-      | Some f -> [ f ~quick () ]
-      | None ->
-        pf "unknown experiment %S (expected e1..e14 | e16)@." id;
-        exit 1)
+    | Some row -> [ row ~quick ~seed_base:seed ]
   in
   List.iter (fun r -> pf "%a@.@." Experiments.pp_row r) rows;
   if List.for_all (fun r -> r.Experiments.pass) rows then pf "ALL PASS@."
@@ -187,134 +231,255 @@ let run_experiments quick only seed =
 (* check                                                             *)
 (* ---------------------------------------------------------------- *)
 
-let run_check detector n t seed horizon =
+(* Each detector's printed name, and its oracle and checker for a
+   pattern at a stabilization time. *)
+let detectors =
+  let open Fd in
+  [
+    ( "omega",
+      ( "Omega",
+        fun ~seed ~stab p ->
+          (Oracle.omega ~seed ~stab_time:stab p, Check.omega ~max_stab:stab p) ) );
+    ( "sigma",
+      ( "Sigma",
+        fun ~seed ~stab p ->
+          (Oracle.sigma ~seed ~stab_time:stab p, Check.sigma ~max_stab:stab p) ) );
+    ( "sigma_nu",
+      ( "Sigma-nu",
+        fun ~seed ~stab p ->
+          ( Oracle.sigma_nu ~seed ~stab_time:stab p,
+            Check.sigma_nu ~max_stab:stab p ) ) );
+    ( "sigma_nu_plus",
+      ( "Sigma-nu+",
+        fun ~seed ~stab p ->
+          ( Oracle.sigma_nu_plus ~seed ~stab_time:stab p,
+            Check.sigma_nu_plus ~max_stab:stab p ) ) );
+    ( "eventually_strong",
+      ( "<>S",
+        fun ~seed ~stab p ->
+          ( Oracle.eventually_strong ~seed ~stab_time:stab p,
+            Check.eventually_strong ~max_stab:stab p ) ) );
+  ]
+
+let run_check (name, detector) n t seed horizon =
+  if t >= n then fail "need t < n";
   let env = Sim.Env.make ~n ~max_faulty:t in
   let rng = Random.State.make [| seed |] in
   let pattern = Sim.Env.random_pattern rng ~crash_window:(horizon / 3) env in
   pf "pattern: %a@." Sim.Failure_pattern.pp pattern;
-  let stab = (2 * horizon) / 3 in
-  let check name oracle checker =
-    let h = Fd.Oracle.history ~horizon ~n oracle in
-    match checker h with
-    | Ok () -> pf "%s: history of %d samples conforms@." name ((horizon + 1) * n)
-    | Error v -> pf "%s: VIOLATION %a@." name Fd.Check.pp_violation v
-  in
-  match detector with
-  | "omega" ->
-    check "Omega"
-      (Fd.Oracle.omega ~seed ~stab_time:stab pattern)
-      (Fd.Check.omega ~max_stab:stab pattern)
-  | "sigma" ->
-    check "Sigma"
-      (Fd.Oracle.sigma ~seed ~stab_time:stab pattern)
-      (Fd.Check.sigma ~max_stab:stab pattern)
-  | "sigma_nu" ->
-    check "Sigma-nu"
-      (Fd.Oracle.sigma_nu ~seed ~stab_time:stab pattern)
-      (Fd.Check.sigma_nu ~max_stab:stab pattern)
-  | "sigma_nu_plus" ->
-    check "Sigma-nu+"
-      (Fd.Oracle.sigma_nu_plus ~seed ~stab_time:stab pattern)
-      (Fd.Check.sigma_nu_plus ~max_stab:stab pattern)
-  | "eventually_strong" ->
-    check "<>S"
-      (Fd.Oracle.eventually_strong ~seed ~stab_time:stab pattern)
-      (Fd.Check.eventually_strong ~max_stab:stab pattern)
-  | s ->
-    pf "unknown detector %S (omega | sigma | sigma_nu | sigma_nu_plus | \
-        eventually_strong)@."
-      s;
-    exit 1
+  let oracle, checker = detector ~seed ~stab:(2 * horizon / 3) pattern in
+  match checker (Fd.Oracle.history ~horizon ~n oracle) with
+  | Ok () -> pf "%s: history of %d samples conforms@." name ((horizon + 1) * n)
+  | Error v -> pf "%s: VIOLATION %a@." name Fd.Check.pp_violation v
 
 (* ---------------------------------------------------------------- *)
 (* scenario                                                          *)
 (* ---------------------------------------------------------------- *)
 
-let run_scenario name =
+let scenarios =
   let report o =
     List.iter (fun line -> pf "%s@." line) o.Core.Scenario.trace;
     pf "agreement violated: %b; adversary history legal: %b@."
       o.Core.Scenario.agreement_violated
       (Result.is_ok o.Core.Scenario.history_valid)
   in
-  match name with
-  | "contamination" -> report (Core.Scenario.contamination_naive_mr ())
-  | "contamination_unsafe_anuc" ->
-    report (Core.Scenario.contamination_anuc_unsafe ())
-  | "separation" ->
-    let module Atk = Core.Separation.Attack (Core.Separation.Sigma_scratch) in
-    List.iter
-      (fun (n, t) ->
-        pf "--- n=%d t=%d ---@." n t;
-        match Atk.run ~n ~t ~inputs:(fun _ -> t) () with
-        | Ok o -> pf "%a@." Atk.pp_outcome o
-        | Error e -> pf "%s@." e)
-      [ (4, 1); (4, 2); (6, 3) ]
-  | s ->
-    pf "unknown scenario %S (contamination | contamination_unsafe_anuc | \
-        separation)@."
-      s;
-    exit 1
+  [
+    ("contamination", fun () -> report (Core.Scenario.contamination_naive_mr ()));
+    ( "contamination_unsafe_anuc",
+      fun () -> report (Core.Scenario.contamination_anuc_unsafe ()) );
+    ( "separation",
+      fun () ->
+        let module Atk = Core.Separation.Attack (Core.Separation.Sigma_scratch) in
+        List.iter
+          (fun (n, t) ->
+            pf "--- n=%d t=%d ---@." n t;
+            match Atk.run ~n ~t ~inputs:(fun _ -> t) () with
+            | Ok o -> pf "%a@." Atk.pp_outcome o
+            | Error e -> pf "%s@." e)
+          [ (4, 1); (4, 2); (6, 3) ] );
+  ]
 
 (* ---------------------------------------------------------------- *)
-(* mc                                                                *)
+(* mc and fuzz: one table of --algo targets                          *)
 (* ---------------------------------------------------------------- *)
 
-(* One model-checking drive, shared by every algorithm. The faulty
-   processes of the pattern crash past the depth bound, so the clauses
-   of the detector class treat them as faulty while every schedule up
-   to the bound may still step them. *)
-module Mc_drive (A : sig
+module type AUTOMATON = sig
   include Sim.Automaton.S with type input = Consensus.Value.t
 
   val decision : state -> Consensus.Value.t option
-end) =
-struct
-  module M = Mc.Make (A)
+end
 
-  (* [corrupt] (--selftest-corrupt-cx) deliberately damages a found
-     counterexample before certification — the negative-path selftest
-     for the certification machinery and its nonzero exit code. *)
-  let go ~algo ~n ~faulty ~menu ~depth ~flavour ~max_states ~max_drops
-      ~delivery ~jobs ~reduction ~json ~corrupt ~checkpoint ~resume
-      ~spill_dir =
-    let proposals p = if Pset.mem p faulty then 1 else 0 in
-    let crashes = Pset.fold (fun p l -> (p, depth + 1) :: l) faulty [] in
-    let pattern = Sim.Failure_pattern.make ~n ~crashes in
-    (match Mc.Menu.validate ~pattern menu with
-    | Ok () -> pf "menu %s: admissible@." menu.Mc.Menu.name
-    | Error e ->
-      pf "menu %s: INADMISSIBLE (%s)@." menu.Mc.Menu.name e;
-      exit 1);
-    let props =
-      M.consensus_props ~decision:A.decision ~proposals ~flavour ~pattern
-    in
-    (* The stop scope must match the agreement flavour: uniform
-       agreement/validity constrain faulty processes' decisions too
-       (they keep stepping until depth + 1), so for uniform checks a
-       state only counts as a goal once *every* process decided —
-       stopping when the correct ones decided would prune
-       continuations in which a faulty process decides a conflicting
-       or unproposed value. *)
-    let stop_scope =
-      match flavour with
-      | Consensus.Spec.Uniform -> Pset.full ~n
-      | Consensus.Spec.Nonuniform -> Sim.Failure_pattern.correct pattern
-    in
-    let stop = M.decided_stop ~decision:A.decision ~scope:stop_scope in
-    let r =
-      try
-        M.run ~reduction ~n ~menu ~depth ~inputs:proposals ~props ~stop
-          ~max_states ?max_drops ~delivery ~jobs ?checkpoint ?resume
-          ?spill_dir ()
-      with Mc.Resume_rejected e ->
-        pf "checkpoint rejected: %s@." (Mc.Codec.error_to_string e);
-        exit 1
-    in
-    pf "%a@." Mc.pp_stats r.M.stats;
-    (match json with
-    | None -> ()
-    | Some path ->
+type family = [ `Contamination | `Lossy | `Full ]
+
+let families : (string * family) list =
+  [ ("contamination", `Contamination); ("lossy", `Lossy); ("full", `Full) ]
+
+type target = {
+  name : string;
+  automaton : (module AUTOMATON);
+  flavour : Consensus.Spec.flavour;
+  mc_depth : int;
+      (* mc's default --depth: where the interesting behaviour is
+         reachable *)
+  menu : Quorum_family.t option -> n:int -> faulty:Pset.t -> family -> Mc.Menu.t;
+  swarm : family list;  (* the families fuzz --swarm adds to the rotation *)
+  quorum : bool;  (* --quorum applies *)
+  majority : bool;  (* t < n/2 required *)
+}
+
+let targets =
+  (* A_nuc over Sigma-nu+ menus ([plus]) and the naive substitution
+     over Sigma-nu menus: --family picks the menu, --quorum shapes it. *)
+  let sigma_nu name automaton ~plus mc_depth =
+    {
+      name;
+      automaton;
+      flavour = Consensus.Spec.Nonuniform;
+      mc_depth;
+      menu =
+        (fun quorum ~n ~faulty -> function
+          | `Contamination -> Mc.Menu.contamination ~plus ?quorum ~n ~faulty ()
+          | `Lossy -> Mc.Menu.lossy ~plus ?quorum ~n ~faulty ()
+          | `Full when plus -> Mc.Menu.omega_sigma_nu_plus ~n ~faulty
+          | `Full -> Mc.Menu.omega_sigma_nu ~n ~faulty);
+      swarm = [ `Lossy; `Full ];
+      quorum = true;
+      majority = false;
+    }
+  in
+  (* The uniform baselines: one class menu whatever the family. *)
+  let uniform name automaton menu mc_depth ~majority =
+    {
+      name;
+      automaton;
+      flavour = Consensus.Spec.Uniform;
+      mc_depth;
+      menu = (fun _ ~n ~faulty _ -> menu ~n ~faulty);
+      swarm = [];
+      quorum = false;
+      majority;
+    }
+  in
+  List.map
+    (fun t -> (t.name, t))
+    [
+      sigma_nu "anuc" (module Core.Anuc) ~plus:true 11;
+      sigma_nu "naive-sn" (module Consensus.Mr.With_quorum) ~plus:false 34;
+      uniform "mr-sigma" (module Consensus.Mr.With_quorum) Mc.Menu.omega_sigma 10
+        ~majority:false;
+      uniform "mr-majority" (module Consensus.Mr.Majority) Mc.Menu.leader_only
+        11 ~majority:true;
+      uniform "ct" (module Consensus.Ct) Mc.Menu.suspects 13 ~majority:true;
+    ]
+
+(* The flag-fit checks mc and fuzz share; a refusal exits 1. *)
+let check_fit target ~n ~t ~family ~quorum =
+  if t >= n || t < 1 then fail "need 1 <= t < n";
+  Option.iter
+    (fun fam ->
+      require_family_fits fam ~n;
+      if family = `Full then
+        fail
+          "--quorum shapes the contamination/lossy menus only (the 'full' \
+           class menus quantify over every legal value)")
+    quorum;
+  if quorum <> None && not target.quorum then
+    fail "--quorum only applies to the Sigma-nu algorithms (%s)"
+      (alts (List.filter (fun (_, e) -> e.quorum) targets));
+  if target.majority && 2 * t >= n then
+    fail "this algorithm requires t < n/2 (got n=%d t=%d)" n t
+
+type universe = {
+  pattern : Sim.Failure_pattern.t;
+  proposals : Pid.t -> Consensus.Value.t;
+  menu : Mc.Menu.t;
+  swarm_menus : Mc.Menu.t list;
+  scope : Pset.t;  (* whose decisions end a run *)
+}
+
+(* The universe mc and fuzz explore ([Experiments.universe]: the last
+   [t] pids faulty, crashing one step past [bound], so the detector
+   clauses treat them as faulty while every schedule up to the bound
+   may still step them), with every menu checked admissible. *)
+let universe (target : target) ~n ~t ~bound ~family ~quorum ~swarm =
+  let faulty, pattern, proposals = Experiments.universe ~n ~t ~bound in
+  let menu_of = target.menu quorum ~n ~faulty in
+  let menu = menu_of family in
+  let swarm_menus = if swarm then List.map menu_of target.swarm else [] in
+  List.iter
+    (fun (m : Mc.Menu.t) ->
+      match Mc.Menu.validate ~pattern m with
+      | Ok () -> pf "menu %s: admissible@." m.name
+      | Error e ->
+        pf "menu %s: INADMISSIBLE (%s)@." m.name e;
+        exit 1)
+    (menu :: swarm_menus);
+  (* The stop scope must match the agreement flavour: uniform
+     agreement/validity constrain faulty processes' decisions too
+     (they keep stepping until bound + 1), so for uniform checks a
+     state only counts as a goal once *every* process decided —
+     stopping when the correct ones decided would prune continuations
+     in which a faulty process decides a conflicting or unproposed
+     value. *)
+  let scope =
+    match target.flavour with
+    | Consensus.Spec.Uniform -> Pset.full ~n
+    | Consensus.Spec.Nonuniform -> Sim.Failure_pattern.correct pattern
+  in
+  { pattern; proposals; menu; swarm_menus; scope }
+
+let resumable f =
+  try f ()
+  with Mc.Resume_rejected e ->
+    pf "checkpoint rejected: %s@." (Mc.Codec.error_to_string e);
+    exit 1
+
+(* --selftest-corrupt-checkpoint: flip one byte of the --resume file
+   and resume from the damaged copy — the digest check must reject it
+   with a typed error and a nonzero exit, never a Marshal crash. *)
+let corrupt_checkpoint_copy path =
+  let b =
+    try In_channel.with_open_bin path In_channel.input_all
+    with Sys_error m -> fail "%s" m
+  in
+  let len = String.length b in
+  if len = 0 then fail "checkpoint %s is empty" path;
+  let b = Bytes.of_string b in
+  Bytes.set b (len - 1) (Char.chr (Char.code (Bytes.get b (len - 1)) lxor 1));
+  let path' = path ^ ".corrupt" in
+  Out_channel.with_open_bin path' (fun oc -> Out_channel.output_bytes oc b);
+  pf "selftest: flipped last byte of %s into %s@." path path';
+  path'
+
+(* [corrupt] (--selftest-corrupt-cx) deliberately damages a found
+   counterexample before certification — the negative-path selftest
+   for the certification machinery and its nonzero exit code. *)
+let run_mc target n t depth family quorum max_states max_drops delivery
+    jobs reduction json corrupt checkpoint resume spill_dir corrupt_ckpt =
+  check_fit target ~n ~t ~family ~quorum;
+  let resume =
+    match (resume, corrupt_ckpt) with
+    | Some path, true -> Some (corrupt_checkpoint_copy path)
+    | None, true -> fail "--selftest-corrupt-checkpoint requires --resume"
+    | r, false -> r
+  in
+  let depth = Option.value depth ~default:target.mc_depth in
+  let module A = (val target.automaton) in
+  let module M = Mc.Make (A) in
+  let u = universe target ~n ~t ~bound:depth ~family ~quorum ~swarm:false in
+  let r =
+    resumable (fun () ->
+        M.run ~reduction ~n ~menu:u.menu ~depth ~inputs:u.proposals
+          ~props:
+            (M.consensus_props ~decision:A.decision ~proposals:u.proposals
+               ~flavour:target.flavour ~pattern:u.pattern)
+          ~stop:(M.decided_stop ~decision:A.decision ~scope:u.scope)
+          ~max_states ?max_drops ~delivery ~jobs
+          ?checkpoint ?resume ?spill_dir ())
+  in
+  pf "%a@." Mc.pp_stats r.M.stats;
+  Option.iter
+    (fun path ->
       (* One b11_dpor row for this run; [pass] records only that the
          verdict is conclusive (not truncated) — a found violation is
          the expected outcome for the naive baseline. *)
@@ -326,434 +491,107 @@ struct
           | Some cx -> "VIOLATION: " ^ cx.M.cx_property
       in
       let row =
-        Experiments.b11_row_of_stats ~algorithm:algo ~reduction ~depth
+        Experiments.b11_row_of_stats ~algorithm:target.name ~reduction ~depth
           ~outcome
           ~pass:(not r.M.stats.Mc.truncated)
           r.M.stats
       in
-      Report.to_file path
+      write_json path
         (Report.Obj
-           [ ("b11_dpor", Report.Table.rows Experiments.b11_spec [ row ]) ]);
-      pf "wrote %s@." path);
-    match r.M.violation with
-    | None ->
-      if r.M.stats.Mc.truncated then begin
-        pf "exploration TRUNCATED at %d states — verdict inconclusive@."
-          max_states;
-        exit 1
-      end
-      else pf "exhausted: no violation within depth %d@." depth
-    | Some cx ->
-      let cx =
-        if not corrupt then cx
-        else
-          {
-            cx with
-            M.cx_steps =
-              List.map
-                (fun (s : M.R.replay_step) ->
-                  match s.r_received with
-                  | None -> s
-                  | Some env ->
-                    {
-                      s with
-                      r_received =
-                        Some { env with Sim.Envelope.seq = env.seq + 1000 };
-                    })
-                cx.M.cx_steps;
-          }
-      in
-      if corrupt then pf "selftest: corrupted counterexample receives@.";
-      pf "%a@." M.pp_counterexample cx;
-      let ok_replay =
-        match M.replay_counterexample ~n ~inputs:proposals cx with
-        | Ok _ ->
-          pf "replay: accepted by Runner.replay@.";
-          true
-        | Error e ->
-          pf "replay: REJECTED (%s)@." e;
-          false
-      in
-      let ok_hist =
-        match
-          Mc.history_legal ~kind:menu.Mc.Menu.kind ~pattern cx.M.cx_samples
-        with
-        | Ok () ->
-          pf "detector history: perpetual clauses hold@.";
-          true
-        | Error e ->
-          pf "detector history: ILLEGAL (%s)@." e;
-          false
-      in
-      if not (ok_replay && ok_hist) then exit 1
-
-  let default_go ~algo ~n ~faulty ~max_states ~max_drops ~delivery ~jobs
-      ~reduction ~json ~flavour ~corrupt ~checkpoint ~resume ~spill_dir
-      ~default_depth ~menu depth_opt =
-    let depth = Option.value depth_opt ~default:default_depth in
-    go ~algo ~n ~faulty ~menu ~depth ~flavour ~max_states ~max_drops
-      ~delivery ~jobs ~reduction ~json ~corrupt ~checkpoint ~resume
-      ~spill_dir
-end
-
-module Mc_anuc_drive = Mc_drive (Core.Anuc)
-module Mc_naive_drive = Mc_drive (Consensus.Mr.With_quorum)
-module Mc_maj_drive = Mc_drive (Consensus.Mr.Majority)
-module Mc_ct_drive = Mc_drive (Consensus.Ct)
-
-(* --selftest-corrupt-checkpoint: flip one byte of the --resume file
-   and resume from the damaged copy — the digest check must reject it
-   with a typed error and a nonzero exit, never a Marshal crash. *)
-let corrupt_checkpoint_copy path =
-  let b =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let len = in_channel_length ic in
-        let b = Bytes.create len in
-        really_input ic b 0 len;
-        b)
-  in
-  let len = Bytes.length b in
-  if len = 0 then (
-    pf "error: checkpoint %s is empty@." path;
-    exit 1);
-  Bytes.set b (len - 1) (Char.chr (Char.code (Bytes.get b (len - 1)) lxor 1));
-  let path' = path ^ ".corrupt" in
-  let oc = open_out_bin path' in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_bytes oc b);
-  pf "selftest: flipped last byte of %s into %s@." path path';
-  path'
-
-let run_mc algo n t depth_opt family quorum max_states max_drops delivery
-    jobs reduction json corrupt checkpoint_path ckpt_every resume spill_dir
-    corrupt_ckpt =
-  if t >= n || t < 1 then (
-    pf "error: need 1 <= t < n@.";
-    exit 1);
-  if jobs < 1 then (
-    pf "error: --jobs must be >= 1@.";
-    exit 1);
-  if ckpt_every < 1 then (
-    pf "error: --ckpt-every must be >= 1@.";
-    exit 1);
-  let resume =
-    match (resume, corrupt_ckpt) with
-    | Some path, true -> Some (corrupt_checkpoint_copy path)
-    | None, true ->
-      pf "error: --selftest-corrupt-checkpoint requires --resume@.";
+           [ ("b11_dpor", Report.Table.rows Experiments.b11_spec [ row ]) ]))
+    json;
+  match r.M.violation with
+  | None ->
+    if r.M.stats.Mc.truncated then begin
+      pf "exploration TRUNCATED at %d states — verdict inconclusive@."
+        max_states;
       exit 1
-    | r, false -> r
-  in
-  let checkpoint =
-    Option.map (fun p -> (p, ckpt_every)) checkpoint_path
-  in
-  let reduction =
-    match String.lowercase_ascii reduction with
-    | "dpor" -> Mc.Dpor
-    | "sleep" -> Mc.Sleep_sets
-    | "none" -> Mc.No_reduction
-    | s ->
-      pf "unknown reduction %S (dpor | sleep | none)@." s;
-      exit 1
-  in
-  let delivery =
-    match String.lowercase_ascii delivery with
-    | "fifo" -> `Fifo
-    | "any" -> `Any
-    | s ->
-      pf "unknown delivery model %S (fifo | any)@." s;
-      exit 1
-  in
-  let family =
-    match String.lowercase_ascii family with
-    | "contamination" -> `Contamination
-    | "lossy" -> `Lossy
-    | "full" -> `Full
-    | s ->
-      pf "unknown menu family %S (contamination | lossy | full)@." s;
-      exit 1
-  in
-  let faulty = Pset.of_list (List.init t (fun i -> n - 1 - i)) in
-  (match quorum with
-  | None -> ()
-  | Some fam ->
-    require_family_fits fam ~n;
-    if family = `Full then (
-      pf "error: --quorum shapes the contamination/lossy menus only \
-          (the 'full' class menus quantify over every legal value)@.";
-      exit 1));
-  let need_majority () =
-    if 2 * t >= n then (
-      pf "error: this algorithm requires t < n/2 (got n=%d t=%d)@." n t;
-      exit 1)
-  in
-  let no_quorum () =
-    if quorum <> None then (
-      pf "error: --quorum only applies to the Sigma-nu algorithms \
-          (anuc | naive-sn)@.";
-      exit 1)
-  in
-  match String.lowercase_ascii algo with
-  | "anuc" ->
-    Mc_anuc_drive.default_go ~algo ~n ~faulty ~max_states
-      ~max_drops ~delivery ~jobs ~reduction ~json ~corrupt ~checkpoint
-      ~resume ~spill_dir ~flavour:Consensus.Spec.Nonuniform ~default_depth:11
-      ~menu:
-        (match family with
-        | `Contamination ->
-          Mc.Menu.contamination ~plus:true ?quorum ~n ~faulty ()
-        | `Lossy -> Mc.Menu.lossy ~plus:true ?quorum ~n ~faulty ()
-        | `Full -> Mc.Menu.omega_sigma_nu_plus ~n ~faulty)
-      depth_opt
-  | "naive-sn" ->
-    Mc_naive_drive.default_go ~algo ~n ~faulty ~max_states
-      ~max_drops ~delivery ~jobs ~reduction ~json ~corrupt ~checkpoint
-      ~resume ~spill_dir ~flavour:Consensus.Spec.Nonuniform ~default_depth:34
-      ~menu:
-        (match family with
-        | `Contamination -> Mc.Menu.contamination ?quorum ~n ~faulty ()
-        | `Lossy -> Mc.Menu.lossy ?quorum ~n ~faulty ()
-        | `Full -> Mc.Menu.omega_sigma_nu ~n ~faulty)
-      depth_opt
-  | "mr-sigma" ->
-    no_quorum ();
-    Mc_naive_drive.default_go ~algo ~n ~faulty ~max_states
-      ~max_drops ~delivery ~jobs ~reduction ~json ~corrupt ~checkpoint
-      ~resume ~spill_dir ~flavour:Consensus.Spec.Uniform ~default_depth:10
-      ~menu:(Mc.Menu.omega_sigma ~n ~faulty)
-      depth_opt
-  | "mr-majority" ->
-    no_quorum ();
-    need_majority ();
-    Mc_maj_drive.default_go ~algo ~n ~faulty ~max_states
-      ~max_drops ~delivery ~jobs ~reduction ~json ~corrupt ~checkpoint
-      ~resume ~spill_dir ~flavour:Consensus.Spec.Uniform ~default_depth:11
-      ~menu:(Mc.Menu.leader_only ~n ~faulty)
-      depth_opt
-  | "ct" ->
-    no_quorum ();
-    need_majority ();
-    Mc_ct_drive.default_go ~algo ~n ~faulty ~max_states
-      ~max_drops ~delivery ~jobs ~reduction ~json ~corrupt ~checkpoint
-      ~resume ~spill_dir ~flavour:Consensus.Spec.Uniform ~default_depth:13
-      ~menu:(Mc.Menu.suspects ~n ~faulty)
-      depth_opt
-  | s ->
-    pf "unknown algorithm %S (anuc | naive-sn | mr-majority | mr-sigma | \
-        ct)@."
-      s;
-    exit 1
-
-(* ---------------------------------------------------------------- *)
-(* fuzz                                                              *)
-(* ---------------------------------------------------------------- *)
-
-(* One fuzzing drive, shared by every algorithm; mirrors [Mc_drive]
-   but samples schedules ([Explore]) instead of enumerating them. The
-   faulty processes crash past the step bound, exactly as in mc. *)
-module Fuzz_drive (A : sig
-  include Sim.Automaton.S with type input = Consensus.Value.t
-
-  val decision : state -> Consensus.Value.t option
-end) =
-struct
-  module E = Explore.Make (A)
-  module M = E.M
-
-  let go ~algo ~n ~faulty ~menu ~swarm_menus ~flavour ~runs ~sampler ~swarm
-      ~shrink ~seed ~delivery ~max_steps ~max_drops ~batch ~jobs ~json
-      ~checkpoint ~resume ~max_batches =
-    let proposals p = if Pset.mem p faulty then 1 else 0 in
-    let crashes = Pset.fold (fun p l -> (p, max_steps + 1) :: l) faulty [] in
-    let pattern = Sim.Failure_pattern.make ~n ~crashes in
-    List.iter
-      (fun (m : Mc.Menu.t) ->
-        match Mc.Menu.validate ~pattern m with
-        | Ok () -> pf "menu %s: admissible@." m.name
-        | Error e ->
-          pf "menu %s: INADMISSIBLE (%s)@." m.name e;
-          exit 1)
-      (menu :: if swarm then swarm_menus else []);
-    let props =
-      M.consensus_props ~decision:A.decision ~proposals ~flavour ~pattern
-    in
-    let stop_scope =
-      match flavour with
-      | Consensus.Spec.Uniform -> Pset.full ~n
-      | Consensus.Spec.Nonuniform -> Sim.Failure_pattern.correct pattern
-    in
-    let stop = M.decided_stop ~decision:A.decision ~scope:stop_scope in
-    let decided st = A.decision st <> None in
-    let swarm_cfg =
-      if not swarm then None
+    end
+    else pf "exhausted: no violation within depth %d@." depth
+  | Some cx ->
+    let cx =
+      if not corrupt then cx
       else
-        Some
-          {
-            Explore.sw_menus = menu :: swarm_menus;
-            sw_budgets = [ 0; 1; 2 ];
-            sw_stabs = [ max_steps / 3; (2 * max_steps) / 3; max_steps ];
-            sw_samplers = [ Explore.Uniform; Pct 2; Pct 3; Pct 4 ];
-          }
+        {
+          cx with
+          M.cx_steps =
+            List.map
+              (fun (s : M.R.replay_step) ->
+                match s.r_received with
+                | None -> s
+                | Some env ->
+                  {
+                    s with
+                    r_received =
+                      Some { env with Sim.Envelope.seq = env.seq + 1000 };
+                  })
+              cx.M.cx_steps;
+        }
     in
-    let report =
-      try
-        E.fuzz ~algo ~sampler ?swarm:swarm_cfg ~batch_size:batch ~delivery
-          ~max_steps ~max_drops ~shrink ~jobs ?checkpoint ?resume
-          ?max_batches ~stop ~decided ~seed ~runs ~n ~menu ~pattern
-          ~inputs:proposals ~props ()
-      with Mc.Resume_rejected e ->
-        pf "checkpoint rejected: %s@." (Mc.Codec.error_to_string e);
-        exit 1
+    if corrupt then pf "selftest: corrupted counterexample receives@.";
+    pf "%a@." M.pp_counterexample cx;
+    let ok_replay =
+      match M.replay_counterexample ~n ~inputs:u.proposals cx with
+      | Ok _ ->
+        pf "replay: accepted by Runner.replay@.";
+        true
+      | Error e ->
+        pf "replay: REJECTED (%s)@." e;
+        false
     in
-    pf "%a@." E.pp_report report;
-    (match json with
-    | None -> ()
-    | Some path ->
-      Report.to_file path (E.json_of_report report);
-      pf "wrote %s@." path);
-    match report.E.violation with
-    | None -> ()
-    | Some v ->
-      if not (v.E.v_replay_ok && v.E.v_history_ok) then (
-        pf "violation NOT CERTIFIED — failing@.";
-        exit 1)
-end
+    let ok_hist =
+      match
+        Mc.history_legal ~kind:u.menu.Mc.Menu.kind ~pattern:u.pattern
+          cx.M.cx_samples
+      with
+      | Ok () ->
+        pf "detector history: perpetual clauses hold@.";
+        true
+      | Error e ->
+        pf "detector history: ILLEGAL (%s)@." e;
+        false
+    in
+    if not (ok_replay && ok_hist) then exit 1
 
-module Fuzz_anuc_drive = Fuzz_drive (Core.Anuc)
-module Fuzz_naive_drive = Fuzz_drive (Consensus.Mr.With_quorum)
-module Fuzz_maj_drive = Fuzz_drive (Consensus.Mr.Majority)
-module Fuzz_ct_drive = Fuzz_drive (Consensus.Ct)
-
-let parse_sampler s =
-  match String.lowercase_ascii s with
-  | "uniform" -> Ok Explore.Uniform
-  | "pct" -> Ok (Explore.Pct 3)
-  | s when String.length s > 3 && String.sub s 0 3 = "pct" -> (
-    match int_of_string_opt (String.sub s 3 (String.length s - 3)) with
-    | Some d when d >= 1 -> Ok (Explore.Pct d)
-    | _ -> Error (Printf.sprintf "bad PCT depth in %S" s))
-  | s -> Error (Printf.sprintf "unknown sampler %S (uniform | pct | pctD)" s)
-
-let run_fuzz algo n t runs sampler_s swarm shrink seed delivery_s max_steps_opt
-    max_drops batch family quorum jobs json checkpoint_path ckpt_every resume
-    max_batches =
-  if t >= n || t < 1 then (
-    pf "error: need 1 <= t < n@.";
-    exit 1);
-  if jobs < 1 then (
-    pf "error: --jobs must be >= 1@.";
-    exit 1);
-  if ckpt_every < 1 then (
-    pf "error: --ckpt-every must be >= 1@.";
-    exit 1);
-  let checkpoint =
-    Option.map (fun p -> (p, ckpt_every)) checkpoint_path
+(* Samples schedules of the same universe instead of enumerating them. *)
+let run_fuzz target n t runs sampler swarm shrink seed delivery max_steps
+    max_drops batch family quorum jobs json checkpoint resume max_batches =
+  check_fit target ~n ~t ~family ~quorum;
+  let max_steps = Option.value max_steps ~default:(18 * n) in
+  let module A = (val target.automaton) in
+  let module E = Explore.Make (A) in
+  let u = universe target ~n ~t ~bound:max_steps ~family ~quorum ~swarm in
+  let swarm =
+    if not swarm then None
+    else
+      Some
+        {
+          Explore.sw_menus = u.menu :: u.swarm_menus;
+          sw_budgets = [ 0; 1; 2 ];
+          sw_stabs = [ max_steps / 3; 2 * max_steps / 3; max_steps ];
+          sw_samplers = [ Explore.Uniform; Pct 2; Pct 3; Pct 4 ];
+        }
   in
-  let sampler =
-    match parse_sampler sampler_s with
-    | Ok s -> s
-    | Error e ->
-      pf "error: %s@." e;
-      exit 1
+  let report =
+    resumable (fun () ->
+        E.fuzz ~algo:target.name ~sampler ?swarm ~batch_size:batch ~delivery
+          ~max_steps ~max_drops ~shrink ~jobs
+          ?checkpoint ?resume ?max_batches
+          ~stop:(E.M.decided_stop ~decision:A.decision ~scope:u.scope)
+          ~decided:(fun st -> A.decision st <> None)
+          ~seed ~runs ~n ~menu:u.menu ~pattern:u.pattern ~inputs:u.proposals
+          ~props:
+            (E.M.consensus_props ~decision:A.decision ~proposals:u.proposals
+               ~flavour:target.flavour ~pattern:u.pattern)
+          ())
   in
-  let delivery =
-    match String.lowercase_ascii delivery_s with
-    | "fifo" -> `Fifo
-    | "any" -> `Any
-    | s ->
-      pf "unknown delivery model %S (fifo | any)@." s;
-      exit 1
-  in
-  let max_steps = Option.value max_steps_opt ~default:(18 * n) in
-  let faulty = Pset.of_list (List.init t (fun i -> n - 1 - i)) in
-  (match quorum with
-  | None -> ()
-  | Some fam ->
-    require_family_fits fam ~n;
-    if String.lowercase_ascii family = "full" then (
-      pf "error: --quorum shapes the contamination/lossy menus only \
-          (the 'full' class menus quantify over every legal value)@.";
-      exit 1));
-  let no_quorum () =
-    if quorum <> None then (
-      pf "error: --quorum only applies to the Sigma-nu algorithms \
-          (anuc | naive-sn)@.";
-      exit 1)
-  in
-  let need_majority () =
-    if 2 * t >= n then (
-      pf "error: this algorithm requires t < n/2 (got n=%d t=%d)@." n t;
-      exit 1)
-  in
-  let pick_family ~contamination ~lossy ~full =
-    match String.lowercase_ascii family with
-    | "contamination" -> contamination ()
-    | "lossy" -> lossy ()
-    | "full" -> full ()
-    | s ->
-      pf "unknown menu family %S (contamination | lossy | full)@." s;
-      exit 1
-  in
-  match String.lowercase_ascii algo with
-  | "anuc" ->
-    Fuzz_anuc_drive.go ~algo ~n ~faulty ~flavour:Consensus.Spec.Nonuniform
-      ~menu:
-        (pick_family
-           ~contamination:(fun () ->
-             Mc.Menu.contamination ~plus:true ?quorum ~n ~faulty ())
-           ~lossy:(fun () -> Mc.Menu.lossy ~plus:true ?quorum ~n ~faulty ())
-           ~full:(fun () -> Mc.Menu.omega_sigma_nu_plus ~n ~faulty))
-      ~swarm_menus:
-        [
-          Mc.Menu.lossy ~plus:true ?quorum ~n ~faulty ();
-          Mc.Menu.omega_sigma_nu_plus ~n ~faulty;
-        ]
-      ~runs ~sampler ~swarm ~shrink ~seed ~delivery ~max_steps ~max_drops
-      ~batch ~jobs ~json ~checkpoint ~resume ~max_batches
-  | "naive-sn" ->
-    Fuzz_naive_drive.go ~algo ~n ~faulty ~flavour:Consensus.Spec.Nonuniform
-      ~menu:
-        (pick_family
-           ~contamination:(fun () ->
-             Mc.Menu.contamination ?quorum ~n ~faulty ())
-           ~lossy:(fun () -> Mc.Menu.lossy ?quorum ~n ~faulty ())
-           ~full:(fun () -> Mc.Menu.omega_sigma_nu ~n ~faulty))
-      ~swarm_menus:
-        [
-          Mc.Menu.lossy ?quorum ~n ~faulty ();
-          Mc.Menu.omega_sigma_nu ~n ~faulty;
-        ]
-      ~runs ~sampler ~swarm ~shrink ~seed ~delivery ~max_steps ~max_drops
-      ~batch ~jobs ~json ~checkpoint ~resume ~max_batches
-  | "mr-sigma" ->
-    no_quorum ();
-    Fuzz_naive_drive.go ~algo ~n ~faulty ~flavour:Consensus.Spec.Uniform
-      ~menu:(Mc.Menu.omega_sigma ~n ~faulty)
-      ~swarm_menus:[] ~runs ~sampler ~swarm ~shrink ~seed ~delivery
-      ~max_steps ~max_drops ~batch ~jobs ~json ~checkpoint ~resume ~max_batches
-  | "mr-majority" ->
-    no_quorum ();
-    need_majority ();
-    Fuzz_maj_drive.go ~algo ~n ~faulty ~flavour:Consensus.Spec.Uniform
-      ~menu:(Mc.Menu.leader_only ~n ~faulty)
-      ~swarm_menus:[] ~runs ~sampler ~swarm ~shrink ~seed ~delivery
-      ~max_steps ~max_drops ~batch ~jobs ~json ~checkpoint ~resume ~max_batches
-  | "ct" ->
-    no_quorum ();
-    need_majority ();
-    Fuzz_ct_drive.go ~algo ~n ~faulty ~flavour:Consensus.Spec.Uniform
-      ~menu:(Mc.Menu.suspects ~n ~faulty)
-      ~swarm_menus:[] ~runs ~sampler ~swarm ~shrink ~seed ~delivery
-      ~max_steps ~max_drops ~batch ~jobs ~json ~checkpoint ~resume ~max_batches
-  | s ->
-    pf "unknown algorithm %S (anuc | naive-sn | mr-majority | mr-sigma | \
-        ct)@."
-      s;
+  pf "%a@." E.pp_report report;
+  Option.iter (fun path -> write_json path (E.json_of_report report)) json;
+  match report.E.violation with
+  | Some v when not (v.E.v_replay_ok && v.E.v_history_ok) ->
+    pf "violation NOT CERTIFIED — failing@.";
     exit 1
+  | _ -> ()
 
 (* ---------------------------------------------------------------- *)
 (* serve                                                             *)
@@ -828,17 +666,15 @@ let run_serve n clients slots batch window pipeline compaction jobs seed
     if reads > 0 then b14_rows := [ Experiments.b14_row ~jobs cfg exec_out ]
   end;
   if !b14_rows <> [] then Report.Table.print b14 Format.std_formatter !b14_rows;
-  (match json with
-  | None -> ()
-  | Some path ->
-    let fragments =
-      ("b10_serve", Report.Table.rows b10 !rows)
-      ::
-      (if !b14_rows = [] then []
-       else [ ("b14_ring", Report.Table.rows b14 !b14_rows) ])
-    in
-    Report.to_file path (Report.Obj fragments);
-    pf "wrote %s@." path);
+  Option.iter
+    (fun path ->
+      write_json path
+        (Report.Obj
+           (("b10_serve", Report.Table.rows b10 !rows)
+           ::
+           (if !b14_rows = [] then []
+            else [ ("b14_ring", Report.Table.rows b14 !b14_rows) ]))))
+    json;
   let divergent = List.exists (fun o -> o.Load.o_divergent) !outcomes in
   let unreached = List.exists (fun o -> not o.Load.o_reached) !outcomes in
   let stale =
@@ -855,14 +691,12 @@ let run_serve n clients slots batch window pipeline compaction jobs seed
 (* cmdliner plumbing                                                 *)
 (* ---------------------------------------------------------------- *)
 
-open Cmdliner
-
 let n_arg =
-  Arg.(value & opt int 5 & info [ "n" ] ~docv:"N" ~doc:"Number of processes.")
+  Arg.(value & opt n_conv 5 & info [ "n" ] ~docv:"N" ~doc:"Number of processes.")
 
 let t_arg =
   Arg.(
-    value & opt int 2
+    value & opt (count 0) 2
     & info [ "t" ] ~docv:"T" ~doc:"Maximum number of faulty processes.")
 
 let seed_arg =
@@ -876,7 +710,7 @@ let seed_arg =
    for fuzz (byte-identical JSON for any job count). *)
 let jobs_arg =
   Arg.(
-    value & opt int 1
+    value & opt (count 1) 1
     & info [ "jobs"; "j" ] ~docv:"J"
         ~doc:
           "Explore with $(docv) parallel domains (default 1: the same \
@@ -899,13 +733,45 @@ let quorum_arg =
            families (e.g. grid on a non-tiling n) are rejected with a \
            typed error.")
 
+(* mc's and fuzz's --algo, read from [targets]. *)
+let target_arg default =
+  Arg.(
+    value
+    & opt (choice targets) (List.assoc default targets)
+    & info [ "algo" ] ~docv:"ALGO" ~doc:(alts targets ^ "."))
+
+let family_arg doc =
+  Arg.(
+    value & opt (choice families) `Contamination
+    & info [ "family" ] ~docv:"FAMILY" ~doc)
+
+let delivery_arg doc =
+  Arg.(
+    value
+    & opt (choice [ ("fifo", `Fifo); ("any", `Any) ]) `Fifo
+    & info [ "delivery" ] ~docv:"MODEL" ~doc)
+
+(* --checkpoint FILE and its --ckpt-every interval, paired as the
+   engines take them. *)
+let checkpoint_args ~doc ~every ~every_docv ~every_doc =
+  Term.(
+    const (fun path every -> Option.map (fun p -> (p, every)) path)
+    $ Arg.(
+        value & opt (some out_file) None
+        & info [ "checkpoint" ] ~docv:"FILE" ~doc)
+    $ Arg.(
+        value & opt (count 1) every
+        & info [ "ckpt-every" ] ~docv:every_docv ~doc:every_doc))
+
+let resume_arg doc =
+  Arg.(value & opt (some string) None & info [ "resume" ] ~docv:"FILE" ~doc)
+
 let run_cmd =
   let algo =
     Arg.(
       value
-      & opt algo_conv Experiments.Anuc
-      & info [ "algo" ] ~docv:"ALGO"
-          ~doc:"Algorithm: a_nuc | mr_majority | mr_sigma | stack | ct.")
+      & opt (choice algos) Experiments.Anuc
+      & info [ "algo" ] ~docv:"ALGO" ~doc:("Algorithm: " ^ alts algos ^ "."))
   in
   let drop =
     Arg.(
@@ -947,31 +813,32 @@ let run_cmd =
       const run_consensus $ algo $ quorum_arg $ n_arg $ t_arg $ seed_arg
       $ drop $ dup $ reorder $ partition)
 
+let quick_arg =
+  Arg.(value & flag & info [ "quick" ] ~doc:"Reduced sweeps (faster).")
+
 let experiments_cmd =
-  let quick =
-    Arg.(value & flag & info [ "quick" ] ~doc:"Reduced sweeps (faster).")
-  in
   let only =
     Arg.(
       value
-      & opt (some string) None
-      & info [ "only" ] ~docv:"ID" ~doc:"Run a single experiment (e1..e14 | e16).")
+      & opt (some (choice Experiments.e_rows)) None
+      & info [ "only" ] ~docv:"ID"
+          ~doc:("Run a single experiment: " ^ alts Experiments.e_rows ^ "."))
   in
   Cmd.v
     (Cmd.info "experiments"
        ~doc:"Validate the paper's theorems (the E-table of DESIGN.md)")
-    Term.(const run_experiments $ quick $ only $ seed_arg)
+    Term.(const run_experiments $ quick_arg $ only $ seed_arg)
 
 let check_cmd =
   let detector =
     Arg.(
-      value & opt string "sigma_nu_plus"
-      & info [ "detector" ] ~docv:"D"
-          ~doc:"omega | sigma | sigma_nu | sigma_nu_plus | eventually_strong.")
+      value
+      & opt (choice detectors) (List.assoc "sigma_nu_plus" detectors)
+      & info [ "detector" ] ~docv:"D" ~doc:(alts detectors ^ "."))
   in
   let horizon =
     Arg.(
-      value & opt int 300
+      value & opt (count 0) 300
       & info [ "horizon" ] ~docv:"H" ~doc:"Sampled history length.")
   in
   Cmd.v
@@ -980,40 +847,31 @@ let check_cmd =
     Term.(const run_check $ detector $ n_arg $ t_arg $ seed_arg $ horizon)
 
 let ablation_cmd =
-  let quick =
-    Arg.(value & flag & info [ "quick" ] ~doc:"Reduced sweeps (faster).")
-  in
   Cmd.v
     (Cmd.info "ablation"
        ~doc:"The A_nuc mechanism-necessity study (distrust / awareness)")
-    Term.(const run_ablation $ quick $ seed_arg)
+    Term.(const run_ablation $ quick_arg $ seed_arg)
 
 let scenario_cmd =
   let scenario_arg =
     Arg.(
       required
-      & pos 0 (some string) None
-      & info [] ~docv:"SCENARIO" ~doc:"contamination | separation.")
+      & pos 0 (some (choice scenarios)) None
+      & info [] ~docv:"SCENARIO" ~doc:(alts scenarios ^ "."))
   in
   Cmd.v
     (Cmd.info "scenario" ~doc:"Run a proof scenario from the paper")
-    Term.(const run_scenario $ scenario_arg)
+    Term.(const (fun run -> run ()) $ scenario_arg)
 
 let mc_cmd =
-  let algo =
-    Arg.(
-      value & opt string "anuc"
-      & info [ "algo" ] ~docv:"ALGO"
-          ~doc:"anuc | naive-sn | mr-majority | mr-sigma | ct.")
-  in
   let n =
     Arg.(
-      value & opt int 3
+      value & opt n_conv 3
       & info [ "n" ] ~docv:"N" ~doc:"Number of processes (small: n <= 4).")
   in
   let t =
     Arg.(
-      value & opt int 1
+      value & opt (count 0) 1
       & info [ "t" ] ~docv:"T"
           ~doc:
             "Maximum number of faulty processes; the last $(docv) pids are \
@@ -1022,22 +880,18 @@ let mc_cmd =
   let depth =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (count 0)) None
       & info [ "depth" ] ~docv:"D"
           ~doc:
             "Exploration depth bound (default: a per-algorithm depth at \
              which the interesting behaviour is reachable).")
   in
   let family =
-    Arg.(
-      value & opt string "contamination"
-      & info [ "family" ] ~docv:"FAMILY"
-          ~doc:
-            "Detector-menu family: the focused Section 6.3 'contamination' \
-             sub-family, the same family over 'lossy' links (the network \
-             may drop any deliverable message), or the 'full' class menu \
-             (much larger state \
-             space).")
+    family_arg
+      "Detector-menu family: the focused Section 6.3 'contamination' \
+       sub-family, the same family over 'lossy' links (the network may drop \
+       any deliverable message), or the 'full' class menu (much larger \
+       state space)."
   in
   let max_states =
     Arg.(
@@ -1048,7 +902,7 @@ let mc_cmd =
   let max_drops =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (count 0)) None
       & info [ "max-drops" ] ~docv:"K"
           ~doc:
             "With --family lossy: bound the network to at most $(docv) \
@@ -1058,16 +912,17 @@ let mc_cmd =
              which keeps deep lossy explorations tractable.")
   in
   let delivery =
-    Arg.(
-      value & opt string "fifo"
-      & info [ "delivery" ] ~docv:"MODEL"
-          ~doc:
-            "Channel model: 'fifo' (per-channel send order; exhaustive for \
-             FIFO links) or 'any' (every per-channel reordering).")
+    delivery_arg
+      "Channel model: 'fifo' (per-channel send order; exhaustive for FIFO \
+       links) or 'any' (every per-channel reordering)."
   in
   let reduction =
     Arg.(
-      value & opt string "sleep"
+      value
+      & opt
+          (choice
+             [ ("dpor", Mc.Dpor); ("sleep", Mc.Sleep_sets); ("none", Mc.No_reduction) ])
+          Mc.Sleep_sets
       & info [ "reduction" ] ~docv:"R"
           ~doc:
             "Partial-order reduction: 'dpor' (sleep sets refined by the \
@@ -1081,7 +936,7 @@ let mc_cmd =
   let json =
     Arg.(
       value
-      & opt ~vopt:(Some "MC.json") (some string) None
+      & opt ~vopt:(Some "MC.json") (some out_file) None
       & info [ "json" ] ~docv:"FILE"
           ~doc:
             "Write the run's statistics as a one-row b11_dpor document \
@@ -1100,42 +955,30 @@ let mc_cmd =
              rejected).")
   in
   let checkpoint =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "checkpoint" ] ~docv:"FILE"
-          ~doc:
-            "Write a versioned campaign snapshot (packed visited set, \
-             frontier cursor, counters) to $(docv) at exploration-chunk \
-             boundaries, roughly every --ckpt-every newly interned states; \
-             a killed campaign resumed with --resume reproduces the \
-             uninterrupted verdict and distinct-state count exactly.")
-  in
-  let ckpt_every =
-    Arg.(
-      value & opt int 50_000
-      & info [ "ckpt-every" ] ~docv:"S"
-          ~doc:
-            "With --checkpoint: snapshot after at least $(docv) new \
-             distinct states since the previous snapshot.")
+    checkpoint_args
+      ~doc:
+        "Write a versioned campaign snapshot (packed visited set, frontier \
+         cursor, counters) to $(docv) at exploration-chunk boundaries, \
+         roughly every --ckpt-every newly interned states; a killed campaign \
+         resumed with --resume reproduces the uninterrupted verdict and \
+         distinct-state count exactly."
+      ~every:50_000 ~every_docv:"S"
+      ~every_doc:
+        "With --checkpoint: snapshot after at least $(docv) new distinct \
+         states since the previous snapshot."
   in
   let resume =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "resume" ] ~docv:"FILE"
-          ~doc:
-            "Resume a checkpointed campaign from $(docv). The file's \
-             magic, schema version, payload digest, campaign fingerprint \
-             and stored state hashes are all re-validated before any state \
-             is trusted; a mismatch exits 1 with a typed error. \
-             --max-states counts cumulatively across the resumed \
-             segments.")
+    resume_arg
+      "Resume a checkpointed campaign from $(docv). The file's magic, schema \
+       version, payload digest, campaign fingerprint and stored state hashes \
+       are all re-validated before any state is trusted; a mismatch exits 1 \
+       with a typed error. --max-states counts cumulatively across the \
+       resumed segments."
   in
   let spill_dir =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some dir) None
       & info [ "spill-dir" ] ~docv:"DIR"
           ~doc:
             "Spill cold shards of the visited set to $(docv) at chunk \
@@ -1159,24 +1002,14 @@ let mc_cmd =
          "Exhaustively model-check an algorithm over every admissible \
           schedule of a small universe")
     Term.(
-      const run_mc $ algo $ n $ t $ depth $ family $ quorum_arg
+      const run_mc $ target_arg "anuc" $ n $ t $ depth $ family $ quorum_arg
       $ max_states $ max_drops $ delivery $ jobs_arg $ reduction $ json
-      $ corrupt $ checkpoint $ ckpt_every $ resume $ spill_dir
-      $ corrupt_ckpt)
+      $ corrupt $ checkpoint $ resume $ spill_dir $ corrupt_ckpt)
 
 let fuzz_cmd =
-  let algo =
-    Arg.(
-      value & opt string "naive-sn"
-      & info [ "algo" ] ~docv:"ALGO"
-          ~doc:"anuc | naive-sn | mr-majority | mr-sigma | ct.")
-  in
-  let n =
-    Arg.(value & opt int 5 & info [ "n" ] ~docv:"N" ~doc:"Number of processes.")
-  in
   let t =
     Arg.(
-      value & opt int 2
+      value & opt (count 0) 2
       & info [ "t" ] ~docv:"T"
           ~doc:
             "Maximum number of faulty processes; the last $(docv) pids are \
@@ -1184,13 +1017,13 @@ let fuzz_cmd =
   in
   let runs =
     Arg.(
-      value & opt int 10_000
+      value & opt (count 1) 10_000
       & info [ "runs" ] ~docv:"R"
           ~doc:"Sample at most $(docv) schedules (stops at first violation).")
   in
   let sampler =
     Arg.(
-      value & opt string "uniform"
+      value & opt sampler_conv Explore.Uniform
       & info [ "sampler" ] ~docv:"S"
           ~doc:
             "Schedule sampler: 'uniform' or 'pctD' (PCT with D-1 \
@@ -1211,27 +1044,23 @@ let fuzz_cmd =
           ~doc:"Report the raw violating schedule without delta-debugging.")
   in
   let delivery =
-    Arg.(
-      value & opt string "fifo"
-      & info [ "delivery" ] ~docv:"MODEL"
-          ~doc:
-            "Channel model runs sample from: 'fifo' (channel heads \
-             only; small branching factor, best find rate — default) \
-             or 'any' (any pending message, the paper's set-shaped \
-             buffer). The shrinker always works in the 'any' space: \
-             its drain-skipping pass frees FIFO-found schedules from \
-             channel-prefix draining.")
+    delivery_arg
+      "Channel model runs sample from: 'fifo' (channel heads only; small \
+       branching factor, best find rate — default) or 'any' (any pending \
+       message, the paper's set-shaped buffer). The shrinker always works in \
+       the 'any' space: its drain-skipping pass frees FIFO-found schedules \
+       from channel-prefix draining."
   in
   let max_steps =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (count 1)) None
       & info [ "max-steps" ] ~docv:"K"
           ~doc:"Steps per sampled run (default 18*n).")
   in
   let max_drops =
     Arg.(
-      value & opt int 1
+      value & opt (count 0) 1
       & info [ "max-drops" ] ~docv:"D"
           ~doc:
             "Loss budget per run when the menu family is lossy (swarm may \
@@ -1239,61 +1068,46 @@ let fuzz_cmd =
   in
   let batch =
     Arg.(
-      value & opt int 1000
+      value & opt (count 1) 1000
       & info [ "batch" ] ~docv:"B"
           ~doc:"Runs per coverage batch (and per swarm draw).")
   in
   let family =
-    Arg.(
-      value & opt string "contamination"
-      & info [ "family" ] ~docv:"FAMILY"
-          ~doc:
-            "Detector-menu family, as for mc: contamination | lossy | full \
-             (ignored by the uniform algorithms, which have one menu).")
+    family_arg
+      "Detector-menu family, as for mc: contamination | lossy | full (ignored \
+       by the uniform algorithms, which have one menu)."
   in
   let json =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some out_file) None
       & info [ "json" ] ~docv:"FILE"
           ~doc:
             "Write the fuzz report as JSON to $(docv) (byte-deterministic \
              in --seed).")
   in
   let checkpoint =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "checkpoint" ] ~docv:"FILE"
-          ~doc:
-            "Write a versioned campaign snapshot (coverage sets, curve, \
-             counters, batch cursor) to $(docv) at batch-chunk \
-             boundaries; an interrupted campaign resumed with --resume \
-             produces a byte-identical report to the straight-through \
-             run, at any --jobs.")
-  in
-  let ckpt_every =
-    Arg.(
-      value & opt int 10
-      & info [ "ckpt-every" ] ~docv:"B"
-          ~doc:
-            "With --checkpoint: snapshot after at least $(docv) batches \
-             since the previous snapshot.")
+    checkpoint_args
+      ~doc:
+        "Write a versioned campaign snapshot (coverage sets, curve, counters, \
+         batch cursor) to $(docv) at batch-chunk boundaries; an interrupted \
+         campaign resumed with --resume produces a byte-identical report to \
+         the straight-through run, at any --jobs."
+      ~every:10 ~every_docv:"B"
+      ~every_doc:
+        "With --checkpoint: snapshot after at least $(docv) batches since the \
+         previous snapshot."
   in
   let resume =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "resume" ] ~docv:"FILE"
-          ~doc:
-            "Resume a checkpointed fuzz campaign from $(docv); magic, \
-             schema version, digest and campaign fingerprint are \
-             validated before anything is trusted (mismatch exits 1).")
+    resume_arg
+      "Resume a checkpointed fuzz campaign from $(docv); magic, schema \
+       version, digest and campaign fingerprint are validated before \
+       anything is trusted (mismatch exits 1)."
   in
   let max_batches =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (count 1)) None
       & info [ "max-batches" ] ~docv:"B"
           ~doc:
             "Stop this segment after $(docv) batches (the deterministic \
@@ -1306,11 +1120,11 @@ let fuzz_cmd =
          "Randomly sample admissible schedules (PCT / uniform / swarm), \
           track coverage, and shrink+certify any violation found")
     Term.(
-      const run_fuzz $ algo $ n $ t $ runs $ sampler $ swarm
+      const run_fuzz $ target_arg "naive-sn" $ n_arg $ t $ runs $ sampler
+      $ swarm
       $ Term.app (const not) no_shrink
       $ seed_arg $ delivery $ max_steps $ max_drops $ batch $ family
-      $ quorum_arg $ jobs_arg $ json $ checkpoint $ ckpt_every $ resume
-      $ max_batches)
+      $ quorum_arg $ jobs_arg $ json $ checkpoint $ resume $ max_batches)
 
 let serve_cmd =
   let clients =
@@ -1422,7 +1236,7 @@ let serve_cmd =
   let json =
     Arg.(
       value
-      & opt ~vopt:(Some "SERVE.json") (some string) None
+      & opt ~vopt:(Some "SERVE.json") (some out_file) None
       & info [ "json" ] ~docv:"FILE"
           ~doc:
             "Write the B10-shaped rows (plus B14-shaped read-path rows \

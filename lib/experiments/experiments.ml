@@ -586,25 +586,24 @@ let e10_not_uniform ?quick:_ () =
 module Mc_naive = Mc.Make (Consensus.Mr.With_quorum)
 module Mc_anuc = Mc.Make (Core.Anuc)
 
-(* The E_1(3) universe of the Section 6.3 argument: p2 faulty,
-   proposing the contaminating value. *)
-(* The E_1(n) universe of the model-checking experiments: the highest
-   process is faulty but crashes only past the explored window, and
-   proposes the minority value. [n = 3] everywhere except the grid
-   rows of E16, which need a 2x2 tiling. *)
-let mc_universe_n ~n ~depth =
-  let faulty = Pset.singleton (n - 1) in
-  let pattern = Sim.Failure_pattern.make ~n ~crashes:[ (n - 1, depth + 1) ] in
+(* The universe of every exploration (mc here, fuzz in E13, and
+   `nuc_cli mc` / `fuzz`): the last [t] pids are faulty, propose the
+   contaminating value 1 and crash one step past [bound], so the
+   detector clauses treat them as faulty while every schedule up to
+   the bound may still step them. The model-checking rows run E_1(3),
+   except the grid rows of E16, which need a 2x2 tiling. *)
+let universe ~n ~t ~bound =
+  let faulty = Pset.of_list (List.init t (fun i -> n - 1 - i)) in
+  let crashes = Pset.fold (fun p l -> (p, bound + 1) :: l) faulty [] in
+  let pattern = Sim.Failure_pattern.make ~n ~crashes in
   let proposals p = if Pset.mem p faulty then 1 else 0 in
-  (n, faulty, pattern, proposals)
-
-let mc_universe ~depth = mc_universe_n ~n:3 ~depth
+  (faulty, pattern, proposals)
 
 (* Exhaustive bounded verification of A_nuc on E_1(n) under the
    Sigma-nu+ contamination family (optionally generalized over a
    quorum family; [None] is the pre-family construction verbatim). *)
 let mc_verify_anuc ?reduction ?(n = 3) ?quorum ~depth () =
-  let n, faulty, pattern, proposals = mc_universe_n ~n ~depth in
+  let faulty, pattern, proposals = universe ~n ~t:1 ~bound:depth in
   let menu = Mc.Menu.contamination ~plus:true ?quorum ~n ~faulty () in
   let report =
     Mc_anuc.run ?reduction ~n ~menu ~depth ~inputs:proposals
@@ -623,7 +622,7 @@ let mc_verify_anuc ?reduction ?(n = 3) ?quorum ~depth () =
    Returns the report plus the independent certificates of any found
    counterexample (replay applicability, history legality). *)
 let mc_attack_naive ?reduction ?(n = 3) ?quorum ~depth () =
-  let n, faulty, pattern, proposals = mc_universe_n ~n ~depth in
+  let faulty, pattern, proposals = universe ~n ~t:1 ~bound:depth in
   let menu = Mc.Menu.contamination ?quorum ~n ~faulty () in
   let report =
     Mc_naive.run ?reduction ~n ~menu ~depth ~inputs:proposals
@@ -706,7 +705,8 @@ let anuc_lossy_mc_depth ~quick = if quick then 7 else 8
 let naive_lossy_mc_depth ~quick = if quick then 32 else 33
 
 let mc_verify_anuc_lossy ~depth =
-  let n, faulty, pattern, proposals = mc_universe ~depth in
+  let n = 3 in
+  let faulty, pattern, proposals = universe ~n ~t:1 ~bound:depth in
   let menu = Mc.Menu.lossy ~plus:true ~n ~faulty () in
   let report =
     Mc_anuc.run ~n ~menu ~depth ~inputs:proposals
@@ -729,7 +729,8 @@ let mc_verify_anuc_lossy ~depth =
 let naive_lossy_drop_budget = 1
 
 let mc_attack_naive_lossy ~depth =
-  let n, faulty, pattern, proposals = mc_universe ~depth in
+  let n = 3 in
+  let faulty, pattern, proposals = universe ~n ~t:1 ~bound:depth in
   let menu = Mc.Menu.lossy ~n ~faulty () in
   let report =
     Mc_naive.run ~n ~menu ~depth ~max_drops:naive_lossy_drop_budget
@@ -871,25 +872,19 @@ let e12_faults ?(quick = false) ?(seed_base = 0) () =
 module Ex_naive = Explore.Make (Consensus.Mr.With_quorum)
 module Ex_anuc = Explore.Make (Core.Anuc)
 
-(* The E_2(5) universe the model checker cannot close: E11's
-   exhaustive horizon is E_1(3) around depth 34, and at n = 5 the
-   per-step branching factor puts every interesting depth far out of
-   reach — so the Section 6.3 dichotomy at this size is sampled
-   (lib/explore), not enumerated. The faulty processes are the top
-   [t] ids, proposing the contaminating value, never crashing within
-   the step bound (contamination needs them alive and deciding). *)
-let fuzz_universe ~n ~t ~max_steps =
-  let faulty = Pset.of_list (List.init t (fun i -> n - 1 - i)) in
-  let crashes = Pset.fold (fun p l -> (p, max_steps + 1) :: l) faulty [] in
-  let pattern = Sim.Failure_pattern.make ~n ~crashes in
-  let proposals p = if Pset.mem p faulty then 1 else 0 in
-  (faulty, pattern, proposals)
+(* E13 samples E_2(5), the universe the model checker cannot close:
+   E11's exhaustive horizon is E_1(3) around depth 34, and at n = 5
+   the per-step branching factor puts every interesting depth far out
+   of reach — so the Section 6.3 dichotomy at this size is sampled
+   (lib/explore), not enumerated. The faulty processes never crash
+   within the step bound (contamination needs them alive and
+   deciding). *)
 
 let fuzz_max_steps ~n = 18 * n
 
 let fuzz_attack_naive ?quorum ~seed ~runs ~n ~t () =
   let max_steps = fuzz_max_steps ~n in
-  let faulty, pattern, proposals = fuzz_universe ~n ~t ~max_steps in
+  let faulty, pattern, proposals = universe ~n ~t ~bound:max_steps in
   let menu = Mc.Menu.contamination ?quorum ~n ~faulty () in
   let props =
     Ex_naive.M.consensus_props ~decision:Consensus.Mr.With_quorum.decision
@@ -908,7 +903,7 @@ let fuzz_attack_naive ?quorum ~seed ~runs ~n ~t () =
    stabilization points and samplers all rotate per batch. *)
 let fuzz_survive_anuc ~seed ~runs ~n ~t =
   let max_steps = fuzz_max_steps ~n in
-  let faulty, pattern, proposals = fuzz_universe ~n ~t ~max_steps in
+  let faulty, pattern, proposals = universe ~n ~t ~bound:max_steps in
   let menu = Mc.Menu.contamination ~plus:true ~n ~faulty () in
   let swarm =
     {
@@ -1131,24 +1126,27 @@ let e16_quorum ?(quick = false) ?(seed_base = 0) () =
        falls (shrunk + certified) and A_nuc exhausts clean"
     t
 
-let all ?(quick = false) ?(seed_base = 0) () =
+let e_rows =
   [
-    e1_extract_sigma_nu ~quick ~seed_base ();
-    e2_extract_sigma ~quick ~seed_base ();
-    e3_boost ~quick ~seed_base ();
-    e4_anuc ~quick ~seed_base ();
-    e5_stack ~quick ~seed_base ();
-    e6_contamination ~quick ~seed_base ();
-    e7_sigma_scratch ~quick ~seed_base ();
-    e8_attack ~quick ();
-    e9_merge ~quick ();
-    e10_not_uniform ~quick ();
-    e11_model_check ~quick ();
-    e12_faults ~quick ~seed_base ();
-    e13_fuzz ~quick ~seed_base ();
-    e14_dpor ~quick ();
-    e16_quorum ~quick ~seed_base ();
+    ("e1", fun ~quick ~seed_base -> e1_extract_sigma_nu ~quick ~seed_base ());
+    ("e2", fun ~quick ~seed_base -> e2_extract_sigma ~quick ~seed_base ());
+    ("e3", fun ~quick ~seed_base -> e3_boost ~quick ~seed_base ());
+    ("e4", fun ~quick ~seed_base -> e4_anuc ~quick ~seed_base ());
+    ("e5", fun ~quick ~seed_base -> e5_stack ~quick ~seed_base ());
+    ("e6", fun ~quick ~seed_base -> e6_contamination ~quick ~seed_base ());
+    ("e7", fun ~quick ~seed_base -> e7_sigma_scratch ~quick ~seed_base ());
+    ("e8", fun ~quick ~seed_base:_ -> e8_attack ~quick ());
+    ("e9", fun ~quick ~seed_base:_ -> e9_merge ~quick ());
+    ("e10", fun ~quick ~seed_base:_ -> e10_not_uniform ~quick ());
+    ("e11", fun ~quick ~seed_base:_ -> e11_model_check ~quick ());
+    ("e12", fun ~quick ~seed_base -> e12_faults ~quick ~seed_base ());
+    ("e13", fun ~quick ~seed_base -> e13_fuzz ~quick ~seed_base ());
+    ("e14", fun ~quick ~seed_base:_ -> e14_dpor ~quick ());
+    ("e16", fun ~quick ~seed_base -> e16_quorum ~quick ~seed_base ());
   ]
+
+let all ?(quick = false) ?(seed_base = 0) () =
+  List.map (fun (_, row) -> row ~quick ~seed_base) e_rows
 
 (* ---------------------------------------------------------------- *)
 (* B-tables                                                          *)
@@ -1911,7 +1909,8 @@ let b9_jobs = [ 1; 2; 4; 8 ]
    thousands) for the sharded table to matter, small enough to run
    four times per bench invocation. *)
 let b9_mc_run ~jobs ~depth =
-  let n, faulty, pattern, proposals = mc_universe ~depth in
+  let n = 3 in
+  let faulty, pattern, proposals = universe ~n ~t:1 ~bound:depth in
   let menu = Mc.Menu.contamination ~plus:true ~n ~faulty () in
   Mc_anuc.run ~jobs ~n ~menu ~depth ~inputs:proposals
     ~props:
@@ -1928,7 +1927,7 @@ let b9_mc_run ~jobs ~depth =
 let b9_fuzz_run ~jobs ~runs =
   let n = 3 and t = 1 in
   let max_steps = fuzz_max_steps ~n in
-  let faulty, pattern, proposals = fuzz_universe ~n ~t ~max_steps in
+  let faulty, pattern, proposals = universe ~n ~t ~bound:max_steps in
   let menu = Mc.Menu.contamination ~n ~faulty () in
   Ex_naive.fuzz ~algo:"naive-sn" ~max_steps ~jobs ~shrink:false
     ~decided:(fun st -> Consensus.Mr.With_quorum.decision st <> None)
@@ -2231,7 +2230,8 @@ module B12_bytes_tbl = Mc.Intern.Table (B12_bytes_key)
    under measurement ([visit] returns whether the config was new) —
    the same role the memo table plays inside the checker. *)
 let b12_walk ~depth ~visit =
-  let n, faulty, _pattern, proposals = mc_universe ~depth in
+  let n = 3 in
+  let faulty, _pattern, proposals = universe ~n ~t:1 ~bound:depth in
   let menu = Mc.Menu.contamination ~plus:true ~n ~faulty () in
   let menus = Array.init n (fun p -> menu.Mc.Menu.values p) in
   let count = ref 0 in

@@ -136,9 +136,27 @@ val e16_quorum : ?quick:bool -> ?seed_base:int -> unit -> row
     contains the faulty process — which is why its row runs at
     [n = 4] (see EXPERIMENTS.md, E16). *)
 
+val e_rows : (string * (quick:bool -> seed_base:int -> row)) list
+(** Every E-row by its lowercase id ("e1" .. "e16"), in table order:
+    the registry behind {!all} and [nuc_cli experiments --only]. The
+    deterministic rows ignore [seed_base]. *)
+
 val all : ?quick:bool -> ?seed_base:int -> unit -> row list
-(** Every E-row, in order. [seed_base] offsets the seed lists of the
-    randomized rows (default 0 reproduces the historical sweeps). *)
+(** Every E-row of {!e_rows}, in order. [seed_base] offsets the seed
+    lists of the randomized rows (default 0 reproduces the historical
+    sweeps). *)
+
+val universe :
+  n:int ->
+  t:int ->
+  bound:int ->
+  Procset.Pset.t * Sim.Failure_pattern.t * (Procset.Pid.t -> Consensus.Value.t)
+(** [universe ~n ~t ~bound] is the [(faulty, pattern, proposals)]
+    every exploration runs in — the E11/E13 rows and [nuc_cli mc] /
+    [fuzz]: the last [t] pids are faulty, propose 1 (the others 0)
+    and crash at [bound + 1], one step past the explored window, so
+    the detector clauses treat them as faulty while every schedule up
+    to the bound may still step them. *)
 
 (** {1 Measurement sweeps (B-tables)} *)
 

@@ -366,31 +366,292 @@ let test_serve_ring_snapshot_reads () =
       Alcotest.(check bool) "stale_ok is true" true
         (contains json "\"stale_ok\": true"))
 
-(* Every out-of-range serve flag is refused up front by [Load.check]:
-   exit 2 and the reason, never an uncaught exception (exit 125) and
-   never a run that reports a missed target. *)
-let test_serve_bad_flags () =
+(* ---------------------------------------------------------------- *)
+(* Bad flag values: every one gets its pinned exit code — 124 for a
+   value the parser refuses, 1 for flags that parse but do not fit
+   together, 2 for a serve config Load.check refuses — and a message.
+   None may escape as an exception (125), hang, or exit 0 without
+   doing the work it names. Each row runs under a deadline, so a
+   hang fails the row instead of the suite. *)
+(* ---------------------------------------------------------------- *)
+
+(* Runs the CLI with a deadline: [Some code] when it exits, [None]
+   when it is killed (by the deadline or a signal), and its output. *)
+let run_cli_timed ?(timeout = 20.) args =
+  let out = Filename.temp_file "nuc_cli" ".out" in
+  let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let pid =
+    Unix.create_process nuc_cli
+      (Array.of_list (nuc_cli :: args))
+      Unix.stdin fd fd
+  in
+  Unix.close fd;
+  let deadline = Unix.gettimeofday () +. timeout in
+  let rec wait () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when Unix.gettimeofday () < deadline ->
+      Unix.sleepf 0.01;
+      wait ()
+    | 0, _ ->
+      Unix.kill pid Sys.sigkill;
+      ignore (Unix.waitpid [] pid);
+      None
+    | _, Unix.WEXITED c -> Some c
+    | _ -> None
+  in
+  let code = wait () in
+  let text = In_channel.with_open_bin out In_channel.input_all in
+  Sys.remove out;
+  (code, text)
+
+(* Cmdliner wraps long messages; match them with whitespace collapsed. *)
+let squash s =
+  String.concat " "
+    (List.filter (( <> ) "")
+       (String.split_on_char ' '
+          (String.map (function '\n' | '\t' -> ' ' | c -> c) s)))
+
+let bad_flags =
+  let tmp = Filename.get_temp_dir_name () in
+  let range lo = "expected an integer >= " ^ lo in
+  let n_range = "expected an integer in [2, 62]" in
+  [
+    (* serve: refused by Load.check *)
+    ([ "serve"; "--batch"; "5" ], 2, "serve: Smr: batch must be in [1, 4]");
+    ([ "serve"; "--batch"; "0" ], 2, "serve: Smr: batch must be in [1, 4]");
+    ([ "serve"; "--pipeline"; "0" ], 2, "serve: Smr: pipeline must be >= 1");
+    ([ "serve"; "--window"; "0" ], 2, "serve: Smr: window must be >= 1");
+    ([ "serve"; "--compaction"; "0" ], 2, "serve: Smr: retain must be >= 1");
+    ([ "serve"; "-n"; "63" ], 2, "serve: Load: n must be <= 62");
+    ([ "serve"; "-n"; "1" ], 2, "serve: Load: n must be >= 2");
+    ([ "serve"; "--clients"; "0" ], 2, "serve: Load: clients must be >= 1");
+    ([ "serve"; "--max-steps"; "0" ], 2, "serve: Load: max_steps must be >= 1");
+    ( [ "serve"; "--publish-every"; "0" ],
+      2,
+      "serve: Load: publish_every must be >= 1" );
+    (* process counts beyond Pset, or below two *)
+    ([ "mc"; "-n"; "70" ], 124, n_range);
+    ([ "fuzz"; "-n"; "70" ], 124, n_range);
+    ([ "run"; "-n"; "70" ], 124, n_range);
+    ([ "check"; "-n"; "70" ], 124, n_range);
+    ([ "check"; "-n"; "0" ], 124, n_range);
+    ([ "run"; "-n"; "1"; "-t"; "0" ], 124, n_range);
+    ([ "run"; "-n"; "3"; "-t-1" ], 124, range "0");
+    ([ "check"; "-t-1" ], 124, range "0");
+    ([ "check"; "-n"; "3"; "-t"; "5" ], 1, "error: need t < n");
+    (* counts out of range *)
+    ([ "check"; "--horizon=-5" ], 124, range "0");
+    ([ "fuzz"; "--max-steps=-3" ], 124, range "1");
+    ([ "fuzz"; "--batch"; "0" ], 124, range "1");
+    ([ "mc"; "-n"; "3"; "-t"; "1"; "--depth=-1" ], 124, range "0");
+    ([ "fuzz"; "--algo"; "anuc"; "--swarm"; "--runs=-5" ], 124, range "1");
+    ([ "fuzz"; "--max-batches"; "0" ], 124, range "1");
+    ([ "mc"; "--family"; "lossy"; "--depth"; "3"; "--max-drops=-1" ], 124, range "0");
+    (* output paths are checked before the run, not after it *)
+    ( [
+        "mc"; "--algo"; "naive-sn"; "-n"; "3"; "-t"; "1"; "--depth"; "32";
+        "--json"; "/nonexistent/x.json";
+      ],
+      124,
+      "no '/nonexistent' directory" );
+    ( [ "fuzz"; "-n"; "3"; "-t"; "1"; "--runs"; "100"; "--json"; "/nonexistent/x.json" ],
+      124,
+      "no '/nonexistent' directory" );
+    ( [ "serve"; "--json"; "/nonexistent/x.json" ],
+      124,
+      "no '/nonexistent' directory" );
+    ([ "mc"; "--depth"; "3"; "--json"; tmp ], 124, "is a directory");
+    ( [ "mc"; "--depth"; "5"; "--ckpt-every"; "1"; "--checkpoint"; "/nonexistent/x.ck" ],
+      124,
+      "no '/nonexistent' directory" );
+    ( [
+        "fuzz"; "--algo"; "anuc"; "-n"; "3"; "-t"; "1"; "--runs"; "40";
+        "--batch"; "10"; "--ckpt-every"; "1"; "--checkpoint";
+        "/nonexistent/x.ck";
+      ],
+      124,
+      "no '/nonexistent' directory" );
+    ( [ "mc"; "--depth"; "5"; "--spill-dir"; "/nonexistent" ],
+      124,
+      "no '/nonexistent' directory" );
+    ( [
+        "mc"; "--algo"; "naive-sn"; "-n"; "3"; "-t"; "1"; "--resume";
+        "/nonexistent/x"; "--selftest-corrupt-checkpoint";
+      ],
+      1,
+      "error: /nonexistent/x" );
+    ( [ "run"; "-n"; "3"; "-t"; "1"; "--partition"; "0-5:0,99|1" ],
+      124,
+      "bad partition" );
+    (* unknown names *)
+    ([ "mc"; "--algo"; "foo" ], 124, "invalid value 'foo'");
+    ([ "fuzz"; "--family"; "foo" ], 124, "invalid value 'foo'");
+    ([ "fuzz"; "--sampler"; "pct0" ], 124, "unknown sampler");
+    ([ "experiments"; "--only"; "e99" ], 124, "invalid value 'e99'");
+    ([ "check"; "--detector"; "foo" ], 124, "invalid value 'foo'");
+    ([ "scenario"; "foo" ], 124, "invalid value 'foo'");
+  ]
+
+let check_bad_flags rows =
   List.iter
-    (fun (flags, msg) ->
-      let code, out = run_cli_status ("serve" :: flags) in
-      let what = String.concat " " flags in
-      Alcotest.(check int) (what ^ " exits 2") 2 code;
+    (fun (args, expected, msg) ->
+      let what = String.concat " " args in
+      let code, out = run_cli_timed args in
+      (match code with
+      | None -> Alcotest.failf "%s: killed or timed out:\n%s" what out
+      | Some c -> Alcotest.(check int) (what ^ " exit code") expected c);
       Alcotest.(check bool)
-        (Printf.sprintf "%s explains: %s" what out)
+        (Printf.sprintf "%s explains %S: %s" what msg out)
         true
-        (contains out ("serve: " ^ msg)))
-    [
-      ([ "--batch"; "5" ], "Smr: batch must be in [1, 4]");
-      ([ "--batch"; "0" ], "Smr: batch must be in [1, 4]");
-      ([ "--pipeline"; "0" ], "Smr: pipeline must be >= 1");
-      ([ "--window"; "0" ], "Smr: window must be >= 1");
-      ([ "--compaction"; "0" ], "Smr: retain must be >= 1");
-      ([ "-n"; "63" ], "Load: n must be <= 62");
-      ([ "-n"; "1" ], "Load: n must be >= 2");
-      ([ "--clients"; "0" ], "Load: clients must be >= 1");
-      ([ "--max-steps"; "0" ], "Load: max_steps must be >= 1");
-      ([ "--publish-every"; "0" ], "Load: publish_every must be >= 1");
-    ]
+        (contains (squash out) msg))
+    rows
+
+(* The serve rows Load.check refuses: exit 2 and the reason, never a
+   run that reports a missed target. *)
+let refused_by_load (_, code, _) = code = 2
+
+let test_serve_bad_flags () =
+  check_bad_flags (List.filter refused_by_load bad_flags)
+
+let test_bad_flags () =
+  check_bad_flags (List.filter (fun r -> not (refused_by_load r)) bad_flags)
+
+(* ---------------------------------------------------------------- *)
+(* Every mc/fuzz --algo target through the binary: a target with the
+   wrong automaton, menu, flavour or default depth changes a stats
+   line, a JSON digest or a depth field here. At depth 6 nobody
+   decides yet, so the mc cells pin automaton and menus (the uniform
+   baselines have one menu whatever the family); the fuzz runs
+   decide, so their JSON also pins the flavour's stop scope. *)
+(* ---------------------------------------------------------------- *)
+
+let mc_pins =
+  let every_family s = [ ("contamination", s); ("lossy", s); ("full", s) ] in
+  [
+    ( "anuc",
+      11,
+      [
+        ( "contamination",
+          "9029 transitions, 3392 distinct states (1709 dedup hits, 3487 \
+           self-loops, 4532 sleep-pruned, 0 races, 0 backtracks), 0 decided \
+           leaves, 2750 depth leaves" );
+        ( "lossy",
+          "36046 transitions, 10571 distinct states (8486 dedup hits, 10421 \
+           self-loops, 14979 sleep-pruned, 0 races, 0 backtracks), 0 decided \
+           leaves, 13754 depth leaves" );
+        ( "full",
+          "159377 transitions, 27915 distinct states (71909 dedup hits, 51909 \
+           self-loops, 89982 sleep-pruned, 0 races, 0 backtracks), 0 decided \
+           leaves, 28635 depth leaves" );
+      ] );
+    ( "naive-sn",
+      34,
+      [
+        ( "contamination",
+          "5454 transitions, 1747 distinct states (1125 dedup hits, 2361 \
+           self-loops, 2883 sleep-pruned, 0 races, 0 backtracks), 0 decided \
+           leaves, 1316 depth leaves" );
+        ( "lossy",
+          "26198 transitions, 6256 distinct states (7138 dedup hits, 8346 \
+           self-loops, 10524 sleep-pruned, 0 races, 0 backtracks), 0 decided \
+           leaves, 8282 depth leaves" );
+        ( "full",
+          "53633 transitions, 6991 distinct states (23016 dedup hits, 21508 \
+           self-loops, 32384 sleep-pruned, 0 races, 0 backtracks), 0 decided \
+           leaves, 6673 depth leaves" );
+      ] );
+    ( "mr-sigma",
+      10,
+      every_family
+        "70537 transitions, 7384 distinct states (36916 dedup hits, 24029 \
+         self-loops, 25555 sleep-pruned, 0 races, 0 backtracks), 0 decided \
+         leaves, 7074 depth leaves" );
+    ( "mr-majority",
+      11,
+      every_family
+        "38035 transitions, 6867 distinct states (15451 dedup hits, 13642 \
+         self-loops, 16082 sleep-pruned, 0 races, 0 backtracks), 0 decided \
+         leaves, 6520 depth leaves" );
+    ( "ct",
+      13,
+      every_family
+        "6732 transitions, 802 distinct states (2467 dedup hits, 3138 \
+         self-loops, 2190 sleep-pruned, 0 races, 0 backtracks), 0 decided \
+         leaves, 718 depth leaves" );
+  ]
+
+(* MD5 of `fuzz --algo A -n 3 -t 1 --runs 300 --seed 1 --json`, plain
+   and with --swarm. *)
+let fuzz_pins =
+  [
+    ("anuc", "cb272e5e93af1eb958d8de2fb58d32ee", "9323334457c820f09cef49c56babccec");
+    ("naive-sn", "5ed107f44d1017b18f4e37d1fa323130", "3c0182788ffd40527dbc941dce39c79c");
+    ("mr-sigma", "a51ab7474d077748cf8b4298f96028ca", "a7181a4f16ec05b07e65dfa3f45e3893");
+    ("mr-majority", "7b304f494ad27d1574269dc0b9079f5a", "acb9001431801413a5ec991061db60b8");
+    ("ct", "3ecdc71a69ce9810a4b6171e5aa0c9c6", "3fc3b4994912a05890d2c97321609087");
+  ]
+
+let test_every_target_pinned () =
+  let json = Filename.temp_file "nuc_target" ".json" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove json with Sys_error _ -> ())
+    (fun () ->
+      List.iter
+        (fun (algo, default_depth, cells) ->
+          List.iter
+            (fun (family, stats) ->
+              let out =
+                run_cli
+                  [
+                    "mc"; "--algo"; algo; "-n"; "3"; "-t"; "1"; "--depth"; "6";
+                    "--family"; family;
+                  ]
+              in
+              Alcotest.(check bool)
+                (Printf.sprintf "mc %s %s stats: %s" algo family out)
+                true
+                (contains out (stats ^ ", ")))
+            cells;
+          (* One state in, the run truncates; its JSON row names the
+             target and its default depth. *)
+          let code, _ =
+            run_cli_status
+              [
+                "mc"; "--algo"; algo; "-n"; "3"; "-t"; "1"; "--max-states"; "1";
+                "--json"; json;
+              ]
+          in
+          Alcotest.(check int) (algo ^ " truncated run exits 1") 1 code;
+          let row = In_channel.with_open_bin json In_channel.input_all in
+          Alcotest.(check bool)
+            (Printf.sprintf "mc %s row: %s" algo row)
+            true
+            (contains row (Printf.sprintf "\"algorithm\": \"%s\"" algo)
+            && contains row (Printf.sprintf "\"depth\": %d," default_depth)))
+        mc_pins;
+      List.iter
+        (fun (algo, plain, swarm) ->
+          List.iter
+            (fun (flags, md5) ->
+              let args =
+                [
+                  "fuzz"; "--algo"; algo; "-n"; "3"; "-t"; "1"; "--runs"; "300";
+                  "--seed"; "1"; "--json"; json;
+                ]
+                @ flags
+              in
+              ignore (run_cli args);
+              Alcotest.(check string)
+                (String.concat " " args ^ " JSON digest")
+                md5
+                (Digest.to_hex (Digest.file json)))
+            [ ([], plain); ([ "--swarm" ], swarm) ])
+        fuzz_pins);
+  (* A flag name declared twice surfaces only when its subcommand
+     runs, so render every subcommand's help. *)
+  List.iter
+    (fun sub -> ignore (run_cli [ sub; "--help=plain" ]))
+    [ "run"; "experiments"; "check"; "scenario"; "ablation"; "mc"; "fuzz"; "serve" ]
 
 let () =
   Alcotest.run "cli"
@@ -442,5 +703,12 @@ let () =
           Alcotest.test_case "ring + snapshot reads" `Quick
             test_serve_ring_snapshot_reads;
           Alcotest.test_case "bad flags exit 2" `Quick test_serve_bad_flags;
+        ] );
+      ( "flags",
+        [
+          Alcotest.test_case "bad values exit typed, never crash or hang"
+            `Quick test_bad_flags;
+          Alcotest.test_case "every mc/fuzz target pinned" `Quick
+            test_every_target_pinned;
         ] );
     ]

@@ -185,19 +185,18 @@ let run_consensus algo quorum n t seed drop dup reorder partitions =
   in
   if not (Sim.Faults.is_none faults) then
     pf "fault spec: %a@." Sim.Faults.pp faults;
-  let r =
-    match quorum with
-    | None -> Experiments.latency ~faults algo ~n ~t ~seeds:[ seed ]
-    | Some fam ->
-      require_family_fits fam ~n;
-      let res = Quorum_family.resilience fam ~n in
-      if res < t then
-        pf "note: %s at n=%d has structural resilience %d < t=%d — a \
-            crash pattern can leave no live quorum, and such runs \
-            (honestly) never decide@."
-          (Quorum_family.name fam) n res t;
-      Experiments.latency_family ~faults fam ~n ~t ~seeds:[ seed ]
+  let algo =
+    Option.fold quorum ~none:algo ~some:(fun fam ->
+        require_family_fits fam ~n;
+        let res = Quorum_family.resilience fam ~n in
+        if res < t then
+          pf "note: %s at n=%d has structural resilience %d < t=%d — a \
+              crash pattern can leave no live quorum, and such runs \
+              (honestly) never decide@."
+            (Quorum_family.name fam) n res t;
+        Experiments.Family fam)
   in
+  let r = Experiments.latency ~faults algo ~n ~t ~seeds:[ seed ] in
   pf "%s, n=%d, E_%d, seed %d:@."  r.Experiments.algorithm n t seed;
   pf "  all correct processes decided: %b@."
     (r.Experiments.decided = r.Experiments.runs);

@@ -28,44 +28,29 @@ let row_spec =
 (* Shared plumbing                                                   *)
 (* ---------------------------------------------------------------- *)
 
+(* Runners for the recorded runs E9, E10 and E12 inspect, for B3's
+   emulator and for the B4 reference run. *)
 module Anuc_runner = Sim.Runner.Make (Core.Anuc)
-module Stack_runner = Sim.Runner.Make (Core.Stack)
-module Mrm_runner = Sim.Runner.Make (Consensus.Mr.Majority)
 module Mrq_runner = Sim.Runner.Make (Consensus.Mr.With_quorum)
 module Tsp_runner = Sim.Runner.Make (Core.T_sigma_plus)
-module Scratch_runner = Sim.Runner.Make (Core.Separation.Sigma_scratch)
-module Ct_runner = Sim.Runner.Make (Consensus.Ct)
-
-module Tx_mr = Core.T_extract.Make (struct
-  include Consensus.Mr.With_quorum
-
-  type message = Consensus.Mr.message
-
-  let pp_message = Consensus.Mr.pp_message
-  let equal_message = Consensus.Mr.equal_message
-  let step = Consensus.Mr.With_quorum.step
-  let decision = Consensus.Mr.With_quorum.decision
-end)
-
-module Tx_mr_runner = Sim.Runner.Make (Tx_mr)
-
-module Tx_anuc = Core.T_extract.Make (struct
-  include Core.Anuc
-
-  type message = Core.Anuc.message
-
-  let pp_message = Core.Anuc.pp_message
-  let equal_message = Core.Anuc.equal_message
-  let step = Core.Anuc.step
-  let decision = Core.Anuc.decision
-end)
-
-module Tx_anuc_runner = Sim.Runner.Make (Tx_anuc)
+module Tx_mr = Core.T_extract.Make (Consensus.Mr.With_quorum)
+module Tx_anuc = Core.T_extract.Make (Core.Anuc)
 
 let random_pattern ~seed ~n ~t =
   let env = Sim.Env.make ~n ~max_faulty:t in
   let rng = Random.State.make [| seed; n; t |] in
   Sim.Env.random_pattern rng ~crash_window:120 env
+
+let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l
+
+let mean total count =
+  if count = 0 then nan else float_of_int total /. float_of_int count
+
+(* Validity and NU agreement: [Consensus.Spec.check] without
+   termination, for runs whose liveness may legitimately fail. *)
+let safety outcome =
+  Result.bind (Consensus.Spec.check_validity outcome) (fun () ->
+      Consensus.Spec.check_agreement Consensus.Spec.Nonuniform outcome)
 
 (* Tally of pass/fail over a parameter sweep. *)
 type tally = { mutable total : int; mutable failed : int; mutable note : string }
@@ -94,145 +79,210 @@ let seeds_of ?(seed_base = 0) ~quick () =
   List.map (( + ) seed_base) (if quick then [ 0; 1 ] else [ 0; 1; 2; 3 ])
 
 (* ---------------------------------------------------------------- *)
+(* Shared runs: one consensus run, one emulation check              *)
+(* ---------------------------------------------------------------- *)
+
+type algo =
+  | Anuc
+  | Mr_majority
+  | Mr_sigma
+  | Stack
+  | Ct
+  | Family of Quorum_family.t
+
+let algo_name = function
+  | Anuc -> "A_nuc"
+  | Mr_majority -> "MR-majority"
+  | Mr_sigma -> "MR-Sigma"
+  | Stack -> "Stack"
+  | Ct -> "CT-<>S"
+  | Family fam -> Printf.sprintf "MR[%s]" (Quorum_family.name fam)
+
+(* A consensus automaton, as [decide] drives and reads it. *)
+module type DECIDER = sig
+  include Sim.Automaton.S with type input = Consensus.Value.t
+
+  val decision : state -> Consensus.Value.t option
+  val decision_round : state -> int option
+end
+
+(* The automaton behind [algo] and the history it runs under: Omega
+   paired with the quorum detector its proof assumes. CT reads <>S;
+   MR over a family reads Omega alone, since its waits count senders
+   against the family. *)
+let protocol algo ?stab_time ~seed pattern : (module DECIDER) * Fd.Oracle.t =
+  let open Fd.Oracle in
+  let omega = omega ~seed ?stab_time pattern in
+  match algo with
+  | Anuc ->
+    ((module Core.Anuc), pair omega (sigma_nu_plus ~seed ?stab_time pattern))
+  | Stack ->
+    ((module Core.Stack), pair omega (sigma_nu ~seed ?stab_time pattern))
+  | Mr_majority ->
+    ( (module Consensus.Mr.Majority),
+      pair omega (sigma ~seed ?stab_time pattern) )
+  | Mr_sigma ->
+    ( (module Consensus.Mr.With_quorum),
+      pair omega (sigma ~seed ?stab_time pattern) )
+  | Ct -> ((module Consensus.Ct), eventually_strong ~seed ?stab_time pattern)
+  | Family fam -> ((module (val Consensus.Mr.family fam)), omega)
+
+type decision_run = {
+  decisions : Consensus.Value.t option array;  (* every process, at the stop *)
+  rounds : int list;  (* decision rounds of the correct deciders *)
+  steps : int;
+  all_decided : bool;  (* every correct process decided within the budget *)
+  metrics : Sim.Runner.metrics;
+}
+
+(* One seeded, unrecorded run of [A] until every correct process has
+   decided or [max_steps] ticks have passed. *)
+let decide (module A : DECIDER) ?faults ~seed ~pattern ~fd ~proposals
+    ~max_steps () =
+  let module R = Sim.Runner.Make (A) in
+  let correct = Sim.Failure_pattern.correct pattern in
+  let run =
+    R.exec ~seed ?faults ~record:false ~pattern ~fd ~inputs:proposals
+      ~max_steps
+      ~stop:(fun st _ ->
+        Pset.for_all (fun p -> A.decision (st p) <> None) correct)
+      ()
+  in
+  {
+    decisions = Array.map A.decision run.R.states;
+    rounds =
+      List.filter_map
+        (fun p -> A.decision_round run.R.states.(p))
+        (Pset.elements correct);
+    steps = run.R.step_count;
+    all_decided = run.R.stopped_early;
+    metrics = run.R.metrics;
+  }
+
+(* [algo] under [protocol]'s history, proposals alternating with the
+   seed: the run behind E4, E5 and the B1, B2, B7 and B13 sweeps. *)
+let measure ?faults ?stab_time algo ~pattern ~seed ~max_steps =
+  let m, oracle = protocol algo ?stab_time ~seed pattern in
+  decide m ?faults ~seed ~pattern ~fd:oracle.Fd.Oracle.query
+    ~proposals:(fun p -> (p + seed) mod 2)
+    ~max_steps ()
+
+(* The Section 6.3 adversary family that E6 and B5 sweep: the two
+   faulty processes crash late, Omega trusts them first and
+   Sigma-nu+ gives them quorums of their own. Returns the consensus
+   outcome with the run. *)
+let adversarial_run (module V : DECIDER) ~seed =
+  let pattern =
+    Sim.Failure_pattern.make ~n:4 ~crashes:[ (2, 150); (3, 150) ]
+  in
+  let oracle =
+    Fd.Oracle.pair
+      (Fd.Oracle.omega ~seed ~prestab:Fd.Oracle.Omega_faulty_first
+         ~stab_time:120 pattern)
+      (Fd.Oracle.sigma_nu_plus ~seed ~faulty_mode:Fd.Oracle.Faulty_split
+         ~stab_time:120 pattern)
+  in
+  let proposals p = if p < 2 then 0 else 1 in
+  let d =
+    decide (module V) ~seed ~pattern ~fd:oracle.Fd.Oracle.query ~proposals
+      ~max_steps:8000 ()
+  in
+  ( Consensus.Spec.outcome ~pattern ~proposals
+      ~decisions:(Array.get d.decisions),
+    d )
+
+(* Runs emulator [E] for every case and seed, reads its output at each
+   recorded step as a detector history, and checks that history
+   against the spec its theorem promises. A case is a failure pattern,
+   the emulator's input, and the detector it samples for a seed. *)
+let emulation_row (type i) ~id ~theorem ~expected
+    (module E : Core.Separation.EMULATOR with type input = i) ~max_steps ~check
+    ~seeds cases =
+  let module R = Sim.Runner.Make (E) in
+  let t = tally () in
+  List.iter
+    (fun (pattern, input, fd) ->
+      List.iter
+        (fun seed ->
+          let run =
+            R.exec ~seed ~pattern ~fd:(fd ~seed) ~inputs:(fun _ -> input)
+              ~max_steps ()
+          in
+          let samples =
+            Array.to_list run.R.steps
+            |> List.map (fun s ->
+                   ( s.R.pid,
+                     s.R.time,
+                     Sim.Fd_value.Quorum (E.output s.R.state_after) ))
+          in
+          let n = Sim.Failure_pattern.n pattern in
+          match check pattern (Fd.History.of_samples ~n samples) with
+          | Ok () -> record t true ""
+          | Error v ->
+            record t false (Format.asprintf "%a" Fd.Check.pp_violation v))
+        seeds)
+    cases;
+  finish_row ~id ~theorem ~expected t
+
+(* ---------------------------------------------------------------- *)
 (* E1 / E2: T_{D -> Sigma-nu}                                        *)
 (* ---------------------------------------------------------------- *)
 
+(* The extraction simulates a witness algorithm under the detector
+   that witness runs with (see [protocol]). *)
+let witness_case algo ~crashes ~n =
+  let pattern = Sim.Failure_pattern.make ~n ~crashes in
+  ( pattern,
+    (),
+    fun ~seed ->
+      (snd (protocol algo ~stab_time:60 ~seed pattern)).Fd.Oracle.query )
+
 let e1_extract_sigma_nu ?(quick = false) ?(seed_base = 0) () =
-  let t = tally () in
-  let patterns =
+  emulation_row ~id:"E1" ~theorem:"Thm 5.4: T_{D->Sigma-nu} necessity"
+    ~expected:"emulated quorums satisfy Sigma-nu" (module Tx_anuc)
+    ~max_steps:2600
+    ~check:(Fd.Check.sigma_nu ~max_stab:2100)
+    ~seeds:(seeds_of ~seed_base ~quick ())
     [
-      Sim.Failure_pattern.make ~n:4 ~crashes:[ (2, 30); (3, 50) ];
-      Sim.Failure_pattern.make ~n:4 ~crashes:[ (3, 40) ];
+      witness_case Anuc ~n:4 ~crashes:[ (2, 30); (3, 50) ];
+      witness_case Anuc ~n:4 ~crashes:[ (3, 40) ];
     ]
-  in
-  List.iter
-    (fun pattern ->
-      List.iter
-        (fun seed ->
-          let n = Sim.Failure_pattern.n pattern in
-          let oracle =
-            Fd.Oracle.pair
-              (Fd.Oracle.omega ~seed ~stab_time:60 pattern)
-              (Fd.Oracle.sigma_nu_plus ~seed ~stab_time:60 pattern)
-          in
-          let run =
-            Tx_anuc_runner.exec ~seed ~pattern ~fd:oracle.Fd.Oracle.query
-              ~inputs:(fun _ -> ())
-              ~max_steps:2600 ()
-          in
-          let samples =
-            Array.to_list run.Tx_anuc_runner.steps
-            |> List.map (fun s ->
-                   ( s.Tx_anuc_runner.pid,
-                     s.Tx_anuc_runner.time,
-                     Sim.Fd_value.Quorum
-                       (Tx_anuc.output s.Tx_anuc_runner.state_after) ))
-          in
-          let h = Fd.History.of_samples ~n samples in
-          match Fd.Check.sigma_nu ~max_stab:2100 pattern h with
-          | Ok () -> record t true ""
-          | Error v ->
-            record t false (Format.asprintf "%a" Fd.Check.pp_violation v))
-        (seeds_of ~seed_base ~quick ()))
-    patterns;
-  finish_row ~id:"E1"
-    ~theorem:"Thm 5.4: T_{D->Sigma-nu} necessity"
-    ~expected:"emulated quorums satisfy Sigma-nu" t
 
 let e2_extract_sigma ?(quick = false) ?(seed_base = 0) () =
-  let t = tally () in
-  let patterns =
+  emulation_row ~id:"E2" ~theorem:"Thm 5.8: same algorithm yields Sigma"
+    ~expected:"uniform-consensus witness gives full Sigma" (module Tx_mr)
+    ~max_steps:700
+    ~check:(Fd.Check.sigma ~max_stab:560)
+    ~seeds:(seeds_of ~seed_base ~quick ())
     [
-      Sim.Failure_pattern.make ~n:4 ~crashes:[ (1, 30); (2, 30); (3, 30) ];
-      Sim.Failure_pattern.make ~n:5 ~crashes:[ (0, 25); (4, 45) ];
+      witness_case Mr_sigma ~n:4 ~crashes:[ (1, 30); (2, 30); (3, 30) ];
+      witness_case Mr_sigma ~n:5 ~crashes:[ (0, 25); (4, 45) ];
     ]
-  in
-  List.iter
-    (fun pattern ->
-      List.iter
-        (fun seed ->
-          let n = Sim.Failure_pattern.n pattern in
-          let oracle =
-            Fd.Oracle.pair
-              (Fd.Oracle.omega ~seed ~stab_time:60 pattern)
-              (Fd.Oracle.sigma ~seed ~stab_time:60 pattern)
-          in
-          let run =
-            Tx_mr_runner.exec ~seed ~pattern ~fd:oracle.Fd.Oracle.query
-              ~inputs:(fun _ -> ())
-              ~max_steps:700 ()
-          in
-          let samples =
-            Array.to_list run.Tx_mr_runner.steps
-            |> List.map (fun s ->
-                   ( s.Tx_mr_runner.pid,
-                     s.Tx_mr_runner.time,
-                     Sim.Fd_value.Quorum
-                       (Tx_mr.output s.Tx_mr_runner.state_after) ))
-          in
-          let h = Fd.History.of_samples ~n samples in
-          match Fd.Check.sigma ~max_stab:560 pattern h with
-          | Ok () -> record t true ""
-          | Error v ->
-            record t false (Format.asprintf "%a" Fd.Check.pp_violation v))
-        (seeds_of ~seed_base ~quick ()))
-    patterns;
-  finish_row ~id:"E2"
-    ~theorem:"Thm 5.8: same algorithm yields Sigma"
-    ~expected:"uniform-consensus witness gives full Sigma" t
 
 let e3_boost ?(quick = false) ?(seed_base = 0) () =
-  let t = tally () in
-  let cases =
-    [
-      ( Sim.Failure_pattern.make ~n:4 ~crashes:[ (2, 30); (3, 60) ],
-        Fd.Oracle.Faulty_split );
-      ( Sim.Failure_pattern.make ~n:5 ~crashes:[ (3, 40); (4, 60) ],
-        Fd.Oracle.Faulty_arbitrary );
-    ]
+  let case ~n ~crashes faulty_mode =
+    let pattern = Sim.Failure_pattern.make ~n ~crashes in
+    ( pattern,
+      (),
+      fun ~seed ->
+        (Fd.Oracle.sigma_nu ~seed ~stab_time:80 ~faulty_mode pattern)
+          .Fd.Oracle.query )
   in
-  List.iter
-    (fun (pattern, mode) ->
-      List.iter
-        (fun seed ->
-          let n = Sim.Failure_pattern.n pattern in
-          let oracle =
-            Fd.Oracle.sigma_nu ~seed ~stab_time:80 ~faulty_mode:mode pattern
-          in
-          let run =
-            Tsp_runner.exec ~seed ~pattern ~fd:oracle.Fd.Oracle.query
-              ~inputs:(fun _ -> ())
-              ~max_steps:700 ()
-          in
-          let samples =
-            Array.to_list run.Tsp_runner.steps
-            |> List.map (fun s ->
-                   ( s.Tsp_runner.pid,
-                     s.Tsp_runner.time,
-                     Sim.Fd_value.Quorum
-                       (Core.T_sigma_plus.output s.Tsp_runner.state_after) ))
-          in
-          let h = Fd.History.of_samples ~n samples in
-          match Fd.Check.sigma_nu_plus ~max_stab:500 pattern h with
-          | Ok () -> record t true ""
-          | Error v ->
-            record t false (Format.asprintf "%a" Fd.Check.pp_violation v))
-        (seeds_of ~seed_base ~quick ()))
-    cases;
-  finish_row ~id:"E3"
-    ~theorem:"Thm 6.7: T_{Sigma-nu -> Sigma-nu+}"
-    ~expected:"all four Sigma-nu+ clauses hold on emulated output" t
+  emulation_row ~id:"E3" ~theorem:"Thm 6.7: T_{Sigma-nu -> Sigma-nu+}"
+    ~expected:"all four Sigma-nu+ clauses hold on emulated output"
+    (module Core.T_sigma_plus) ~max_steps:700
+    ~check:(Fd.Check.sigma_nu_plus ~max_stab:500)
+    ~seeds:(seeds_of ~seed_base ~quick ())
+    [
+      case ~n:4 ~crashes:[ (2, 30); (3, 60) ] Fd.Oracle.Faulty_split;
+      case ~n:5 ~crashes:[ (3, 40); (4, 60) ] Fd.Oracle.Faulty_arbitrary;
+    ]
 
 (* ---------------------------------------------------------------- *)
 (* E4 / E5: consensus sweeps                                         *)
 (* ---------------------------------------------------------------- *)
 
-let consensus_sweep (type st) ~id ~theorem ~expected
-    (module A : Sim.Automaton.S
-      with type input = Consensus.Value.t
-       and type state = st) ~(decision : st -> Consensus.Value.t option)
-    ~oracle ~ns ~seeds ~max_steps () =
-  let module R = Sim.Runner.Make (A) in
+let consensus_sweep ~id ~theorem ~expected algo ~ns ~seeds ~max_steps =
   let t = tally () in
   List.iter
     (fun n ->
@@ -241,19 +291,11 @@ let consensus_sweep (type st) ~id ~theorem ~expected
           List.iter
             (fun seed ->
               let pattern = random_pattern ~seed ~n ~t:tt in
-              let correct = Sim.Failure_pattern.correct pattern in
-              let proposals p = (p + seed) mod 2 in
-              let o = oracle ~seed pattern in
-              let run =
-                R.exec ~seed ~record:false ~pattern
-                  ~fd:o.Fd.Oracle.query ~inputs:proposals ~max_steps
-                  ~stop:(fun st _ ->
-                    Pset.for_all (fun p -> decision (st p) <> None) correct)
-                  ()
-              in
+              let d = measure algo ~pattern ~seed ~max_steps in
               let outcome =
-                Consensus.Spec.outcome ~pattern ~proposals
-                  ~decisions:(fun p -> decision run.R.states.(p))
+                Consensus.Spec.outcome ~pattern
+                  ~proposals:(fun p -> (p + seed) mod 2)
+                  ~decisions:(Array.get d.decisions)
               in
               match Consensus.Spec.check Consensus.Spec.Nonuniform outcome with
               | Ok () -> record t true ""
@@ -267,28 +309,16 @@ let consensus_sweep (type st) ~id ~theorem ~expected
 
 let e4_anuc ?(quick = false) ?(seed_base = 0) () =
   consensus_sweep ~id:"E4" ~theorem:"Thm 6.27: A_nuc with (Omega, Sigma-nu+)"
-    ~expected:"termination, validity, NU agreement in every E_t"
-    (module Core.Anuc)
-    ~decision:Core.Anuc.decision
-    ~oracle:(fun ~seed pattern ->
-      Fd.Oracle.pair
-        (Fd.Oracle.omega ~seed pattern)
-        (Fd.Oracle.sigma_nu_plus ~seed pattern))
+    ~expected:"termination, validity, NU agreement in every E_t" Anuc
     ~ns:(if quick then [ 4 ] else [ 3; 4; 5 ])
-    ~seeds:(seeds_of ~seed_base ~quick ()) ~max_steps:6000 ()
+    ~seeds:(seeds_of ~seed_base ~quick ()) ~max_steps:6000
 
 let e5_stack ?(quick = false) ?(seed_base = 0) () =
   consensus_sweep ~id:"E5"
     ~theorem:"Thm 6.28: stack solves NU consensus from (Omega, Sigma-nu)"
-    ~expected:"termination, validity, NU agreement in every E_t"
-    (module Core.Stack)
-    ~decision:Core.Stack.decision
-    ~oracle:(fun ~seed pattern ->
-      Fd.Oracle.pair
-        (Fd.Oracle.omega ~seed pattern)
-        (Fd.Oracle.sigma_nu ~seed pattern))
+    ~expected:"termination, validity, NU agreement in every E_t" Stack
     ~ns:[ 4 ]
-    ~seeds:(seeds_of ~seed_base ~quick ()) ~max_steps:9000 ()
+    ~seeds:(seeds_of ~seed_base ~quick ()) ~max_steps:9000
 
 (* ---------------------------------------------------------------- *)
 (* E6: contamination                                                 *)
@@ -301,39 +331,15 @@ let e6_contamination ?(quick = false) ?(seed_base = 0) () =
     && Result.is_ok o.Core.Scenario.history_valid
   in
   (* A_nuc under the adversary family *)
-  let anuc_violations = ref 0 in
   let runs = if quick then 6 else 20 in
-  List.iter
-    (fun seed ->
-      let n = 4 in
-      let pattern =
-        Sim.Failure_pattern.make ~n ~crashes:[ (2, 150); (3, 150) ]
-      in
-      let oracle =
-        Fd.Oracle.pair
-          (Fd.Oracle.omega ~seed ~prestab:Fd.Oracle.Omega_faulty_first
-             ~stab_time:120 pattern)
-          (Fd.Oracle.sigma_nu_plus ~seed ~faulty_mode:Fd.Oracle.Faulty_split
-             ~stab_time:120 pattern)
-      in
-      let correct = Sim.Failure_pattern.correct pattern in
-      let proposals p = if p < 2 then 0 else 1 in
-      let run =
-        Anuc_runner.exec ~seed ~record:false ~pattern
-          ~fd:oracle.Fd.Oracle.query ~inputs:proposals ~max_steps:8000
-          ~stop:(fun st _ ->
-            Pset.for_all (fun p -> Core.Anuc.decision (st p) <> None) correct)
-          ()
-      in
-      let outcome =
-        Consensus.Spec.outcome ~pattern ~proposals ~decisions:(fun p ->
-            Core.Anuc.decision run.Anuc_runner.states.(p))
-      in
-      if
-        Result.is_error
-          (Consensus.Spec.check Consensus.Spec.Nonuniform outcome)
-      then incr anuc_violations)
-    (List.init runs (fun i -> seed_base + i));
+  let anuc_violations =
+    List.init runs (fun i -> seed_base + i)
+    |> List.filter (fun seed ->
+           let outcome, _ = adversarial_run (module Core.Anuc) ~seed in
+           Result.is_error
+             (Consensus.Spec.check Consensus.Spec.Nonuniform outcome))
+    |> List.length
+  in
   {
     id = "E6";
     theorem = "Sec 6.3: contamination scenario";
@@ -346,8 +352,8 @@ let e6_contamination ?(quick = false) ?(seed_base = 0) () =
            o.Core.Scenario.decisions.(0))
         (Format.asprintf "%a" Consensus.Value.pp_opt
            o.Core.Scenario.decisions.(1))
-        !anuc_violations runs;
-    pass = naive_broken && !anuc_violations = 0;
+        anuc_violations runs;
+    pass = naive_broken && anuc_violations = 0;
   }
 
 (* ---------------------------------------------------------------- *)
@@ -355,7 +361,6 @@ let e6_contamination ?(quick = false) ?(seed_base = 0) () =
 (* ---------------------------------------------------------------- *)
 
 let e7_sigma_scratch ?(quick = false) ?(seed_base = 0) () =
-  let t = tally () in
   let cases =
     if quick then [ (5, 2, [ (0, 20); (4, 50) ]) ]
     else
@@ -365,35 +370,17 @@ let e7_sigma_scratch ?(quick = false) ?(seed_base = 0) () =
         (7, 3, [ (1, 15); (3, 30); (6, 60) ]);
       ]
   in
-  List.iter
-    (fun (n, tt, crashes) ->
-      let pattern = Sim.Failure_pattern.make ~n ~crashes in
-      List.iter
-        (fun seed ->
-          let run =
-            Scratch_runner.exec ~seed ~pattern
-              ~fd:(fun _ _ -> Sim.Fd_value.Unit)
-              ~inputs:(fun _ -> tt)
-              ~max_steps:600 ()
-          in
-          let samples =
-            Array.to_list run.Scratch_runner.steps
-            |> List.map (fun s ->
-                   ( s.Scratch_runner.pid,
-                     s.Scratch_runner.time,
-                     Sim.Fd_value.Quorum
-                       (Core.Separation.Sigma_scratch.output
-                          s.Scratch_runner.state_after) ))
-          in
-          let h = Fd.History.of_samples ~n samples in
-          match Fd.Check.sigma ~max_stab:450 pattern h with
-          | Ok () -> record t true ""
-          | Error v ->
-            record t false (Format.asprintf "%a" Fd.Check.pp_violation v))
-        (seeds_of ~seed_base ~quick ()))
-    cases;
-  finish_row ~id:"E7" ~theorem:"Thm 7.1 IF: Sigma from scratch, t < n/2"
-    ~expected:"round-based n-t algorithm emulates Sigma" t
+  emulation_row ~id:"E7" ~theorem:"Thm 7.1 IF: Sigma from scratch, t < n/2"
+    ~expected:"round-based n-t algorithm emulates Sigma"
+    (module Core.Separation.Sigma_scratch) ~max_steps:600
+    ~check:(Fd.Check.sigma ~max_stab:450)
+    ~seeds:(seeds_of ~seed_base ~quick ())
+    (List.map
+       (fun (n, tt, crashes) ->
+         ( Sim.Failure_pattern.make ~n ~crashes,
+           tt,
+           fun ~seed:_ _ _ -> Sim.Fd_value.Unit ))
+       cases)
 
 let e8_attack ?(quick = false) () =
   let module Atk = Core.Separation.Attack (Core.Separation.Sigma_scratch) in
@@ -600,13 +587,18 @@ let universe ~n ~t ~bound =
   (faulty, pattern, proposals)
 
 (* Exhaustive bounded verification of A_nuc on E_1(n) under the
-   Sigma-nu+ contamination family (optionally generalized over a
-   quorum family; [None] is the pre-family construction verbatim). *)
-let mc_verify_anuc ?reduction ?(n = 3) ?quorum ~depth () =
+   Sigma-nu+ contamination family, or under its lossy-link variant
+   (optionally generalized over a quorum family; [None] is the
+   pre-family construction verbatim). *)
+let mc_verify_anuc ?reduction ?(lossy = false) ?jobs ?(n = 3) ?quorum ~depth
+    () =
   let faulty, pattern, proposals = universe ~n ~t:1 ~bound:depth in
-  let menu = Mc.Menu.contamination ~plus:true ?quorum ~n ~faulty () in
+  let menu =
+    (if lossy then Mc.Menu.lossy else Mc.Menu.contamination)
+      ~plus:true ?quorum ~n ~faulty ()
+  in
   let report =
-    Mc_anuc.run ?reduction ~n ~menu ~depth ~inputs:proposals
+    Mc_anuc.run ?reduction ?jobs ~n ~menu ~depth ~inputs:proposals
       ~props:
         (Mc_anuc.consensus_props ~decision:Core.Anuc.decision ~proposals
            ~flavour:Consensus.Spec.Nonuniform ~pattern)
@@ -617,15 +609,29 @@ let mc_verify_anuc ?reduction ?(n = 3) ?quorum ~depth () =
   in
   (Mc.Menu.validate ~pattern menu, report)
 
+(* Unlike the A_nuc verification, the depth-32+ lossy attack cannot
+   afford the unbounded drop alphabet (the lossy state space at that
+   depth dwarfs [max_states]); a loss budget of one keeps the
+   exploration exhaustive for every schedule with at most one network
+   drop — which still strictly contains the loss-free space the
+   Section 6.3 counterexample lives in. *)
+let naive_lossy_drop_budget = 1
+
 (* Exhaustive search for the naive-Sigma-nu contamination violation:
-   MR with detector-supplied quorums driven by a legal Sigma-nu menu.
-   Returns the report plus the independent certificates of any found
-   counterexample (replay applicability, history legality). *)
-let mc_attack_naive ?reduction ?(n = 3) ?quorum ~depth () =
+   MR with detector-supplied quorums driven by a legal Sigma-nu menu,
+   or its lossy-link variant. Returns the report plus the independent
+   certificates of any found counterexample (replay applicability,
+   history legality). *)
+let mc_attack_naive ?reduction ?(lossy = false) ~depth () =
+  let n = 3 in
   let faulty, pattern, proposals = universe ~n ~t:1 ~bound:depth in
-  let menu = Mc.Menu.contamination ?quorum ~n ~faulty () in
+  let menu =
+    (if lossy then Mc.Menu.lossy else Mc.Menu.contamination) ~n ~faulty ()
+  in
   let report =
-    Mc_naive.run ?reduction ~n ~menu ~depth ~inputs:proposals
+    Mc_naive.run ?reduction ~n ~menu ~depth
+      ?max_drops:(if lossy then Some naive_lossy_drop_budget else None)
+      ~inputs:proposals
       ~props:
         (Mc_naive.consensus_props
            ~decision:Consensus.Mr.With_quorum.decision ~proposals
@@ -645,30 +651,37 @@ let mc_attack_naive ?reduction ?(n = 3) ?quorum ~depth () =
   in
   (Mc.Menu.validate ~pattern menu, report, certified)
 
+(* The two verdicts of the Section 6.3 dichotomy: A_nuc's legal menu is
+   exhausted with no violation; the naive baseline falls to a
+   NU-agreement counterexample that replays and samples a legal
+   history. *)
+let anuc_clean (legal, r) =
+  Result.is_ok legal
+  && r.Mc_anuc.violation = None
+  && not r.Mc_anuc.stats.Mc.truncated
+
+let naive_falls (legal, r, certified) =
+  Result.is_ok legal
+  &&
+  match (r.Mc_naive.violation, certified) with
+  | Some cx, Some (replay, history) ->
+    cx.Mc_naive.cx_property = "nonuniform agreement"
+    && Result.is_ok replay && Result.is_ok history
+  | _ -> false
+
 let anuc_mc_depth ~quick = if quick then 9 else 11
 let naive_mc_depth ~quick = if quick then 32 else 34
 
 let e11_model_check ?(quick = false) () =
-  let anuc_legal, anuc_r = mc_verify_anuc ~depth:(anuc_mc_depth ~quick) () in
-  let naive_legal, naive_r, certified =
+  let ((_, anuc_r) as anuc) = mc_verify_anuc ~depth:(anuc_mc_depth ~quick) () in
+  let ((_, naive_r, _) as naive) =
     mc_attack_naive ~depth:(naive_mc_depth ~quick) ()
   in
   let anuc_ok =
-    Result.is_ok anuc_legal
-    && anuc_r.Mc_anuc.violation = None
-    && not anuc_r.Mc_anuc.stats.Mc.truncated
+    anuc_clean anuc
     (* deduplication must be load-bearing for the claim of exhaustion *)
     && anuc_r.Mc_anuc.stats.Mc.distinct_states
        < anuc_r.Mc_anuc.stats.Mc.transitions
-  in
-  let naive_ok =
-    Result.is_ok naive_legal
-    &&
-    match (naive_r.Mc_naive.violation, certified) with
-    | Some cx, Some (replay, history) ->
-      cx.Mc_naive.cx_property = "nonuniform agreement"
-      && Result.is_ok replay && Result.is_ok history
-    | _ -> false
   in
   let measured =
     match naive_r.Mc_naive.violation with
@@ -690,7 +703,7 @@ let e11_model_check ?(quick = false) () =
       "exhaustive schedule exploration verifies A_nuc and finds the naive \
        Sigma-nu violation";
     measured;
-    pass = anuc_ok && naive_ok;
+    pass = anuc_ok && naive_falls naive;
   }
 
 (* ---------------------------------------------------------------- *)
@@ -703,56 +716,6 @@ let e11_model_check ?(quick = false) () =
    the A_nuc bound sits lower than E11's for comparable run time. *)
 let anuc_lossy_mc_depth ~quick = if quick then 7 else 8
 let naive_lossy_mc_depth ~quick = if quick then 32 else 33
-
-let mc_verify_anuc_lossy ~depth =
-  let n = 3 in
-  let faulty, pattern, proposals = universe ~n ~t:1 ~bound:depth in
-  let menu = Mc.Menu.lossy ~plus:true ~n ~faulty () in
-  let report =
-    Mc_anuc.run ~n ~menu ~depth ~inputs:proposals
-      ~props:
-        (Mc_anuc.consensus_props ~decision:Core.Anuc.decision ~proposals
-           ~flavour:Consensus.Spec.Nonuniform ~pattern)
-      ~stop:
-        (Mc_anuc.decided_stop ~decision:Core.Anuc.decision
-           ~scope:(Sim.Failure_pattern.correct pattern))
-      ()
-  in
-  (Mc.Menu.validate ~pattern menu, report)
-
-(* Unlike the A_nuc verification, the depth-32+ attack cannot afford
-   the unbounded drop alphabet (the lossy state space at that depth
-   dwarfs [max_states]); a loss budget of one keeps the exploration
-   exhaustive for every schedule with at most one network drop —
-   which still strictly contains the loss-free space the Section 6.3
-   counterexample lives in. *)
-let naive_lossy_drop_budget = 1
-
-let mc_attack_naive_lossy ~depth =
-  let n = 3 in
-  let faulty, pattern, proposals = universe ~n ~t:1 ~bound:depth in
-  let menu = Mc.Menu.lossy ~n ~faulty () in
-  let report =
-    Mc_naive.run ~n ~menu ~depth ~max_drops:naive_lossy_drop_budget
-      ~inputs:proposals
-      ~props:
-        (Mc_naive.consensus_props
-           ~decision:Consensus.Mr.With_quorum.decision ~proposals
-           ~flavour:Consensus.Spec.Nonuniform ~pattern)
-      ~stop:
-        (Mc_naive.decided_stop ~decision:Consensus.Mr.With_quorum.decision
-           ~scope:(Sim.Failure_pattern.correct pattern))
-      ()
-  in
-  let certified =
-    Option.map
-      (fun cx ->
-        ( Mc_naive.replay_counterexample ~n ~inputs:proposals cx,
-          Mc.history_legal ~kind:menu.Mc.Menu.kind ~pattern
-            cx.Mc_naive.cx_samples ))
-      report.Mc_naive.violation
-  in
-  (Mc.Menu.validate ~pattern menu, report, certified)
 
 let e12_faults ?(quick = false) ?(seed_base = 0) () =
   (* (a) randomized A_nuc runs under the full fault menu — drops,
@@ -768,11 +731,7 @@ let e12_faults ?(quick = false) ?(seed_base = 0) () =
       let pattern = random_pattern ~seed ~n ~t:1 in
       let correct = Sim.Failure_pattern.correct pattern in
       let proposals p = (p + seed) mod 2 in
-      let oracle =
-        Fd.Oracle.pair
-          (Fd.Oracle.omega ~seed ~stab_time:60 pattern)
-          (Fd.Oracle.sigma_nu_plus ~seed ~stab_time:60 pattern)
-      in
+      let _, oracle = protocol Anuc ~stab_time:60 ~seed pattern in
       let faults =
         Sim.Faults.make ~drop:0.1 ~dup:0.1 ~reorder:3
           ~partitions:
@@ -800,12 +759,7 @@ let e12_faults ?(quick = false) ?(seed_base = 0) () =
          loss on the critical path legitimately stalls liveness (the
          degradation B7 quantifies) — but no fault may ever induce a
          validity or NU-agreement violation. *)
-      (match
-         (match Consensus.Spec.check_validity outcome with
-         | Error _ as e -> e
-         | Ok () ->
-           Consensus.Spec.check_agreement Consensus.Spec.Nonuniform outcome)
-       with
+      (match safety outcome with
       | Ok () -> record t true ""
       | Error e ->
         record t false (Printf.sprintf "seed %d: %s" seed e));
@@ -820,25 +774,11 @@ let e12_faults ?(quick = false) ?(seed_base = 0) () =
   (* (b) the Section 6.3 dichotomy survives the lossy network model:
      exhaustive exploration still clears A_nuc and still convicts the
      naive baseline, counterexample certified as in E11. *)
-  let anuc_legal, anuc_r =
-    mc_verify_anuc_lossy ~depth:(anuc_lossy_mc_depth ~quick)
+  let ((_, anuc_r) as anuc) =
+    mc_verify_anuc ~lossy:true ~depth:(anuc_lossy_mc_depth ~quick) ()
   in
-  let naive_legal, naive_r, certified =
-    mc_attack_naive_lossy ~depth:(naive_lossy_mc_depth ~quick)
-  in
-  let anuc_ok =
-    Result.is_ok anuc_legal
-    && anuc_r.Mc_anuc.violation = None
-    && not anuc_r.Mc_anuc.stats.Mc.truncated
-  in
-  let naive_ok =
-    Result.is_ok naive_legal
-    &&
-    match (naive_r.Mc_naive.violation, certified) with
-    | Some cx, Some (replay, history) ->
-      cx.Mc_naive.cx_property = "nonuniform agreement"
-      && Result.is_ok replay && Result.is_ok history
-    | _ -> false
+  let ((_, naive_r, _) as naive) =
+    mc_attack_naive ~lossy:true ~depth:(naive_lossy_mc_depth ~quick) ()
   in
   let measured =
     Printf.sprintf
@@ -862,7 +802,7 @@ let e12_faults ?(quick = false) ?(seed_base = 0) () =
        healed partitions; the naive Sigma-nu baseline still falls over \
        lossy links";
     measured;
-    pass = t.failed = 0 && anuc_ok && naive_ok;
+    pass = t.failed = 0 && anuc_clean anuc && naive_falls naive;
   }
 
 (* ---------------------------------------------------------------- *)
@@ -1005,11 +945,8 @@ let dpor_diff_depth ~quick = if quick then 7 else 9
 
 let e14_dpor ?(quick = false) () =
   let deep_depth = dpor_mc_depth ~quick in
-  let dpor_legal, dpor_r = mc_verify_anuc ~reduction:Mc.Dpor ~depth:deep_depth () in
-  let deep_ok =
-    Result.is_ok dpor_legal
-    && dpor_r.Mc_anuc.violation = None
-    && not dpor_r.Mc_anuc.stats.Mc.truncated
+  let ((_, dpor_r) as deep) =
+    mc_verify_anuc ~reduction:Mc.Dpor ~depth:deep_depth ()
   in
   let d = dpor_diff_depth ~quick in
   let _, none_r = mc_verify_anuc ~reduction:Mc.No_reduction ~depth:d () in
@@ -1022,17 +959,9 @@ let e14_dpor ?(quick = false) () =
     && dpor_d.Mc_anuc.stats.Mc.transitions
        <= none_r.Mc_anuc.stats.Mc.transitions
   in
-  let naive_legal, naive_r, certified =
-    mc_attack_naive ~reduction:Mc.Dpor ~depth:(naive_mc_depth ~quick) ()
-  in
   let naive_ok =
-    Result.is_ok naive_legal
-    &&
-    match (naive_r.Mc_naive.violation, certified) with
-    | Some cx, Some (replay, history) ->
-      cx.Mc_naive.cx_property = "nonuniform agreement"
-      && Result.is_ok replay && Result.is_ok history
-    | _ -> false
+    naive_falls
+      (mc_attack_naive ~reduction:Mc.Dpor ~depth:(naive_mc_depth ~quick) ())
   in
   let measured =
     Printf.sprintf
@@ -1057,7 +986,7 @@ let e14_dpor ?(quick = false) () =
        and distinct states at shared depth, and keeps the naive \
        counterexample certified";
     measured;
-    pass = deep_ok && diff_ok && naive_ok;
+    pass = anuc_clean deep && diff_ok && naive_ok;
   }
 
 (* ---------------------------------------------------------------- *)
@@ -1110,12 +1039,7 @@ let e16_quorum ?(quick = false) ?(seed_base = 0) () =
       record t naive_ok
         (Printf.sprintf "%s: naive did not fall (certified)" label);
       let depth = e16_anuc_depth ~n ~quick in
-      let anuc_legal, anuc_r = mc_verify_anuc ~n ~quorum:fam ~depth () in
-      let anuc_ok =
-        Result.is_ok anuc_legal
-        && anuc_r.Mc_anuc.violation = None
-        && not anuc_r.Mc_anuc.stats.Mc.truncated
-      in
+      let anuc_ok = anuc_clean (mc_verify_anuc ~n ~quorum:fam ~depth ()) in
       record t anuc_ok
         (Printf.sprintf "%s: A_nuc not exhausted clean at depth %d" label
            depth))
@@ -1187,247 +1111,29 @@ let latency_spec =
                 emulation layer):"
            else None))
 
-type algo = Anuc | Mr_majority | Mr_sigma | Stack | Ct
+(* The Stack budget covers its emulation layer. *)
+let budget = function Stack -> 9000 | _ -> 6000
 
-let algo_name = function
-  | Anuc -> "A_nuc"
-  | Mr_majority -> "MR-majority"
-  | Mr_sigma -> "MR-Sigma"
-  | Stack -> "Stack"
-  | Ct -> "CT-<>S"
-
-(* One measured consensus run: (decided?, decision rounds of correct
-   deciders, steps, messages, mailbox high-water mark, messages the
-   fault spec dropped). *)
-let measure_one ?(faults = Sim.Faults.none) ~algo ~pattern ~seed ~stab_time
-    ~max_steps () : bool * int list * int * int * int * int =
-  let proposals p = (p + seed) mod 2 in
-  let correct = Sim.Failure_pattern.correct pattern in
-  let omega = Fd.Oracle.omega ~seed ~stab_time pattern in
-  match algo with
-  | Anuc ->
-    let oracle =
-      Fd.Oracle.pair omega (Fd.Oracle.sigma_nu_plus ~seed ~stab_time pattern)
-    in
-    let run =
-      Anuc_runner.exec ~seed ~faults ~record:false ~pattern
-        ~fd:oracle.Fd.Oracle.query ~inputs:proposals ~max_steps
-        ~stop:(fun st _ ->
-          Pset.for_all (fun p -> Core.Anuc.decision (st p) <> None) correct)
-        ()
-    in
-    let rounds =
-      Pset.fold
-        (fun p acc ->
-          match Core.Anuc.decision_round run.Anuc_runner.states.(p) with
-          | Some r -> r :: acc
-          | None -> acc)
-        correct []
-    in
-    ( run.Anuc_runner.stopped_early,
-      rounds,
-      run.Anuc_runner.step_count,
-      run.Anuc_runner.messages_sent,
-      run.Anuc_runner.metrics.Sim.Runner.mailbox_hwm,
-      run.Anuc_runner.metrics.Sim.Runner.dropped )
-  | Stack ->
-    let oracle =
-      Fd.Oracle.pair omega (Fd.Oracle.sigma_nu ~seed ~stab_time pattern)
-    in
-    let run =
-      Stack_runner.exec ~seed ~faults ~record:false ~pattern
-        ~fd:oracle.Fd.Oracle.query ~inputs:proposals ~max_steps
-        ~stop:(fun st _ ->
-          Pset.for_all (fun p -> Core.Stack.decision (st p) <> None) correct)
-        ()
-    in
-    let rounds =
-      Pset.fold
-        (fun p acc ->
-          match Core.Stack.decision_round run.Stack_runner.states.(p) with
-          | Some r -> r :: acc
-          | None -> acc)
-        correct []
-    in
-    ( run.Stack_runner.stopped_early,
-      rounds,
-      run.Stack_runner.step_count,
-      run.Stack_runner.messages_sent,
-      run.Stack_runner.metrics.Sim.Runner.mailbox_hwm,
-      run.Stack_runner.metrics.Sim.Runner.dropped )
-  | Mr_majority ->
-    let oracle =
-      Fd.Oracle.pair omega (Fd.Oracle.sigma ~seed ~stab_time pattern)
-    in
-    let run =
-      Mrm_runner.exec ~seed ~faults ~record:false ~pattern
-        ~fd:oracle.Fd.Oracle.query ~inputs:proposals ~max_steps
-        ~stop:(fun st _ ->
-          Pset.for_all
-            (fun p -> Consensus.Mr.Majority.decision (st p) <> None)
-            correct)
-        ()
-    in
-    let rounds =
-      Pset.fold
-        (fun p acc ->
-          match
-            Consensus.Mr.Majority.decision_round run.Mrm_runner.states.(p)
-          with
-          | Some r -> r :: acc
-          | None -> acc)
-        correct []
-    in
-    ( run.Mrm_runner.stopped_early,
-      rounds,
-      run.Mrm_runner.step_count,
-      run.Mrm_runner.messages_sent,
-      run.Mrm_runner.metrics.Sim.Runner.mailbox_hwm,
-      run.Mrm_runner.metrics.Sim.Runner.dropped )
-  | Ct ->
-    let oracle = Fd.Oracle.eventually_strong ~seed ~stab_time pattern in
-    let run =
-      Ct_runner.exec ~seed ~faults ~record:false ~pattern
-        ~fd:oracle.Fd.Oracle.query ~inputs:proposals ~max_steps
-        ~stop:(fun st _ ->
-          Pset.for_all
-            (fun p -> Consensus.Ct.decision (st p) <> None)
-            correct)
-        ()
-    in
-    let rounds =
-      Pset.fold
-        (fun p acc ->
-          match Consensus.Ct.decision_round run.Ct_runner.states.(p) with
-          | Some r -> r :: acc
-          | None -> acc)
-        correct []
-    in
-    ( run.Ct_runner.stopped_early,
-      rounds,
-      run.Ct_runner.step_count,
-      run.Ct_runner.messages_sent,
-      run.Ct_runner.metrics.Sim.Runner.mailbox_hwm,
-      run.Ct_runner.metrics.Sim.Runner.dropped )
-  | Mr_sigma ->
-    let oracle =
-      Fd.Oracle.pair omega (Fd.Oracle.sigma ~seed ~stab_time pattern)
-    in
-    let run =
-      Mrq_runner.exec ~seed ~faults ~record:false ~pattern
-        ~fd:oracle.Fd.Oracle.query ~inputs:proposals ~max_steps
-        ~stop:(fun st _ ->
-          Pset.for_all
-            (fun p -> Consensus.Mr.With_quorum.decision (st p) <> None)
-            correct)
-        ()
-    in
-    let rounds =
-      Pset.fold
-        (fun p acc ->
-          match
-            Consensus.Mr.With_quorum.decision_round run.Mrq_runner.states.(p)
-          with
-          | Some r -> r :: acc
-          | None -> acc)
-        correct []
-    in
-    ( run.Mrq_runner.stopped_early,
-      rounds,
-      run.Mrq_runner.step_count,
-      run.Mrq_runner.messages_sent,
-      run.Mrq_runner.metrics.Sim.Runner.mailbox_hwm,
-      run.Mrq_runner.metrics.Sim.Runner.dropped )
-
-let latency ?(faults = Sim.Faults.none) algo ~n ~t ~seeds =
-  let decided = ref 0 in
-  let rounds_sum = ref 0 and rounds_n = ref 0 in
-  let steps_sum = ref 0 and msgs_sum = ref 0 and hwm_sum = ref 0 in
-  List.iter
-    (fun seed ->
-      let pattern = random_pattern ~seed ~n ~t in
-      let ok, rounds, steps, msgs, hwm, _dropped =
-        measure_one ~faults ~algo ~pattern ~seed ~stab_time:60
-          ~max_steps:(if algo = Stack then 9000 else 6000)
-          ()
-      in
-      if ok then incr decided;
-      List.iter
-        (fun r ->
-          rounds_sum := !rounds_sum + r;
-          incr rounds_n)
-        rounds;
-      steps_sum := !steps_sum + steps;
-      msgs_sum := !msgs_sum + msgs;
-      hwm_sum := !hwm_sum + hwm)
-    seeds;
-  let runs = List.length seeds in
+let latency ?faults algo ~n ~t ~seeds =
+  let runs =
+    List.map
+      (fun seed ->
+        measure ?faults algo ~pattern:(random_pattern ~seed ~n ~t) ~seed
+          ~stab_time:60 ~max_steps:(budget algo))
+      seeds
+  in
+  let rounds = List.concat_map (fun d -> d.rounds) runs in
+  let count = List.length runs in
   {
     algorithm = algo_name algo;
     n;
     t;
-    runs;
-    decided = !decided;
-    avg_rounds =
-      (if !rounds_n = 0 then nan
-       else float_of_int !rounds_sum /. float_of_int !rounds_n);
-    avg_steps = float_of_int !steps_sum /. float_of_int runs;
-    avg_msgs = float_of_int !msgs_sum /. float_of_int runs;
-    avg_hwm = float_of_int !hwm_sum /. float_of_int runs;
-  }
-
-(* The B1 measurement for MR over a pluggable quorum family
-   ({!Consensus.Mr.family}): same sweep shape as [latency], omega-only
-   oracle (the Family waits never read the detector's quorum
-   component). Callers should surface [Quorum_family.validate]
-   failures first — a family whose shape does not fit [n] or whose
-   quorums a crash pattern can starve yields honest non-decisions
-   here, not errors. *)
-let latency_family ?(faults = Sim.Faults.none) fam ~n ~t ~seeds =
-  let module A = (val Consensus.Mr.family fam) in
-  let module R = Sim.Runner.Make (A) in
-  let decided = ref 0 in
-  let rounds_sum = ref 0 and rounds_n = ref 0 in
-  let steps_sum = ref 0 and msgs_sum = ref 0 and hwm_sum = ref 0 in
-  List.iter
-    (fun seed ->
-      let pattern = random_pattern ~seed ~n ~t in
-      let correct = Sim.Failure_pattern.correct pattern in
-      let proposals p = (p + seed) mod 2 in
-      let omega = Fd.Oracle.omega ~seed ~stab_time:60 pattern in
-      let run =
-        R.exec ~seed ~faults ~record:false ~pattern
-          ~fd:omega.Fd.Oracle.query ~inputs:proposals ~max_steps:6000
-          ~stop:(fun st _ ->
-            Pset.for_all (fun p -> A.decision (st p) <> None) correct)
-          ()
-      in
-      if run.R.stopped_early then incr decided;
-      Pset.iter
-        (fun p ->
-          match A.decision_round run.R.states.(p) with
-          | Some r ->
-            rounds_sum := !rounds_sum + r;
-            incr rounds_n
-          | None -> ())
-        correct;
-      steps_sum := !steps_sum + run.R.step_count;
-      msgs_sum := !msgs_sum + run.R.messages_sent;
-      hwm_sum := !hwm_sum + run.R.metrics.Sim.Runner.mailbox_hwm)
-    seeds;
-  let runs = List.length seeds in
-  {
-    algorithm = Printf.sprintf "MR[%s]" (Quorum_family.name fam);
-    n;
-    t;
-    runs;
-    decided = !decided;
-    avg_rounds =
-      (if !rounds_n = 0 then nan
-       else float_of_int !rounds_sum /. float_of_int !rounds_n);
-    avg_steps = float_of_int !steps_sum /. float_of_int runs;
-    avg_msgs = float_of_int !msgs_sum /. float_of_int runs;
-    avg_hwm = float_of_int !hwm_sum /. float_of_int runs;
+    runs = count;
+    decided = List.length (List.filter (fun d -> d.all_decided) runs);
+    avg_rounds = mean (sum Fun.id rounds) (List.length rounds);
+    avg_steps = mean (sum (fun d -> d.steps) runs) count;
+    avg_msgs = mean (sum (fun d -> d.metrics.Sim.Runner.sent) runs) count;
+    avg_hwm = mean (sum (fun d -> d.metrics.Sim.Runner.mailbox_hwm) runs) count;
   }
 
 type stab_row = { stab_time : int; s_runs : int; s_avg_steps : float }
@@ -1443,24 +1149,18 @@ let stab_spec =
       ])
 
 let stabilization_series algo ~n ~t ~stabs ~seeds =
+  let max_steps = match algo with Stack -> 12000 | _ -> 8000 in
   List.map
     (fun stab_time ->
-      let steps_sum = ref 0 in
-      List.iter
-        (fun seed ->
-          let pattern = random_pattern ~seed ~n ~t in
-          let _, _, steps, _, _, _ =
-            measure_one ~algo ~pattern ~seed ~stab_time
-              ~max_steps:(if algo = Stack then 12000 else 8000)
-              ()
-          in
-          steps_sum := !steps_sum + steps)
-        seeds;
+      let steps seed =
+        (measure algo ~pattern:(random_pattern ~seed ~n ~t) ~seed ~stab_time
+           ~max_steps)
+          .steps
+      in
       {
         stab_time;
         s_runs = List.length seeds;
-        s_avg_steps =
-          float_of_int !steps_sum /. float_of_int (List.length seeds);
+        s_avg_steps = mean (sum steps seeds) (List.length seeds);
       })
     stabs
 
@@ -1492,38 +1192,32 @@ let fault_spec =
       ])
 
 let fault_latency algo ~n ~t ~drops ~seeds =
-  let budget = if algo = Stack then 9000 else 6000 in
   List.map
     (fun drop ->
-      let decided = ref 0 and dec_steps = ref 0 and dropped_sum = ref 0 in
-      List.iter
-        (fun seed ->
-          let pattern = random_pattern ~seed ~n ~t in
-          let faults =
-            if drop = 0.0 then Sim.Faults.none
-            else Sim.Faults.make ~drop ~seed ()
-          in
-          let ok, _, steps, _, _, ndropped =
-            measure_one ~faults ~algo ~pattern ~seed ~stab_time:60
-              ~max_steps:budget ()
-          in
-          if ok then begin
-            incr decided;
-            dec_steps := !dec_steps + steps
-          end;
-          dropped_sum := !dropped_sum + ndropped)
-        seeds;
-      let runs = List.length seeds in
+      let runs =
+        List.map
+          (fun seed ->
+            let faults =
+              if drop = 0.0 then Sim.Faults.none
+              else Sim.Faults.make ~drop ~seed ()
+            in
+            measure ~faults algo ~pattern:(random_pattern ~seed ~n ~t) ~seed
+              ~stab_time:60 ~max_steps:(budget algo))
+          seeds
+      in
+      let decided = List.filter (fun d -> d.all_decided) runs in
       {
         f_algorithm = algo_name algo;
         f_drop = drop;
-        f_runs = runs;
-        f_decided = !decided;
-        f_budget = budget;
+        f_runs = List.length runs;
+        f_decided = List.length decided;
+        f_budget = budget algo;
         f_avg_steps =
-          (if !decided = 0 then nan
-           else float_of_int !dec_steps /. float_of_int !decided);
-        f_avg_dropped = float_of_int !dropped_sum /. float_of_int runs;
+          mean (sum (fun d -> d.steps) decided) (List.length decided);
+        f_avg_dropped =
+          mean
+            (sum (fun d -> d.metrics.Sim.Runner.dropped) runs)
+            (List.length runs);
       })
     drops
 
@@ -1617,56 +1311,12 @@ let ablation_spec =
 
 (* Randomized adversarial sweep for one A_nuc variant: count NU
    agreement/validity violations and decision rounds. *)
-let ablation_sweep (module V : Core.Anuc.S)
-    ~seeds =
-  let module R = Sim.Runner.Make (V) in
-  let n = 4 in
-  let violations = ref 0 and runs = ref 0 in
-  let rounds_sum = ref 0 and rounds_n = ref 0 in
-  List.iter
-    (fun seed ->
-      let pattern =
-        Sim.Failure_pattern.make ~n ~crashes:[ (2, 150); (3, 150) ]
-      in
-      let oracle =
-        Fd.Oracle.pair
-          (Fd.Oracle.omega ~seed ~prestab:Fd.Oracle.Omega_faulty_first
-             ~stab_time:120 pattern)
-          (Fd.Oracle.sigma_nu_plus ~seed ~faulty_mode:Fd.Oracle.Faulty_split
-             ~stab_time:120 pattern)
-      in
-      let correct = Sim.Failure_pattern.correct pattern in
-      let proposals p = if p < 2 then 0 else 1 in
-      let run =
-        R.exec ~seed ~record:false ~pattern ~fd:oracle.Fd.Oracle.query
-          ~inputs:proposals ~max_steps:8000
-          ~stop:(fun st _ ->
-            Pset.for_all (fun p -> V.decision (st p) <> None) correct)
-          ()
-      in
-      incr runs;
-      Pset.iter
-        (fun p ->
-          match V.decision_round run.R.states.(p) with
-          | Some r ->
-            rounds_sum := !rounds_sum + r;
-            incr rounds_n
-          | None -> ())
-        correct;
-      let outcome =
-        Consensus.Spec.outcome ~pattern ~proposals ~decisions:(fun p ->
-            V.decision run.R.states.(p))
-      in
-      let ok =
-        Result.bind (Consensus.Spec.check_validity outcome) (fun () ->
-            Consensus.Spec.check_agreement Consensus.Spec.Nonuniform outcome)
-      in
-      if Result.is_error ok then incr violations)
-    seeds;
-  ( !runs,
-    !violations,
-    if !rounds_n = 0 then nan
-    else float_of_int !rounds_sum /. float_of_int !rounds_n )
+let ablation_sweep (module V : Core.Anuc.S) ~seeds =
+  let runs = List.map (fun seed -> adversarial_run (module V) ~seed) seeds in
+  let rounds = List.concat_map (fun (_, d) -> d.rounds) runs in
+  ( List.length runs,
+    List.length (List.filter (fun (o, _) -> Result.is_error (safety o)) runs),
+    mean (sum Fun.id rounds) (List.length rounds) )
 
 let ablation_variant (module V : Core.Anuc.S)
     ~seeds =
@@ -1904,23 +1554,6 @@ let b9_spec =
 
 let b9_jobs = [ 1; 2; 4; 8 ]
 
-(* The mc workload: exhaustive A_nuc verification on E_1(3), the E11
-   'verify' half, at the quick depth — enough states (tens of
-   thousands) for the sharded table to matter, small enough to run
-   four times per bench invocation. *)
-let b9_mc_run ~jobs ~depth =
-  let n = 3 in
-  let faulty, pattern, proposals = universe ~n ~t:1 ~bound:depth in
-  let menu = Mc.Menu.contamination ~plus:true ~n ~faulty () in
-  Mc_anuc.run ~jobs ~n ~menu ~depth ~inputs:proposals
-    ~props:
-      (Mc_anuc.consensus_props ~decision:Core.Anuc.decision ~proposals
-         ~flavour:Consensus.Spec.Nonuniform ~pattern)
-    ~stop:
-      (Mc_anuc.decided_stop ~decision:Core.Anuc.decision
-         ~scope:(Sim.Failure_pattern.correct pattern))
-    ()
-
 (* The fuzz workload: property-free sampling of the E_1(3) naive
    universe, so every run executes (no early violation stop) and the
    per-jobs reports are comparable byte for byte. *)
@@ -1940,11 +1573,11 @@ let b9_parallel_table ?(quick = false) () =
   let speedup ~base tp = tp /. Float.max 1e-9 base in
   let mc_rows =
     let workload = Printf.sprintf "mc A_nuc E_1(3) depth %d" depth in
+    (* the E11 'verify' half: enough states (tens of thousands) for
+       the sharded table to matter, few enough to run four times *)
     let rows =
       List.map
-        (fun jobs ->
-          let r = b9_mc_run ~jobs ~depth in
-          (jobs, r))
+        (fun jobs -> (jobs, snd (mc_verify_anuc ~jobs ~depth ())))
         b9_jobs
     in
     let _, base = List.hd rows in
@@ -2384,45 +2017,17 @@ let b13_pattern ~seed ~n ~t =
     ~crashes:(List.map (fun p -> (p, 0)) (Pset.elements faulty))
 
 let b13_measure fam ~n ~t ~seeds =
-  let module A = (val Consensus.Mr.family fam) in
-  let module R = Sim.Runner.Make (A) in
-  let live = ref 0 and decided = ref 0 and all_conform = ref true in
-  let rounds_sum = ref 0 and rounds_n = ref 0 in
-  let steps_sum = ref 0 and steps_n = ref 0 in
-  List.iter
-    (fun seed ->
-      let pattern = b13_pattern ~seed ~n ~t in
-      let correct = Sim.Failure_pattern.correct pattern in
-      let is_live =
-        Result.is_ok (Quorum_family.validate fam ~n ~live:correct)
-      in
-      if is_live then incr live;
-      let proposals p = (p + seed) mod 2 in
-      let omega = Fd.Oracle.omega ~seed ~stab_time:60 pattern in
-      let run =
-        R.exec ~seed ~record:false ~pattern ~fd:omega.Fd.Oracle.query
-          ~inputs:proposals ~max_steps:4000
-          ~stop:(fun st _ ->
-            Pset.for_all (fun p -> A.decision (st p) <> None) correct)
-          ()
-      in
-      let ok = run.R.stopped_early in
-      if ok then begin
-        incr decided;
-        Pset.iter
-          (fun p ->
-            match A.decision_round run.R.states.(p) with
-            | Some r ->
-              rounds_sum := !rounds_sum + r;
-              incr rounds_n
-            | None -> ())
-          correct;
-        steps_sum := !steps_sum + run.R.step_count;
-        incr steps_n
-      end;
-      if ok <> is_live then all_conform := false)
-    seeds;
-  let runs = List.length seeds in
+  let runs =
+    List.map
+      (fun seed ->
+        let pattern = b13_pattern ~seed ~n ~t in
+        let live = Sim.Failure_pattern.correct pattern in
+        ( Result.is_ok (Quorum_family.validate fam ~n ~live),
+          measure (Family fam) ~pattern ~seed ~stab_time:60 ~max_steps:4000 ))
+      seeds
+  in
+  let decided = List.filter (fun (_, d) -> d.all_decided) runs in
+  let rounds = List.concat_map (fun (_, d) -> d.rounds) decided in
   {
     b13_family = Quorum_family.name fam;
     b13_n = n;
@@ -2430,16 +2035,13 @@ let b13_measure fam ~n ~t ~seeds =
     b13_minq =
       Option.value ~default:(-1) (Quorum_family.min_quorum_size fam ~n);
     b13_resilience = Quorum_family.resilience fam ~n;
-    b13_runs = runs;
-    b13_live = !live;
-    b13_decided = !decided;
-    b13_avg_rounds =
-      (if !rounds_n = 0 then nan
-       else float_of_int !rounds_sum /. float_of_int !rounds_n);
+    b13_runs = List.length runs;
+    b13_live = List.length (List.filter fst runs);
+    b13_decided = List.length decided;
+    b13_avg_rounds = mean (sum Fun.id rounds) (List.length rounds);
     b13_avg_steps =
-      (if !steps_n = 0 then nan
-       else float_of_int !steps_sum /. float_of_int !steps_n);
-    b13_pass = !all_conform;
+      mean (sum (fun (_, d) -> d.steps) decided) (List.length decided);
+    b13_pass = List.for_all (fun (live, d) -> live = d.all_decided) runs;
   }
 
 (* The trade-off sweep: same MR skeleton, five quorum structures.

@@ -176,26 +176,27 @@ type latency_row = {
 
 val latency_spec : latency_row Report.Table.t
 
-(** Which algorithm a latency sweep measures. *)
-type algo = Anuc | Mr_majority | Mr_sigma | Stack | Ct
+(** Which algorithm a latency sweep measures. [Family fam] is
+    {!Consensus.Mr.family} over a pluggable quorum family, under an
+    Omega-only oracle: its waits count distinct senders against the
+    family, never the detector's quorum component. *)
+type algo =
+  | Anuc
+  | Mr_majority
+  | Mr_sigma
+  | Stack
+  | Ct
+  | Family of Procset.Quorum_family.t
 
 val latency :
   ?faults:Sim.Faults.t -> algo -> n:int -> t:int -> seeds:int list ->
   latency_row
-(** B1: decision latency of one algorithm in [E_t] over random
-    patterns. [Mr_majority] and [Ct] require [t < n/2]. [faults]
-    (default {!Sim.Faults.none}) runs every sweep under a network
-    fault spec. *)
-
-val latency_family :
-  ?faults:Sim.Faults.t ->
-  Procset.Quorum_family.t -> n:int -> t:int -> seeds:int list -> latency_row
-(** The B1 measurement for {!Consensus.Mr.family} over a pluggable
-    quorum family (the [run --quorum] path). Omega-only oracle: the
-    Family-mode waits count distinct senders against the family, never
-    the detector's quorum component. Surface
-    {!Procset.Quorum_family.validate} failures before calling — an
-    ill-fitting family yields honest non-decisions, not errors. *)
+(** B1 and [nuc_cli run]: decision latency of one algorithm in [E_t]
+    over random patterns. [Mr_majority] and [Ct] require [t < n/2].
+    For [Family fam], surface {!Procset.Quorum_family.validate}
+    failures before calling — an ill-fitting family yields honest
+    non-decisions, not errors. [faults] (default {!Sim.Faults.none})
+    runs every sweep under a network fault spec. *)
 
 type stab_row = {
   stab_time : int;

@@ -1450,57 +1450,51 @@ module Make (A : Sim.Automaton.S) = struct
               drops slept path_rev)
       end
     in
-    (if not ckpt_mode then
-       Pool.run ~jobs ntasks run_task
-     else begin
-       (* Chunked driver: budget check, then a joined chunk of tasks,
-          then (possibly) a checkpoint and a spill — always at a
-          boundary where every memo claim is fulfilled. At [jobs = 1]
-          the chunks run inline in task order — the unchunked order —
-          so checkpointed, resumed and straight runs are
-          counter-for-counter identical; at [jobs > 1] the
-          order-independent quantities (verdict, distinct states,
-          decided leaves) are identical and the rest varies as it
-          already does across parallel runs. *)
-       let chunk = max 1 (4 * jobs) in
-       let next = ref start in
-       let continue = ref true in
-       while !continue && !next < ntasks do
-         if Shared.length visited >= max_states then begin
-           (* cumulative: the imported watermark counts prior
-              segments, so resuming a truncated campaign under the
-              same budget truncates again immediately *)
-           Atomic.set truncated true;
-           continue := false;
-           write_ckpt !next
-         end
-         else begin
-           let lo = !next in
-           let hi = min ntasks (lo + chunk) in
-           Pool.run ~jobs (hi - lo) (fun ~worker j -> run_task ~worker (lo + j));
-           next := hi;
-           if Atomic.get violation <> None || Atomic.get halt then
-             continue := false
-           else begin
-             (match checkpoint with
-             | Some (_, every) when Shared.length visited - !last_ckpt >= every
-               ->
-               write_ckpt !next
-             | _ -> ());
-             match spill_dir with
-             | Some _ -> Shared.spill visited
-             | None -> ()
-           end
-         end
-       done;
-       (* completed exhaustively: record the final cursor, so resuming
-          a finished checkpoint reports completion instead of re-work *)
-       if
-         !next >= ntasks
-         && Atomic.get violation = None
-         && not (Atomic.get truncated)
-       then write_ckpt ntasks
-     end);
+    (* The task loop: budget check, then a joined chunk of tasks, then
+       (possibly) a checkpoint and a spill — always at a boundary where
+       every memo claim is fulfilled. Without a checkpoint, resume or
+       spill dir the whole queue is one chunk: a single [Pool.run], with
+       the budget enforced mid-task instead. At [jobs = 1] the chunks run
+       inline in task order, so checkpointed, resumed and straight runs
+       are counter-for-counter identical; at [jobs > 1] the
+       order-independent quantities (verdict, distinct states, decided
+       leaves) are identical and the rest varies as it already does
+       across parallel runs. *)
+    let chunk = if ckpt_mode then max 1 (4 * jobs) else max 1 ntasks in
+    let next = ref start in
+    let continue = ref true in
+    while !continue && !next < ntasks do
+      if ckpt_mode && Shared.length visited >= max_states then begin
+        (* cumulative: the imported watermark counts prior segments, so
+           resuming a truncated campaign under the same budget
+           truncates again immediately *)
+        Atomic.set truncated true;
+        continue := false;
+        write_ckpt !next
+      end
+      else begin
+        let lo = !next in
+        let hi = min ntasks (lo + chunk) in
+        Pool.run ~jobs (hi - lo) (fun ~worker j -> run_task ~worker (lo + j));
+        next := hi;
+        if Atomic.get violation <> None || Atomic.get halt then
+          continue := false
+        else begin
+          (match checkpoint with
+          | Some (_, every) when Shared.length visited - !last_ckpt >= every ->
+            write_ckpt !next
+          | _ -> ());
+          match spill_dir with Some _ -> Shared.spill visited | None -> ()
+        end
+      end
+    done;
+    (* completed exhaustively: record the final cursor, so resuming a
+       finished checkpoint reports completion instead of re-work *)
+    if
+      !next >= ntasks
+      && Atomic.get violation = None
+      && not (Atomic.get truncated)
+    then write_ckpt ntasks;
     let stats =
       {
         transitions = sum transitions;

@@ -184,51 +184,41 @@ module Make (A : Automaton.S) = struct
     done;
     finish ctx ~stopped_early:!stopped
 
+  (* One adversary-chosen step of [p]: the actor checks, then the
+     message [choice] names ([None]: the oldest pending one, if any). *)
+  let scripted_step ctx p choice =
+    if not (Pid.valid ~n:ctx.n p) then
+      raise (Script_error (Printf.sprintf "invalid actor pid %d" p));
+    if Failure_pattern.crashed ctx.c_pattern p (time ctx) then
+      raise
+        (Script_error
+           (Printf.sprintf "actor p%d is crashed at time %d" p (time ctx)));
+    let take what pred =
+      match take_matching ctx p pred with
+      | Some e -> Some e
+      | None ->
+        raise
+          (Script_error
+             (Printf.sprintf "no pending message %sfor p%d at time %d" what p
+                (time ctx)))
+    in
+    let received =
+      match choice with
+      | Some Lambda -> None
+      | Some Oldest -> take "" (fun _ -> true)
+      | Some (Oldest_from src) ->
+        take
+          (Printf.sprintf "from p%d " src)
+          (fun e -> Pid.equal e.Envelope.src src)
+      | Some (Matching pred) -> take "matching predicate " pred
+      | None -> take_matching ctx p (fun _ -> true)
+    in
+    do_step ctx p received
+
   let exec_script ?(record = true) ?(faults = Faults.none) ~pattern ~fd
       ~inputs ~script () =
     let ctx = make_ctx ~pattern ~faults ~fd ~inputs ~record in
-    List.iter
-      (fun { actor = p; choice } ->
-        if not (Pid.valid ~n:ctx.n p) then
-          raise (Script_error (Printf.sprintf "invalid actor pid %d" p));
-        if Failure_pattern.crashed ctx.c_pattern p (time ctx) then
-          raise
-            (Script_error
-               (Printf.sprintf "actor p%d is crashed at time %d" p (time ctx)));
-        let received =
-          match choice with
-          | Lambda -> None
-          | Oldest -> (
-            match take_matching ctx p (fun _ -> true) with
-            | Some e -> Some e
-            | None ->
-              raise
-                (Script_error
-                   (Printf.sprintf "no pending message for p%d at time %d" p
-                      (time ctx))))
-          | Oldest_from src -> (
-            match
-              take_matching ctx p (fun e -> Pid.equal e.Envelope.src src)
-            with
-            | Some e -> Some e
-            | None ->
-              raise
-                (Script_error
-                   (Printf.sprintf
-                      "no pending message from p%d for p%d at time %d" src p
-                      (time ctx))))
-          | Matching pred -> (
-            match take_matching ctx p pred with
-            | Some e -> Some e
-            | None ->
-              raise
-                (Script_error
-                   (Printf.sprintf
-                      "no pending message matching predicate for p%d at \
-                       time %d"
-                      p (time ctx))))
-        in
-        do_step ctx p received)
+    List.iter (fun { actor; choice } -> scripted_step ctx actor (Some choice))
       script;
     finish ctx ~stopped_early:false
 
@@ -239,46 +229,7 @@ module Make (A : Automaton.S) = struct
         () =
       make_ctx ~pattern ~faults ~fd ~inputs ~record
 
-    let take_choice ctx p choice =
-      match choice with
-      | Some Lambda -> None
-      | Some Oldest -> (
-        match take_matching ctx p (fun _ -> true) with
-        | Some e -> Some e
-        | None ->
-          raise
-            (Script_error
-               (Printf.sprintf "no pending message for p%d at time %d" p
-                  (time ctx))))
-      | Some (Oldest_from src) -> (
-        match take_matching ctx p (fun e -> Pid.equal e.Envelope.src src) with
-        | Some e -> Some e
-        | None ->
-          raise
-            (Script_error
-               (Printf.sprintf "no pending message from p%d for p%d at time %d"
-                  src p (time ctx))))
-      | Some (Matching pred) -> (
-        match take_matching ctx p pred with
-        | Some e -> Some e
-        | None ->
-          raise
-            (Script_error
-               (Printf.sprintf
-                  "no pending message matching predicate for p%d at time %d" p
-                  (time ctx))))
-      | None -> take_matching ctx p (fun _ -> true)
-
-    let step ?choice ctx p =
-      if not (Pid.valid ~n:ctx.n p) then
-        raise (Script_error (Printf.sprintf "invalid actor pid %d" p));
-      if Failure_pattern.crashed ctx.c_pattern p (time ctx) then
-        raise
-          (Script_error
-             (Printf.sprintf "actor p%d is crashed at time %d" p (time ctx)));
-      let received = take_choice ctx p choice in
-      do_step ctx p received
-
+    let step ?choice ctx p = scripted_step ctx p choice
     let state ctx p = ctx.states.(p)
     let time = time
     let pending ctx p = Transport.Simulated.pending ctx.net p

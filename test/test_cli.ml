@@ -92,6 +92,121 @@ let test_cli_faulty_run_same_seed () =
   Alcotest.(check bool) "produced output" true (String.length out1 > 0);
   Alcotest.(check string) "identical output for identical seed" out1 out2
 
+(* Every path [Experiments.latency] serves, each with its stdout: the
+   five algorithms, two quorum families (the second prints the
+   resilience note) and one faulty run. A changed literal means a
+   changed run. *)
+let run_pins =
+  [
+    ( "--algo a_nuc -n 5 -t 2 --seed 1",
+      {|A_nuc, n=5, E_2, seed 1:
+  all correct processes decided: true
+  decision round (avg): 3.7
+  simulation steps:     200
+  messages sent:        262
+  mailbox depth (hwm):  32
+|} );
+    ( "--algo mr_majority -n 5 -t 2 --seed 3",
+      {|MR-majority, n=5, E_2, seed 3:
+  all correct processes decided: true
+  decision round (avg): 2.0
+  simulation steps:     150
+  messages sent:        175
+  mailbox depth (hwm):  8
+|} );
+    ( "--algo mr_sigma -n 5 -t 3 --seed 4",
+      {|MR-Sigma, n=5, E_3, seed 4:
+  all correct processes decided: true
+  decision round (avg): 1.8
+  simulation steps:     160
+  messages sent:        180
+  mailbox depth (hwm):  8
+|} );
+    ( "--algo stack -n 4 -t 3 --seed 5",
+      {|Stack, n=4, E_3, seed 5:
+  all correct processes decided: true
+  decision round (avg): 3.0
+  simulation steps:     96
+  messages sent:        179
+  mailbox depth (hwm):  38
+|} );
+    ( "--algo ct -n 5 -t 2 --seed 6",
+      {|CT-<>S, n=5, E_2, seed 6:
+  all correct processes decided: true
+  decision round (avg): 6.4
+  simulation steps:     125
+  messages sent:        124
+  mailbox depth (hwm):  10
+|} );
+    ( "--quorum grid:2x2 -n 4 -t 1 --seed 1",
+      {|MR[grid:2x2], n=4, E_1, seed 1:
+  all correct processes decided: true
+  decision round (avg): 2.0
+  simulation steps:     101
+  messages sent:        112
+  mailbox depth (hwm):  7
+|} );
+    ( "--quorum super:1 -n 5 -t 2 --seed 4",
+      {|note: super:1 at n=5 has structural resilience 1 < t=2 — a crash pattern can leave no live quorum, and such runs (honestly) never decide
+MR[super:1], n=5, E_2, seed 4:
+  all correct processes decided: true
+  decision round (avg): 2.0
+  simulation steps:     155
+  messages sent:        175
+  mailbox depth (hwm):  7
+|} );
+    ( "--algo a_nuc -n 4 -t 1 --seed 7 --drop 0.1 --dup 0.05 --reorder 2 \
+       --partition 20-60:0,1|2,3",
+      {|fault spec: drop 0.1, dup 0.05, reorder 2, partitions [20,60]:{p0, p1}|{p2,
+                                                                    p3}, seed 7
+A_nuc, n=4, E_1, seed 7:
+  all correct processes decided: false
+  decision round (avg): 3.0
+  simulation steps:     6000
+  messages sent:        2608
+  mailbox depth (hwm):  595
+|} );
+  ]
+
+let test_run_pinned () =
+  List.iter
+    (fun (args, expected) ->
+      Alcotest.(check string)
+        ("run " ^ args) expected
+        (run_cli ("run" :: String.split_on_char ' ' args)))
+    run_pins
+
+(* The quick B13, B7 and B5 sweeps, as their specs print them. *)
+let test_sweep_tables_pinned () =
+  let show spec rows = Format.asprintf "%a" (Report.Table.print spec) rows in
+  Alcotest.(check string)
+    "B13 quick"
+    {|family                 n   t  minq  resil  runs  live  decided   rounds      steps  pass
+majority               5   2     3      2     6     6        6     1.83       72.5  true
+super:1                5   1     4      1     6     6        6     2.33      138.0  true
+weighted:3,1,1,1,1     5   2     2      1     6     3        3     1.67       58.0  true
+grid:2x2               4   1     3      1     6     6        6     2.17       77.0  true
+grid:2x2               4   2     3      1     6     0        0      nan        nan  true
+|}
+    (show Experiments.b13_spec (Experiments.b13_quorum_table ~quick:true ()));
+  Alcotest.(check string)
+    "B7 quick"
+    {|algorithm      drop  runs  decided   budget   steps_dec  net_dropped
+A_nuc          0.00    10       10     6000       285.1          0.0
+A_nuc          0.05    10        1     6000       448.0         67.0
+A_nuc          0.20    10        0     6000         nan        282.9
+|}
+    (show Experiments.fault_spec (Experiments.fault_table ~quick:true ()));
+  Alcotest.(check string)
+    "B5 quick"
+    {|variant                      scripted Sec-6.3 adversary                     runs  viols  rounds
+A_nuc                        script blocked (mechanism engaged)                6      0    3.25
+A_nuc[-awareness]            script blocked (mechanism engaged)                6      0    1.00
+A_nuc[-distrust]             script completed, agreement held                  6      0    4.42
+A_nuc[-distrust,-awareness]  VIOLATED nonuniform agreement                     6      0    1.00
+|}
+    (show Experiments.ablation_spec (Experiments.ablation ~quick:true ()))
+
 (* ---------------------------------------------------------------- *)
 (* Exit-code contract of the verification subcommands.
 
@@ -670,6 +785,13 @@ let () =
         [
           Alcotest.test_case "starved E9 yields a failed row" `Quick
             test_e9_budget_failure_is_a_row;
+        ] );
+      ( "pins",
+        [
+          Alcotest.test_case "run stdout per algorithm and family" `Quick
+            test_run_pinned;
+          Alcotest.test_case "B13, B7 and B5 quick tables" `Quick
+            test_sweep_tables_pinned;
         ] );
       ( "exit-codes",
         [

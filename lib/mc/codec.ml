@@ -75,23 +75,39 @@ let read_varint b pos =
 
 module Pool = struct
   (* Distinct values to dense indices, first-seen order. The forward
-     map is a structural-hash [Hashtbl] (OCaml's polymorphic hash on
-     the same pure-data values the checker already hashes); two
-     crafted hash-colliding values share a bucket but keep distinct
-     indices, because bucket membership is resolved by structural
-     equality — the same collision backstop as the interned tables
-     (pinned in test_codec.ml). *)
+     map hashes values to the depth the checker's own structural
+     hashes use ([Hashtbl.hash_param 150 600], as in [Mc.config_hash]
+     and [Intern]): the generic [Hashtbl] reads only the first 10
+     meaningful words, and automaton states that differ only deeper
+     than that would all share a few buckets, so every intern would
+     walk a long chain of structural compares. Two values that still
+     collide share a bucket but keep distinct indices, because bucket
+     membership is resolved by structural comparison — the collision
+     backstop (pinned in test_codec.ml).
+
+     The table is instantiated once over [Obj.t] so the pool stays
+     polymorphic; keys are only ever hashed and compared, never cast
+     back (the inverse map is the typed [arr]). Its bindings and
+     bucket array are the generic [Hashtbl]'s, word for word, so the
+     pool's footprint (B12) is unchanged. *)
+  module Ix = Hashtbl.Make (struct
+    type t = Obj.t
+
+    let equal a b = compare a b = 0
+    let hash v = Hashtbl.hash_param 150 600 v
+  end)
+
   type 'a t = {
-    ix : ('a, int) Hashtbl.t;
+    ix : int Ix.t;
     mutable arr : 'a array;
     mutable len : int;
   }
 
-  let create () = { ix = Hashtbl.create 256; arr = [||]; len = 0 }
+  let create () = { ix = Ix.create 256; arr = [||]; len = 0 }
   let length p = p.len
 
   let intern p v =
-    match Hashtbl.find_opt p.ix v with
+    match Ix.find_opt p.ix (Obj.repr v) with
     | Some i -> i
     | None ->
       let i = p.len in
@@ -103,7 +119,7 @@ module Pool = struct
       end;
       p.arr.(i) <- v;
       p.len <- i + 1;
-      Hashtbl.add p.ix v i;
+      Ix.add p.ix (Obj.repr v) i;
       i
 
   let get p i =

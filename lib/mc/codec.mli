@@ -18,8 +18,10 @@ val read_varint : Bytes.t -> int ref -> int
     an input error. *)
 
 (** Interning pools: distinct values to dense first-seen indices, with
-    the inverse array for decoding. Structural hashing with structural
-    equality as the bucket resolver, so crafted hash collisions get
+    the inverse array for decoding. Values are hashed to the checker's
+    structural depth ([Hashtbl.hash_param 150 600]), not the stdlib
+    table's 10 meaningful words, with structural comparison as the
+    bucket resolver, so values that collide even at that depth get
     distinct indices (pinned in test_codec.ml). *)
 module Pool : sig
   type 'a t

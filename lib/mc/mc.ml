@@ -514,11 +514,16 @@ module Make (A : Sim.Automaton.S) = struct
     let export_pools p =
       (Codec.Pool.export p.pk_states, Codec.Pool.export p.pk_msgs)
 
-    let encode p cfg =
+    let locked p f =
       Mutex.lock p.pk_lock;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock p.pk_lock)
-        (fun () ->
+      Fun.protect ~finally:(fun () -> Mutex.unlock p.pk_lock) f
+
+    let sizes p =
+      locked p (fun () ->
+          (Codec.Pool.length p.pk_states, Codec.Pool.length p.pk_msgs))
+
+    let encode p cfg =
+      locked p (fun () ->
           let n = p.pk_n in
           let buf = Buffer.create 64 in
           Array.iter
@@ -540,11 +545,83 @@ module Make (A : Sim.Automaton.S) = struct
           done;
           Buffer.to_bytes buf)
 
+    (* [encode_child p ~key mv child] is [encode p child] for
+       [child = apply ~n parent mv] and [key = encode p parent], built
+       from [key] alone. [apply] replaces one state slot (none for a
+       drop) and leaves every child channel equal to the parent's
+       queue, less the consumed message on the consumed channel,
+       followed by the messages the step appended. So the other state
+       indices and the kept message indices are copied as bytes, and
+       only the new state and the appended messages are interned — in
+       the order [encode] would meet them (the state, then channels
+       ascending), so the pool indices, and hence the bytes, are
+       [encode]'s (pinned by the differential walks in
+       test_codec.ml). *)
+    let encode_child p ~key mv child =
+      locked p (fun () ->
+          let n = p.pk_n in
+          let buf = Buffer.create (Bytes.length key + 8) in
+          let pos = ref 0 in
+          let read () = Codec.read_varint key pos in
+          let copy_varint () =
+            let start = !pos in
+            ignore (read () : int);
+            Buffer.add_subbytes buf key start (!pos - start)
+          in
+          for i = 0 to n - 1 do
+            if i = mv.m_pid && not mv.m_drop then begin
+              ignore (read () : int);
+              Codec.write_varint buf
+                (Codec.Pool.intern p.pk_states child.states.(i))
+            end
+            else copy_varint ()
+          done;
+          let cut_chan, cut_idx =
+            match mv.m_recv with
+            | Some (src, i) -> ((src * n) + mv.m_pid, i)
+            | None -> (-1, -1)
+          in
+          let nonempty = ref 0 in
+          Array.iter (fun q -> if q <> [] then incr nonempty) child.chans;
+          Codec.write_varint buf !nonempty;
+          (* the parent's sections come in ascending channel order;
+             [next] is the channel of the first one not yet read *)
+          let sections = ref (read ()) in
+          let read_next () =
+            if !sections = 0 then n * n
+            else begin
+              decr sections;
+              read ()
+            end
+          in
+          let next = ref (read_next ()) in
+          for c = 0 to (n * n) - 1 do
+            let q = child.chans.(c) in
+            if q <> [] then begin
+              Codec.write_varint buf c;
+              Codec.write_varint buf (List.length q)
+            end;
+            let kept = ref 0 in
+            if !next = c then begin
+              for j = 0 to read () - 1 do
+                if c = cut_chan && j = cut_idx then ignore (read () : int)
+                else begin
+                  incr kept;
+                  copy_varint ()
+                end
+              done;
+              next := read_next ()
+            end;
+            List.iteri
+              (fun j m ->
+                if j >= !kept then
+                  Codec.write_varint buf (Codec.Pool.intern p.pk_msgs m))
+              q
+          done;
+          Buffer.to_bytes buf)
+
     let decode p b =
-      Mutex.lock p.pk_lock;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock p.pk_lock)
-        (fun () ->
+      locked p (fun () ->
           let n = p.pk_n in
           let pos = ref 0 in
           let rec read_k k acc =
@@ -1197,11 +1274,17 @@ module Make (A : Sim.Automaton.S) = struct
     let pool =
       match resumed with Some (_, p) -> p | None -> Packed.create ~n
     in
-    (* one packed encode + full-width hash per transition, computed at
-       the parent and reused at the child's node; the table retains
-       only the packed bytes *)
+    (* A node's memo key: its packed bytes with their full-width hash,
+       computed once and reused for every probe of the node. The root,
+       the queued tasks and nothing else are encoded whole; every
+       transition's child key is derived from its parent's
+       ([Packed.encode_child]). The table retains only the bytes. *)
     let hconfig cfg =
       Intern.hashed Codec.bytes_hash (Packed.encode pool cfg)
+    in
+    let hchild (hc : Bytes.t Intern.hashed) mv child =
+      Intern.hashed Codec.bytes_hash
+        (Packed.encode_child pool ~key:hc.Intern.iv mv child)
     in
     let violation = Atomic.make None in
     let truncated = Atomic.make false in
@@ -1305,7 +1388,7 @@ module Make (A : Sim.Automaton.S) = struct
                   inherit_slept ~reduction ~lossy ~races:races.(w)
                     ~backtracks:backtracks.(w) ~n ~explored:ex ~slept:sl mv
                 in
-                pdfs ~w ~sink child (hconfig child) (remaining - 1)
+                pdfs ~w ~sink child (hchild hc mv child) (remaining - 1)
                   (if mv.m_drop then drops - 1 else drops)
                   child_slept (mv :: path_rev);
                 if sleep then Sibs.add ~n ex mv

@@ -459,6 +459,18 @@ module Make (A : Sim.Automaton.S) : sig
         which is why distinct states (crafted hash collisions
         included) stay distinct in the packed visited set. *)
 
+    val encode_child : pool -> key:Bytes.t -> move -> Space.config -> Bytes.t
+    (** [encode_child p ~key mv child] equals [encode p child] when
+        [key = encode p parent] and [child = Space.apply ~n parent mv],
+        and leaves the pools as [encode p child] would. It copies the
+        parent key's untouched state indices and message indices, cuts
+        the consumed message's index, and interns only the stepped
+        process's new state and the messages its step appended — the
+        per-transition key {!run} builds. *)
+
+    val sizes : pool -> int * int
+    (** Distinct (process states, message payloads) interned so far. *)
+
     val decode : pool -> Bytes.t -> Space.config
     (** Exact inverse of {!encode} on the same pool. Raises
         [Invalid_argument] on bytes the pool cannot decode. *)

@@ -68,6 +68,34 @@ let test_bytes_hash () =
 (* Pools                                                          *)
 (* -------------------------------------------------------------- *)
 
+(* Two values that differ only past the pool hash's 150-word horizon
+   (built as test_mc.ml's crafted [Intern] collision) share a bucket;
+   structural comparison must still give them distinct indices, and
+   both must survive an export/import round trip. *)
+let test_pool_collision_backstop () =
+  let base = List.init 400 (fun i -> i) in
+  let a = base @ [ 1 ] and b = base @ [ 2 ] in
+  let hash = Hashtbl.hash_param 150 600 in
+  Alcotest.(check int) "the crafted collision is real" (hash a) (hash b);
+  let p = Mc.Codec.Pool.create () in
+  let ia = Mc.Codec.Pool.intern p a in
+  let ib = Mc.Codec.Pool.intern p b in
+  Alcotest.(check bool) "distinct indices" true (ia <> ib);
+  Alcotest.(check int) "re-intern is a hit" ia (Mc.Codec.Pool.intern p a);
+  Alcotest.(check int) "both counted" 2 (Mc.Codec.Pool.length p);
+  let check_inverts tag p =
+    Alcotest.(check (list int)) (tag ^ ": get inverts a") a
+      (Mc.Codec.Pool.get p ia);
+    Alcotest.(check (list int)) (tag ^ ": get inverts b") b
+      (Mc.Codec.Pool.get p ib)
+  in
+  check_inverts "pool" p;
+  let q = Mc.Codec.Pool.import (Mc.Codec.Pool.export p) in
+  Alcotest.(check int) "import keeps both" 2 (Mc.Codec.Pool.length q);
+  check_inverts "imported" q;
+  Alcotest.(check (pair int int)) "imported forward map" (ia, ib)
+    (Mc.Codec.Pool.intern q a, Mc.Codec.Pool.intern q b)
+
 let test_pool () =
   let p = Mc.Codec.Pool.create () in
   let i0 = Mc.Codec.Pool.intern p "a" in
@@ -174,37 +202,57 @@ let faulty = Pset.singleton 2
 let proposals p = if Pset.mem p faulty then 1 else 0
 
 (* A deterministic random walk of [steps] moves from the initial
-   config, collecting every config on the way. *)
-let walk_configs ~menu ~lossy ~steps seed =
+   config: the initial config, then each move taken with the config it
+   left and the config it reached. *)
+let walk ?(delivery = `Fifo) ~menu ~lossy ~steps seed =
   let menus = Array.init n (fun p -> menu.Mc.Menu.values p) in
   let rng = Random.State.make [| seed |] in
-  let cfg = ref (M_anuc.Space.initial ~n ~inputs:proposals) in
-  let acc = ref [ !cfg ] in
-  (try
-     for _ = 1 to steps do
-       match M_anuc.Space.enabled ~n ~delivery:`Fifo ~lossy ~menus !cfg with
-       | [] -> raise Exit
-       | moves ->
-         let mv = List.nth moves (Random.State.int rng (List.length moves)) in
-         cfg := M_anuc.Space.apply ~n !cfg mv;
-         acc := !cfg :: !acc
-     done
-   with Exit -> ());
-  !acc
+  let root = M_anuc.Space.initial ~n ~inputs:proposals in
+  let rec go k cfg acc =
+    match M_anuc.Space.enabled ~n ~delivery ~lossy ~menus cfg with
+    | [] -> List.rev acc
+    | _ when k = 0 -> List.rev acc
+    | moves ->
+      let mv = List.nth moves (Random.State.int rng (List.length moves)) in
+      let child = M_anuc.Space.apply ~n cfg mv in
+      go (k - 1) child ((cfg, mv, child) :: acc)
+  in
+  (root, go steps root [])
 
-let round_trip_walk ~menu ~lossy seed =
+let walk_configs ~menu ~lossy ~steps seed =
+  let root, moves = walk ~menu ~lossy ~steps seed in
+  root :: List.map (fun (_, _, child) -> child) moves
+
+(* Along a walk, under one pool: [decode] inverts [encode] and
+   re-encoding is stable (the memo key is reproducible), and the
+   parent-derived key [encode_child] equals the full [encode] of the
+   child — which, run after it, interns nothing new. *)
+let round_trip_walk ?delivery ~menu ~lossy seed =
   let pool = M_anuc.Packed.create ~n in
-  List.for_all
-    (fun cfg ->
-      let b = M_anuc.Packed.encode pool cfg in
-      let cfg' = M_anuc.Packed.decode pool b in
-      M_anuc.Space.equal cfg cfg'
-      (* hash stability: re-encoding yields the same bytes, hence the
-         same FNV hash — the memo key is reproducible *)
-      && Bytes.equal b (M_anuc.Packed.encode pool cfg)
-      && Mc.Codec.bytes_hash b
-         = Mc.Codec.bytes_hash (M_anuc.Packed.encode pool cfg'))
-    (walk_configs ~menu ~lossy ~steps:25 seed)
+  let round_trip cfg b =
+    let cfg' = M_anuc.Packed.decode pool b in
+    M_anuc.Space.equal cfg cfg'
+    && Bytes.equal b (M_anuc.Packed.encode pool cfg)
+    && Mc.Codec.bytes_hash b
+       = Mc.Codec.bytes_hash (M_anuc.Packed.encode pool cfg')
+  in
+  let root, moves = walk ?delivery ~menu ~lossy ~steps:25 seed in
+  let root_key = M_anuc.Packed.encode pool root in
+  round_trip root root_key
+  && snd
+       (List.fold_left
+          (fun (key, ok) (_, mv, child) ->
+            let derived =
+              M_anuc.Packed.encode_child pool ~key mv child
+            in
+            let sizes = M_anuc.Packed.sizes pool in
+            let full = M_anuc.Packed.encode pool child in
+            ( derived,
+              ok
+              && Bytes.equal derived full
+              && M_anuc.Packed.sizes pool = sizes
+              && round_trip child derived ))
+          (root_key, true) moves)
 
 let test_packed_round_trip_qcheck =
   QCheck_alcotest.to_alcotest
@@ -219,6 +267,73 @@ let test_packed_round_trip_lossy_qcheck =
     (QCheck.Test.make ~name:"decode∘encode = id on lossy walks" ~count:60
        QCheck.small_nat
        (round_trip_walk ~menu:(Mc.Menu.lossy ~plus:true ~n ~faulty ()) ~lossy:true))
+
+(* [`Any] delivery receives from anywhere in a channel, not just its
+   head; with the lossy menu the walk also drops, so the child key's
+   index cut is exercised off the head, on drops, and on a process
+   that receives from its own channel and sends to itself again. *)
+let any_lossy_menu = Mc.Menu.lossy ~plus:true ~n ~faulty ()
+
+let test_packed_round_trip_any_qcheck =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"decode∘encode = id on lossy `Any walks"
+       ~count:60 QCheck.small_nat
+       (round_trip_walk ~delivery:`Any ~menu:any_lossy_menu ~lossy:true))
+
+(* Queue length of channel [c], read back from a packed key's layout. *)
+let packed_chan_len key c =
+  let pos = ref 0 in
+  let read () = Mc.Codec.read_varint key pos in
+  for _ = 1 to n do
+    ignore (read () : int)
+  done;
+  let rec section k =
+    if k = 0 then 0
+    else
+      let c' = read () in
+      let len = read () in
+      if c' = c then len
+      else begin
+        for _ = 1 to len do
+          ignore (read () : int)
+        done;
+        section (k - 1)
+      end
+  in
+  section (read ())
+
+(* The qcheck seeds vary from run to run; this fixed sweep over the
+   same generator pins that the [`Any] walks do reach the three cases
+   the child key must get right. *)
+let test_any_walks_cover_cuts () =
+  let seen = Hashtbl.create 3 in
+  let pool = M_anuc.Packed.create ~n in
+  for seed = 0 to 59 do
+    let _, moves =
+      walk ~delivery:`Any ~menu:any_lossy_menu ~lossy:true ~steps:25 seed
+    in
+    List.iter
+      (fun (parent, (mv : M_anuc.move), child) ->
+        match mv.M_anuc.m_recv with
+        | None -> ()
+        | Some (src, i) ->
+          let p = mv.M_anuc.m_pid in
+          if i > 0 then Hashtbl.replace seen "non-head receive" ();
+          if mv.M_anuc.m_drop then Hashtbl.replace seen "drop" ();
+          (* a receive from its own channel that leaves that channel
+             no shorter has sent to self again *)
+          let self_len cfg =
+            packed_chan_len (M_anuc.Packed.encode pool cfg) ((p * n) + p)
+          in
+          if src = p && (not mv.M_anuc.m_drop)
+             && self_len child >= self_len parent
+          then Hashtbl.replace seen "self receive then self send" ())
+      moves
+  done;
+  List.iter
+    (fun case ->
+      Alcotest.(check bool) (case ^ " reached") true (Hashtbl.mem seen case))
+    [ "non-head receive"; "drop"; "self receive then self send" ]
 
 let test_packed_injective () =
   (* distinct configs (by Space.equal) pack to distinct bytes, equal
@@ -466,7 +581,12 @@ let () =
         ] );
       ( "hash",
         [ Alcotest.test_case "FNV over all bytes" `Quick test_bytes_hash ] );
-      ("pool", [ Alcotest.test_case "intern/get/export/import" `Quick test_pool ]);
+      ( "pool",
+        [
+          Alcotest.test_case "intern/get/export/import" `Quick test_pool;
+          Alcotest.test_case "collisions past the hash horizon stay distinct"
+            `Quick test_pool_collision_backstop;
+        ] );
       ( "container",
         [
           Alcotest.test_case "round-trip" `Quick test_container_round_trip;
@@ -480,6 +600,9 @@ let () =
         [
           test_packed_round_trip_qcheck;
           test_packed_round_trip_lossy_qcheck;
+          test_packed_round_trip_any_qcheck;
+          Alcotest.test_case "`Any walks reach off-head, drop and self cuts"
+            `Quick test_any_walks_cover_cuts;
           Alcotest.test_case "injective wrt Space.equal" `Quick
             test_packed_injective;
           Alcotest.test_case "garbage bytes rejected" `Quick

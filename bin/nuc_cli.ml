@@ -1218,11 +1218,12 @@ let serve_cmd =
           Load.Read_log
       & info [ "read-mode" ] ~docv:"M"
           ~doc:
-            "$(b,log) recomputes the full-log digest from live replica \
-             state per read; $(b,snapshot) reads the newest published \
-             snapshot — one atomic load, staleness bounded by \
-             --publish-every - 1 decided slots (the run fails if the \
-             bound is ever exceeded).")
+            "$(b,log) reads the live replica's running full-log digest \
+             and is never stale; $(b,snapshot) reads the newest \
+             published snapshot, an immutable view any domain can read, \
+             with staleness bounded by --publish-every - 1 decided slots \
+             (the run fails if the bound is ever exceeded). Both cost \
+             O(1) per read.")
   in
   let publish_every =
     Arg.(

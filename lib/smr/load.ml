@@ -92,16 +92,34 @@ let tuning cfg : (module Smr.TUNING) =
     let horizon = cfg.horizon
   end)
 
+(* Upper bounds that keep a run finite: the command streams are built
+   up front, the completion array holds one entry per target slot, and
+   [reads * target_slots] (the read pacing) stays far from overflow. *)
+let max_target_slots = 1_000_000
+let max_commands = 10_000_000
+let max_reads = 1_000_000_000
+
 let check cfg =
   let fail fmt = Printf.ksprintf (fun msg -> Error ("Load: " ^ msg)) fmt in
   if cfg.n < 2 then fail "n must be >= 2"
   else if cfg.n > Pset.max_size then fail "n must be <= %d" Pset.max_size
+  else if cfg.target_slots < 1 then fail "target_slots must be >= 1"
+  else if cfg.target_slots > max_target_slots then
+    fail "target_slots must be <= %d" max_target_slots
   else if cfg.clients < 1 then fail "clients must be >= 1"
+  else if cfg.clients > max_commands then
+    fail "clients must be <= %d" max_commands
   else if cfg.commands_per_client < 1 then
     fail "commands_per_client must be >= 1"
-  else if cfg.target_slots < 1 then fail "target_slots must be >= 1"
+  else if cfg.commands_per_client > max_commands then
+    fail "commands_per_client must be <= %d" max_commands
+  (* both factors are bounded, so the product cannot overflow *)
+  else if cfg.clients * cfg.commands_per_client > max_commands then
+    fail "%d clients x %d commands exceeds %d commands" cfg.clients
+      cfg.commands_per_client max_commands
   else if cfg.max_steps < 1 then fail "max_steps must be >= 1"
   else if cfg.reads < 0 then fail "reads must be >= 0"
+  else if cfg.reads > max_reads then fail "reads must be <= %d" max_reads
   else if cfg.publish_every < 1 then fail "publish_every must be >= 1"
   else if cfg.shards < 0 then fail "shards must be >= 0"
   else if cfg.ring_capacity < 1 then fail "ring_capacity must be >= 1"
@@ -134,6 +152,20 @@ let commands_for cfg p =
     done
   done;
   !buf
+
+let percentile pairs q =
+  let m = List.fold_left (fun m (_, w) -> m + w) 0 pairs in
+  if m = 0 then 0.
+  else
+    let rank =
+      max 0 (min (m - 1) (int_of_float (ceil (q *. float_of_int m)) - 1))
+    in
+    (* [seen] values precede the head of the list, and [seen <= rank] *)
+    let rec pick seen = function
+      | (v, w) :: rest -> if rank < seen + w then v else pick (seen + w) rest
+      | [] -> assert false
+    in
+    pick 0 (List.sort compare pairs)
 
 let make_smr cfg : (module Smr.S) =
   let module T = (val tuning cfg) in
@@ -189,7 +221,8 @@ module Driver (S : Smr.S) = struct
     (* read-serving state: the coordinator serves reads at round
        boundaries, interleaved with the replicated write workload *)
     store : Snapshot.Store.t;
-    read_lat : float array;  (* per-read latency estimates, seconds *)
+    (* (per-read estimate in seconds, reads) for every timed chunk *)
+    mutable read_chunks : (float * int) list;
     mutable reads_done : int;
     mutable read_wall : float;
     mutable read_digest : int;
@@ -215,7 +248,8 @@ module Driver (S : Smr.S) = struct
      publisher runs first — publish-before-reads is what bounds every
      read's staleness by [publish_every - 1] decided slots. Latencies
      are chunk-timed: one clock read per chunk, divided out, because a
-     single snapshot read is far below the clock's resolution. *)
+     single read is far below the clock's resolution; every read of a
+     chunk gets that estimate, so one pair per chunk records them. *)
   let serve_reads cfg tr sref t =
     if cfg.reads > 0 then begin
       let dec = S.slots_decided sref in
@@ -248,10 +282,7 @@ module Driver (S : Smr.S) = struct
             done);
         let el = Sim.Clock.elapsed t0 in
         tr.read_wall <- tr.read_wall +. el;
-        let per = el /. float_of_int chunk in
-        for i = tr.reads_done to tr.reads_done + chunk - 1 do
-          tr.read_lat.(i) <- per
-        done;
+        tr.read_chunks <- (el /. float_of_int chunk, chunk) :: tr.read_chunks;
         tr.reads_done <- tr.reads_done + chunk
       end
     end
@@ -282,13 +313,6 @@ module Driver (S : Smr.S) = struct
     serve_reads cfg tr sref t;
     Pset.for_all (fun p -> S.slots_decided (st p) >= cfg.target_slots) correct
 
-  let percentile gaps q =
-    let m = Array.length gaps in
-    if m = 0 then 0.
-    else
-      let rank = int_of_float (ceil (q *. float_of_int m)) - 1 in
-      float_of_int gaps.(max 0 (min (m - 1) rank))
-
   let finish cfg ~pattern ~tr ~states ~steps ~ticks ~wall ~sent ~lock_ops
       ~cas_retries ~sync_ops =
     let correct = Sim.Failure_pattern.correct pattern in
@@ -296,18 +320,10 @@ module Driver (S : Smr.S) = struct
     check_pairwise tr (fun p -> states.(p)) live;
     let sref = states.(Pset.min_elt correct) in
     let gaps =
-      Array.init tr.recorded (fun i -> tr.comp.(i + 1) - tr.comp.(i))
+      List.init tr.recorded (fun i ->
+          (float_of_int (tr.comp.(i + 1) - tr.comp.(i)), 1))
     in
-    Array.sort compare gaps;
-    let rl = Array.sub tr.read_lat 0 tr.reads_done in
-    Array.sort compare rl;
-    let read_pct q =
-      let m = Array.length rl in
-      if m = 0 then 0.
-      else
-        let rank = int_of_float (ceil (q *. float_of_int m)) - 1 in
-        rl.(max 0 (min (m - 1) rank)) *. 1e6
-    in
+    let read_pct q = percentile tr.read_chunks q *. 1e6 in
     {
       o_reached =
         Pset.for_all
@@ -358,7 +374,7 @@ module Driver (S : Smr.S) = struct
         divergent = false;
         last_t = 0;
         store = Snapshot.Store.make ();
-        read_lat = Array.make cfg.reads 0.;
+        read_chunks = [];
         reads_done = 0;
         read_wall = 0.;
         read_digest = 0;

@@ -22,13 +22,23 @@
 
     A read workload can ride along ([reads > 0]): the coordinator
     serves read-only queries against the reference replica at round
-    boundaries, paced by decided-slot progress. [Read_log] recomputes
-    the full-log digest from live state per read ([O(retained)]);
+    boundaries, paced by decided-slot progress. Both read modes are
+    O(1) per read. [Read_log] reads the live replica's running
+    full-log digest ({!Smr.S.log_digest}) and is never stale;
     [Read_snapshot] reads the newest {!Snapshot.t} from a lock-free
-    {!Snapshot.Store} (an atomic load), republished every
-    [publish_every] decided slots {e before} the boundary's reads —
-    which bounds every read's staleness by [publish_every - 1] slots
-    (checked: [o_stale_max <= o_stale_bound]). *)
+    {!Snapshot.Store} (an atomic load): an immutable view any domain
+    may read, republished every [publish_every] decided slots
+    {e before} the boundary's reads — which bounds every read's
+    staleness by [publish_every - 1] slots (checked:
+    [o_stale_max <= o_stale_bound]).
+
+    Reads are timed per chunk, not per read: the reads served at one
+    round boundary take one {!Sim.Clock} reading, and each read of the
+    chunk is charged the chunk's time divided by its size. The clock
+    ticks in 1 µs steps, so a chunk served in under 1 µs reads 0, and
+    small runs (B14's smoke size) can print a read p50 of 0.000 µs.
+    A run keeps one [(estimate, reads)] pair per chunk — memory
+    O(slots), not O(reads). *)
 
 type read_mode = Read_log | Read_snapshot
 
@@ -41,13 +51,17 @@ val read_mode_of_string : string -> read_mode option
 type config = {
   n : int;  (** replicas *)
   clients : int;  (** simulated clients, homed round-robin *)
-  commands_per_client : int;  (** length of each client's stream *)
+  commands_per_client : int;
+      (** length of each client's stream; [clients * commands_per_client]
+          must stay [<= 10_000_000] *)
   batch : int;  (** commands packed per slot (see {!Smr.TUNING}) *)
   pipeline : int;  (** consensus instances open ahead *)
   window : int;  (** per-replica in-flight command cap *)
   retain : int;  (** applied-log slots kept before compaction *)
   horizon : int;  (** fallback retirement depth and lag bound *)
-  target_slots : int;  (** stop once every correct replica decided this many *)
+  target_slots : int;
+      (** stop once every correct replica decided this many
+          ([<= 1_000_000]) *)
   max_steps : int;  (** step budget *)
   seed : int;  (** scheduler / oracle / fault seed *)
   faults : Sim.Faults.t;
@@ -61,7 +75,8 @@ type config = {
           oracle or lock-free ring *)
   shards : int;  (** executor shard count; 0 means "match jobs" *)
   ring_capacity : int;  (** per-mailbox ring slots (ring transport) *)
-  reads : int;  (** read-only queries to serve across the run *)
+  reads : int;
+      (** read-only queries to serve across the run ([<= 1_000_000_000]) *)
   read_mode : read_mode;
   publish_every : int;
       (** snapshot republish cadence, in decided slots ([>= 1]) *)
@@ -98,9 +113,11 @@ type outcome = {
           write workload's time is excluded) *)
   o_read_p50_us : float;  (** median per-read latency, microseconds *)
   o_read_p99_us : float;
-      (** 99th-percentile per-read latency, microseconds. Chunk-timed:
-          reads are served in chunks of one clock read each, so
-          percentiles resolve chunk-level, not single-read, noise. *)
+      (** 99th-percentile per-read latency, microseconds. Chunk-timed
+          at 1 µs clock resolution: each read carries its chunk's
+          estimate, so the percentiles are {!percentile} over the
+          [(estimate, reads)] pairs and resolve chunk-level, not
+          single-read, noise. *)
   o_read_digest : int;
       (** XOR-fold of every read's [(digest, version)] — consumed so
           reads cannot be optimized away, and equal across runs with
@@ -126,7 +143,21 @@ val check : config -> (unit, string) result
     why not: a field out of range ([2 <= n <= Procset.Pset.max_size],
     [max_steps >= 1], ...), a tuning {!Smr.check_tuning} rejects, or a
     batched workload whose command values do not fit
-    [Smr.Batch.max_command]. *)
+    [Smr.Batch.max_command]. Sizes have upper bounds that keep a run
+    finite: [target_slots <= 1_000_000], [clients] and
+    [commands_per_client] each [<= 10_000_000] and so is their
+    product (the command streams are built before the run), and
+    [reads <= 1_000_000_000]. *)
+
+val percentile : (float * int) list -> float -> float
+(** [percentile pairs q] is the [q]-quantile of the multiset holding
+    value [v] [w] times for each [(v, w)] in [pairs]: with [m] the
+    total weight, the element at 0-based rank [ceil (q * m) - 1],
+    clamped to [[0, m - 1]], of that multiset sorted ascending —
+    exactly what indexing the sorted expansion gives, without
+    building it. [0.] when [m = 0]. O(k log k) in the number of
+    pairs. The read and commit-gap percentiles of an {!outcome}
+    (each gap with weight 1) are this function. *)
 
 val commands_for : config -> Procset.Pid.t -> Consensus.Value.t list
 (** The command stream preloaded at one replica: its clients' streams

@@ -141,6 +141,7 @@ module Make_tuned (T : TUNING) (C : CONSENSUS) : S = struct
     applied_cmds : int; (* non-noop commands applied; survives compaction *)
     base : int; (* first retained slot *)
     digest : int; (* rolling digest of the compacted prefix *)
+    full_digest : int; (* rolling digest of every stored batch *)
     slot : int; (* first undecided slot *)
     (* heard.(p): the highest [frontier] replica p has reported, a
        monotone max (0 until p is heard from; our own entry is unused,
@@ -180,6 +181,7 @@ module Make_tuned (T : TUNING) (C : CONSENSUS) : S = struct
       applied_cmds = 0;
       base = 0;
       digest = 0;
+      full_digest = 0;
       slot = 0;
       heard = Array.make n 0;
       floor = 0;
@@ -281,8 +283,10 @@ module Make_tuned (T : TUNING) (C : CONSENSUS) : S = struct
 
   (* ---------------- harvest / compaction / retirement ---------------- *)
 
-  (* shared with the read path: Snapshot.digest_of must extend this
-     very function for log-read and snapshot-read digests to agree *)
+  (* the step of both running digests: [apply_decided] folds each
+     stored batch into [full_digest] and [compact] folds the same
+     batch into [digest] when it leaves the suffix, so [full_digest]
+     is [digest] folded over the retained suffix *)
   let mix = Snapshot.mix
 
   let apply_decided st v =
@@ -300,6 +304,7 @@ module Make_tuned (T : TUNING) (C : CONSENSUS) : S = struct
         st with
         app_b = stored :: st.app_b;
         app_n = st.app_n + 1;
+        full_digest = List.fold_left mix st.full_digest stored;
         applied_set =
           List.fold_left (fun s c -> Vset.add c s) st.applied_set fresh;
         applied_cmds = st.applied_cmds + List.length fresh;
@@ -514,14 +519,12 @@ module Make_tuned (T : TUNING) (C : CONSENSUS) : S = struct
   let log_base st = st.base
   let snapshot_digest st = st.digest
 
-  (* the log-mode read primitive: recomputes the full-log digest from
-     the live state on every call — O(retained suffix) *)
-  let log_digest st = Snapshot.digest_of ~prefix_digest:st.digest (batches st)
+  (* the log-mode read primitive *)
+  let log_digest st = st.full_digest
 
   let snapshot st ~tick =
     Snapshot.build ~version:st.decided_count ~base:st.base
-      ~ops:st.applied_cmds ~prefix_digest:st.digest ~batches:(batches st)
-      ~tick
+      ~ops:st.applied_cmds ~digest:st.full_digest ~batches:(batches st) ~tick
   let slots_decided st = st.decided_count
   let commands_applied st = st.applied_cmds
   let current_slot st = st.slot

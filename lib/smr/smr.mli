@@ -131,17 +131,18 @@ module type S = sig
       with equal [log_base] must have equal digests. *)
 
   val log_digest : state -> int
-  (** Full-log digest: {!snapshot_digest} folded over the retained
-      suffix with {!Snapshot.mix}. Recomputed from the live state on
-      every call — the [O(retained)] log-mode read path the snapshot
-      store exists to shortcut. Equal to [(snapshot st ~tick).digest]
-      for any [tick]. *)
+  (** Full-log digest: the left fold of {!Snapshot.mix} over every
+      stored batch, compacted or retained, a {!noop} slot included —
+      so {!snapshot_digest} folded over {!batches}. A running field,
+      updated as each slot is applied: the log-mode read is O(1).
+      Equal to [(snapshot st ~tick).digest] for any [tick]. *)
 
   val snapshot : state -> tick:int -> Snapshot.t
   (** Freeze the applied log into an immutable read snapshot
       ([version] = {!slots_decided}, [digest] = {!log_digest}),
-      stamped with the build tick. One [O(retained)] digest fold;
-      the retained batches are shared, not copied. *)
+      stamped with the build tick. No digest fold; listing the
+      retained batches is [O(retained)], and the batches themselves
+      are shared, not copied. *)
 
   val slots_decided : state -> int
   (** Slots this replica has decided and applied — O(1) and immune

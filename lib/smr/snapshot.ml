@@ -10,20 +10,8 @@ type t = {
 
 let mix h c = (h * 1000003) lxor c
 
-let digest_of ~prefix_digest batches =
-  List.fold_left (fun h batch -> List.fold_left mix h batch) prefix_digest
-    batches
-
-let build ~version ~base ~ops ~prefix_digest ~batches ~tick =
-  {
-    version;
-    base;
-    ops;
-    digest = digest_of ~prefix_digest batches;
-    log_len = List.length batches;
-    batches;
-    built_at = tick;
-  }
+let build ~version ~base ~ops ~digest ~batches ~tick =
+  { version; base; ops; digest; log_len = version - base; batches; built_at = tick }
 
 module Store = struct
   type snapshot = t

@@ -1,32 +1,30 @@
 (** Versioned, immutable read snapshots of a replicated log, and the
     lock-free store that serves them.
 
-    The write path of {!Smr} answers queries from the full replica
-    state; a query that tolerates a bounded divergence window does
-    not need that. A {!t} freezes everything the read path serves —
-    the decided-slot count, the applied-command count, and the
-    {e full-log digest} (the compacted-prefix digest folded over the
-    retained suffix with the same {!mix} the compactor uses) — as
-    plain immutable fields, so serving a read is a pointer load plus
-    field reads, independent of log length. Snapshots are built at
-    compaction-boundary cadence (every [publish_every] decided slots
-    in {!Load}), which amortizes the one [O(retained)] digest fold
-    over the window.
+    A {!t} freezes what the read path serves — the decided-slot count,
+    the applied-command count, and the {e full-log digest} (the left
+    fold of {!mix} over every stored batch, compacted or retained,
+    which {!Smr} keeps as a running field) — as plain immutable
+    fields. Building one is O(1): the digest is copied, not folded.
 
-    Staleness is measured in decided slots: a snapshot at [version]
-    [v] read while the live replica has decided [d] slots is [d - v]
-    stale. A publisher that re-publishes whenever the live replica
-    has advanced [publish_every] slots past the stored version — and
-    does so before serving the boundary's reads — bounds every read's
-    staleness by [publish_every - 1] (DESIGN.md §5i). *)
+    What a snapshot gives is an immutable view: once published it
+    never changes, so any domain can read it through the {!Store}
+    without touching the live replica state that the stepping domain
+    owns. It is not a faster read — a log-mode read of the live
+    running digest is O(1) too. The price of the view is staleness,
+    measured in decided slots: a snapshot at [version] [v] read while
+    the live replica has decided [d] slots is [d - v] stale. A
+    publisher that re-publishes whenever the live replica has advanced
+    [publish_every] slots past the stored version — and does so before
+    serving the boundary's reads — bounds every read's staleness by
+    [publish_every - 1] (DESIGN.md §5i). *)
 
 type t = {
   version : int;  (** slots decided when the snapshot was built *)
   base : int;  (** compaction base: slots digested below the suffix *)
   ops : int;  (** non-noop commands applied *)
   digest : int;
-      (** full-log digest: prefix digest folded over the retained
-          suffix — equals {!Smr.S.log_digest} of the state it was
+      (** full-log digest — {!Smr.S.log_digest} of the state it was
           built from *)
   log_len : int;  (** retained slots represented ([version - base]) *)
   batches : Consensus.Value.t list list;
@@ -36,22 +34,21 @@ type t = {
 }
 
 val mix : int -> int -> int
-(** The digest step shared with {!Smr}'s compactor:
+(** The digest step of both of {!Smr}'s running digests, the
+    compacted prefix and the full log:
     [mix h c = (h * 1000003) lxor c]. *)
-
-val digest_of : prefix_digest:int -> Consensus.Value.t list list -> int
-(** Fold the prefix digest over retained batches, oldest first — the
-    [O(retained)] walk the log-mode read path pays per read and the
-    snapshot build pays once. *)
 
 val build :
   version:int ->
   base:int ->
   ops:int ->
-  prefix_digest:int ->
+  digest:int ->
   batches:Consensus.Value.t list list ->
   tick:int ->
   t
+(** Assemble a snapshot from values the replica already holds: no
+    fold, O(1). [log_len] is [version - base]; [tick] becomes
+    [built_at]. *)
 
 (** One-cell snapshot store with a lock-free keep-newest swap: any
     number of reading domains, any number of publishing domains. *)

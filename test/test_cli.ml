@@ -544,6 +544,22 @@ let bad_flags =
     ( [ "serve"; "--publish-every"; "0" ],
       2,
       "serve: Load: publish_every must be >= 1" );
+    (* sizes that would exhaust memory or never finish building *)
+    ( [ "serve"; "--reads"; "1000000000000" ],
+      2,
+      "serve: Load: reads must be <= 1000000000" );
+    ( [ "serve"; "--slots"; "1000000000000" ],
+      2,
+      "serve: Load: target_slots must be <= 1000000" );
+    ( [ "serve"; "--slots"; "100000000000000000" ],
+      2,
+      "serve: Load: target_slots must be <= 1000000" );
+    ( [ "serve"; "--clients"; "1000000000000" ],
+      2,
+      "serve: Load: clients must be <= 10000000" );
+    ( [ "serve"; "--clients"; "10000000"; "--slots"; "1000000" ],
+      2,
+      "serve: Load: 10000000 clients x 2 commands exceeds 10000000 commands" );
     (* process counts beyond Pset, or below two *)
     ([ "mc"; "-n"; "70" ], 124, n_range);
     ([ "fuzz"; "-n"; "70" ], 124, n_range);

@@ -336,24 +336,20 @@ let test_load_ring_parallel_safety () =
 (* Snapshot: digests, the store, staleness                           *)
 (* ---------------------------------------------------------------- *)
 
+(* [build] copies the replica's running digest and folds nothing;
+   test_smr pins that digest against the fold over the batches. *)
 let test_snapshot_digest () =
-  let mix = Snapshot.mix in
-  Alcotest.(check int) "digest folds batches in order"
-    (mix (mix (mix 17 1) 2) 3)
-    (Snapshot.digest_of ~prefix_digest:17 [ [ 1; 2 ]; [ 3 ] ]);
   let s =
-    Snapshot.build ~version:5 ~base:2 ~ops:4 ~prefix_digest:17
-      ~batches:[ [ 1; 2 ]; [ 3 ] ] ~tick:99
+    Snapshot.build ~version:5 ~base:2 ~ops:4 ~digest:17
+      ~batches:[ [ 1; 2 ]; [ 3 ]; [ Smr.noop ] ]
+      ~tick:99
   in
-  Alcotest.(check int) "build digest = digest_of"
-    (Snapshot.digest_of ~prefix_digest:17 [ [ 1; 2 ]; [ 3 ] ])
-    s.Snapshot.digest;
-  Alcotest.(check int) "log_len counts batches" 2 s.Snapshot.log_len;
+  Alcotest.(check int) "build keeps the digest" 17 s.Snapshot.digest;
+  Alcotest.(check int) "log_len = version - base" 3 s.Snapshot.log_len;
   Alcotest.(check int) "built_at" 99 s.Snapshot.built_at
 
 let snap v =
-  Snapshot.build ~version:v ~base:0 ~ops:v ~prefix_digest:0 ~batches:[]
-    ~tick:v
+  Snapshot.build ~version:v ~base:v ~ops:v ~digest:0 ~batches:[] ~tick:v
 
 let test_store_keep_newest () =
   let st = Snapshot.Store.make () in

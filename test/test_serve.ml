@@ -176,6 +176,53 @@ let test_retire_decided_everywhere () =
         (o.Load.o_max_open <= open_bound))
     [ 0; 1; 2; 3; 4; 5 ]
 
+(* [Load.percentile] against the method it replaced: expand every
+   (value, weight) pair into [weight] copies, sort, and index the rank
+   [ceil (q * m) - 1], clamped. Values come from a small set, so ties
+   are common. *)
+let expanded_percentile pairs q =
+  let a =
+    Array.of_list (List.concat_map (fun (v, w) -> List.init w (fun _ -> v)) pairs)
+  in
+  Array.sort compare a;
+  let m = Array.length a in
+  if m = 0 then 0.
+  else
+    let rank = int_of_float (ceil (q *. float_of_int m)) - 1 in
+    a.(max 0 (min (m - 1) rank))
+
+let quantiles = [ 0.; 0.5; 0.99; 1. ]
+
+let test_percentile_qcheck =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"percentile = sorted expansion" ~count:1000
+       QCheck.(
+         pair
+           (small_list
+              (pair (map (fun k -> float_of_int k /. 4.) (int_bound 6)) (int_bound 5)))
+           (oneof [ oneofl quantiles; float_bound_inclusive 1. ]))
+       (fun (pairs, q) -> Load.percentile pairs q = expanded_percentile pairs q))
+
+let test_percentile_cases () =
+  let check name pairs expected =
+    List.iter2
+      (fun q e ->
+        Alcotest.(check (float 0.)) (Printf.sprintf "%s, q = %g" name q) e
+          (Load.percentile pairs q);
+        Alcotest.(check (float 0.))
+          (Printf.sprintf "%s, q = %g, expansion" name q)
+          e (expanded_percentile pairs q))
+      quantiles expected
+  in
+  check "empty" [] [ 0.; 0.; 0.; 0. ];
+  check "one chunk" [ (2.5, 7) ] [ 2.5; 2.5; 2.5; 2.5 ];
+  (* expansion [1; 1; 1; 2; 3] *)
+  check "ties" [ (3., 1); (1., 2); (2., 1); (1., 1) ] [ 1.; 1.; 3.; 3. ];
+  (* 100 gaps of weight 1: p99 is the 99th smallest *)
+  check "unit weights"
+    (List.init 100 (fun i -> (float_of_int (100 - i), 1)))
+    [ 1.; 50.; 99.; 100. ]
+
 let () =
   Alcotest.run "serve"
     [
@@ -194,5 +241,7 @@ let () =
             test_instances_bounded;
           Alcotest.test_case "instances retire once decided everywhere"
             `Quick test_retire_decided_everywhere;
+          test_percentile_qcheck;
+          Alcotest.test_case "percentile cases" `Quick test_percentile_cases;
         ] );
     ]

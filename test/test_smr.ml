@@ -456,6 +456,106 @@ let test_smr_over_stack () =
       (List.for_all (fun l -> trunc l = trunc l0) rest)
   | [] -> Alcotest.fail "no live replicas"
 
+(* The running full-log digest, pinned against the fold it replaces:
+   at every round boundary of a random tuning, seed and crash, every
+   replica's [log_digest] is [Snapshot.mix] folded from its
+   compacted-prefix digest over its retained batches, a snapshot
+   carries that digest, and its [log_len] is the retained slot count.
+   At most six commands against an eight-slot target, so every run
+   that reaches the target applies noop slots, whose [[noop]] batch
+   the fold counts. *)
+type digest_case = {
+  batch : int;
+  retain : int;
+  pipeline : int;
+  seed : int;
+  crash : (Pid.t * int) option;
+  sizes : int list;  (** commands per replica *)
+}
+
+let digest_case =
+  let open QCheck.Gen in
+  let gen =
+    let* batch = int_range 1 4 in
+    let* retain = int_range 1 8 in
+    let* pipeline = int_range 1 3 in
+    let* seed = int_bound 10_000 in
+    let* crash = opt (pair (int_bound 2) (int_bound 1_200)) in
+    let* sizes = list_repeat 3 (int_bound 2) in
+    return { batch; retain; pipeline; seed; crash; sizes }
+  in
+  let print c =
+    Printf.sprintf "batch %d, retain %d, pipeline %d, seed %d, crash %s, sizes [%s]"
+      c.batch c.retain c.pipeline c.seed
+      (match c.crash with
+      | None -> "none"
+      | Some (p, t) -> Printf.sprintf "p%d at %d" p t)
+      (String.concat "; " (List.map string_of_int c.sizes))
+  in
+  QCheck.make ~print gen
+
+let running_digest_holds c =
+  let module S =
+    Smr.Make_tuned
+      (struct
+        let batch = c.batch
+        let pipeline = c.pipeline
+        let window = max_int
+        let retain = c.retain
+        let horizon = 8
+      end)
+      (struct
+        include Core.Anuc
+
+        let decision = Core.Anuc.decision
+      end)
+  in
+  let module Rt = Sim.Runner.Make (S) in
+  let n = 3 in
+  let pattern =
+    Sim.Failure_pattern.make ~n ~crashes:(Option.to_list c.crash)
+  in
+  let oracle =
+    Fd.Oracle.pair
+      (Fd.Oracle.omega ~seed:c.seed pattern)
+      (Fd.Oracle.sigma_nu_plus ~seed:c.seed pattern)
+  in
+  let check p st tick =
+    let fold =
+      List.fold_left (List.fold_left Snapshot.mix) (S.snapshot_digest st)
+        (S.batches st)
+    in
+    let snap = S.snapshot st ~tick in
+    let fail what =
+      QCheck.Test.fail_reportf "p%d at tick %d (%d slots, base %d): %s" p
+        tick (S.slots_decided st) (S.log_base st) what
+    in
+    if S.log_digest st <> fold then fail "log_digest <> reference fold";
+    if snap.Snapshot.digest <> S.log_digest st then
+      fail "snapshot digest <> log_digest";
+    if
+      snap.Snapshot.log_len <> snap.Snapshot.version - snap.Snapshot.base
+      || snap.Snapshot.log_len <> List.length (S.batches st)
+    then fail "log_len <> version - base <> retained slots"
+  in
+  let correct = Sim.Failure_pattern.correct pattern in
+  let run =
+    Rt.exec ~seed:c.seed ~record:false ~pattern ~fd:oracle.Fd.Oracle.query
+      ~inputs:(fun p -> List.init (List.nth c.sizes p) (fun k -> 1 + p + (n * k)))
+      ~max_steps:30_000
+      ~stop:(fun st t ->
+        List.iter (fun p -> check p (st p) t) (Pid.all ~n);
+        Pset.for_all (fun p -> S.slots_decided (st p) >= 8) correct)
+      ()
+  in
+  List.iter (fun p -> check p run.Rt.states.(p) run.Rt.step_count) (Pid.all ~n);
+  true
+
+let test_running_digest =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"running digest = fold over stored batches"
+       ~count:100 digest_case running_digest_holds)
+
 let () =
   Alcotest.run "smr"
     [
@@ -478,5 +578,6 @@ let () =
           Alcotest.test_case "lagging replica catches up" `Quick
             test_smr_lagging_replica;
           Alcotest.test_case "over the full stack" `Slow test_smr_over_stack;
+          test_running_digest;
         ] );
     ]

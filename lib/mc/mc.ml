@@ -456,8 +456,21 @@ module Make (A : Sim.Automaton.S) = struct
      (ints, options, Pset bitsets, Maps), so polymorphic structural
      equality and hashing are sound here. Shape differences between
      structurally different but extensionally equal Maps only cost
-     dedup hits, never soundness. *)
-  let config_equal a b = a.states = b.states && a.chans = b.chans
+     dedup hits, never soundness. Equality goes slot by slot and skips
+     physically equal slots: [apply] shares every slot it does not
+     touch, and polymorphic [=] never short-circuits on [==], so
+     comparing a child with its parent walks only what the move
+     changed. *)
+  let slots_equal a b =
+    let len = Array.length a in
+    let rec go i =
+      i = len || ((a.(i) == b.(i) || a.(i) = b.(i)) && go (i + 1))
+    in
+    a == b || (len = Array.length b && go 0)
+
+  let config_equal a b =
+    slots_equal a.states b.states && slots_equal a.chans b.chans
+
   let config_hash c = Hashtbl.hash_param 150 600 c
 
   (* -------------------------------------------------------------- *)
@@ -787,6 +800,20 @@ module Make (A : Sim.Automaton.S) = struct
       sends;
     { states; chans }
     end
+
+  (* A drop, or a delivery from another process, shortens the channel
+     it consumes from, and a step only appends to the stepper's own
+     outgoing channels: such a move always changes the configuration.
+     Only a lambda or a self-delivery can leave it unchanged, so only
+     those compare [child = apply ~n cfg mv] with [cfg]. *)
+  let may_self_loop mv =
+    (not mv.m_drop)
+    &&
+    match mv.m_recv with
+    | None -> true
+    | Some (src, _) -> Pid.equal src mv.m_pid
+
+  let is_self_loop cfg mv child = may_self_loop mv && config_equal child cfg
 
   (* -------------------------------------------------------------- *)
   (* Exploration                                                     *)
@@ -1365,17 +1392,7 @@ module Make (A : Sim.Automaton.S) = struct
             else begin
               let child = apply ~n cfg mv in
               incr transitions.(w);
-              (* [apply] shares [chans] physically exactly when the
-                 move neither consumed nor sent, and copies [states]
-                 touching only slot [m_pid] — so the self-loop test
-                 compares one state slot on that fast path instead of
-                 the whole config *)
-              let is_self_loop =
-                if child.chans == cfg.chans then
-                  child.states.(mv.m_pid) = cfg.states.(mv.m_pid)
-                else child.states = cfg.states && child.chans = cfg.chans
-              in
-              if is_self_loop then begin
+              if is_self_loop cfg mv child then begin
                 (* self-loop (e.g. a lambda step whose detector value
                    unlocks nothing): no new state, and every move
                    enabled at the child is enabled here — skip *)
@@ -1619,6 +1636,8 @@ module Make (A : Sim.Automaton.S) = struct
     let initial = initial_config
     let state cfg p = cfg.states.(p)
     let equal = config_equal
+    let self_loop ~n cfg mv =
+      may_self_loop mv && config_equal (apply ~n cfg mv) cfg
     let key cfg = config_hash cfg
     let enabled = moves_of
 

@@ -399,8 +399,18 @@ module Make (A : Sim.Automaton.S) : sig
     val state : config -> Pid.t -> A.state
 
     val equal : config -> config -> bool
-    (** Structural equality — in particular [equal (apply cfg mv) cfg]
-        detects a self-loop move. *)
+    (** Structural equality, compared slot by slot (per-process state,
+        per-channel queue) and skipping physically equal slots, which
+        {!apply} shares whenever the move leaves them alone. *)
+
+    val self_loop : n:int -> config -> move -> bool
+    (** [self_loop ~n cfg mv] iff [equal (apply ~n cfg mv) cfg]: the
+        move leaves the configuration unchanged. A drop, or a delivery
+        from another process, shortens its channel while a step only
+        appends to the stepper's own outgoing channels, so for those
+        it answers [false] without applying the move; only a lambda or
+        a self-delivery is applied and compared. The move must be
+        {!applicable}. The same rule decides {!run}'s [self_loops]. *)
 
     val key : config -> int
     (** The canonical-state hash (the one memoization buckets on);

@@ -280,6 +280,34 @@ let test_packed_round_trip_any_qcheck =
        ~count:60 QCheck.small_nat
        (round_trip_walk ~delivery:`Any ~menu:any_lossy_menu ~lossy:true))
 
+(* [Space.self_loop] and [Space.equal] at every config a walk visits,
+   for every move enabled there ([Tutil.self_loop_rule_holds]). The
+   three walks reach lambda steps, off-head receives, drops and
+   self-sends, so both sides of the rule are exercised. *)
+let self_loop_rule_walk ?(delivery = `Fifo) ~menu ~lossy seed =
+  let menus = Array.init n (fun p -> menu.Mc.Menu.values p) in
+  let root, moves = walk ~delivery ~menu ~lossy ~steps:25 seed in
+  List.for_all
+    (fun cfg ->
+      Tutil.self_loop_rule_holds
+        ~self_loop:(M_anuc.Space.self_loop ~n)
+        ~equal:M_anuc.Space.equal ~apply:(M_anuc.Space.apply ~n) cfg
+        (M_anuc.Space.enabled ~n ~delivery ~lossy ~menus cfg))
+    (root :: List.map (fun (_, _, child) -> child) moves)
+
+let test_self_loop_rule_qcheck =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"self_loop and equal agree with apply and (=)"
+       ~count:40 QCheck.small_nat (fun seed ->
+         self_loop_rule_walk
+           ~menu:(Mc.Menu.contamination ~plus:true ~n ~faulty ())
+           ~lossy:false seed
+         && self_loop_rule_walk
+              ~menu:(Mc.Menu.lossy ~plus:true ~n ~faulty ())
+              ~lossy:true seed
+         && self_loop_rule_walk ~delivery:`Any ~menu:any_lossy_menu
+              ~lossy:true seed))
+
 (* Queue length of channel [c], read back from a packed key's layout. *)
 let packed_chan_len key c =
   let pos = ref 0 in
@@ -607,6 +635,7 @@ let () =
             test_packed_injective;
           Alcotest.test_case "garbage bytes rejected" `Quick
             test_packed_decode_rejects_garbage;
+          test_self_loop_rule_qcheck;
         ] );
       ( "collisions",
         [

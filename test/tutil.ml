@@ -461,3 +461,14 @@ let check_mc_pin ~tag (verdict_clean, states, decided) ~violated
     (verdict_clean, states, decided)
     (not violated, s.Mc.distinct_states, s.Mc.decided_leaves);
   Alcotest.(check bool) (tag "not truncated") false s.Mc.truncated
+
+(* The self-loop rule at one configuration, for every move in [moves]:
+   [self_loop] answers what applying the move and comparing answers,
+   and [equal] answers what polymorphic [=] does on that pair. *)
+let self_loop_rule_holds ~self_loop ~equal ~apply cfg moves =
+  List.for_all
+    (fun mv ->
+      let child = apply cfg mv in
+      let same = equal child cfg in
+      self_loop cfg mv = same && same = (child = cfg))
+    moves

@@ -598,13 +598,13 @@ let run_fuzz target n t runs sampler swarm shrink seed delivery max_steps
 
 (* Closed-loop clients over the replicated log: always one run on the
    deterministic simulator (the replayable reference), plus one on the
-   concurrent executor when --jobs > 1, --transport ring, or a read
-   workload is requested. Exits 1 if any run shows divergent
-   live-replica logs, misses its slot target, or serves a snapshot
-   read staler than the declared bound — the same gates the
-   serve-smoke CI job relies on. *)
+   concurrent executor when --jobs > 1 or a read workload is
+   requested. Exits 1 if any run shows divergent live-replica logs,
+   misses its slot target, or serves a snapshot read staler than the
+   declared bound — the same gates the serve-smoke CI job relies
+   on. *)
 let run_serve n clients slots batch window pipeline compaction jobs seed
-    transport reads read_mode publish_every max_steps json =
+    reads read_mode publish_every max_steps json =
   (* [Load.check] rejects clients < 1 below *)
   let commands_per_client =
     max 2 (((2 * batch * slots) + clients - 1) / max 1 clients)
@@ -624,7 +624,6 @@ let run_serve n clients slots batch window pipeline compaction jobs seed
       max_steps;
       seed;
       continuous_check = true;
-      transport;
       reads;
       read_mode;
       publish_every;
@@ -636,11 +635,8 @@ let run_serve n clients slots batch window pipeline compaction jobs seed
     pf "serve: %s@." msg;
     exit 2);
   pf "serve: n=%d clients=%d slots=%d batch=%d window=%d pipeline=%d \
-      compaction=%d seed=%d transport=%s reads=%d read-mode=%s \
-      publish-every=%d@."
-    n clients slots batch window pipeline compaction seed
-    (Sim.Executor.transport_name transport)
-    reads
+      compaction=%d seed=%d reads=%d read-mode=%s publish-every=%d@."
+    n clients slots batch window pipeline compaction seed reads
     (Load.read_mode_name read_mode)
     publish_every;
   let b10 = Experiments.b10_spec and b14 = Experiments.b14_spec in
@@ -650,14 +646,11 @@ let run_serve n clients slots batch window pipeline compaction jobs seed
   pf "%a@." (Report.Table.pp_row b10) (List.hd !rows);
   let outcomes = ref [ sim_out ] in
   let b14_rows = ref [] in
-  if jobs > 1 || transport <> Sim.Executor.Mutex || reads > 0 then begin
+  if jobs > 1 || reads > 0 then begin
     let exec_out = Load.run_exec ~jobs cfg in
     let row =
-      Experiments.b10_row
-        ~substrate:
-          (Printf.sprintf "exec(j=%d,%s)" jobs
-             (Sim.Executor.transport_name transport))
-        cfg exec_out
+      Experiments.b10_row ~substrate:(Printf.sprintf "exec(j=%d)" jobs) cfg
+        exec_out
     in
     pf "%a@." (Report.Table.pp_row b10) row;
     rows := !rows @ [ row ];
@@ -1183,19 +1176,6 @@ let serve_cmd =
              concurrent executor with that many domains (the simulator \
              reference always runs).")
   in
-  let transport =
-    Arg.(
-      value
-      & opt
-          (enum [ ("mutex", Sim.Executor.Mutex); ("ring", Sim.Executor.Ring) ])
-          Sim.Executor.Mutex
-      & info [ "transport" ] ~docv:"T"
-          ~doc:
-            "Executor transport: $(b,mutex) (a lock per mailbox — the \
-             differential oracle) or $(b,ring) (lock-free bounded MPSC \
-             rings with an overflow side-queue). Any value other than \
-             $(b,mutex) forces an executor run even at --jobs 1.")
-  in
   let reads =
     Arg.(
       value & opt int 0
@@ -1249,7 +1229,7 @@ let serve_cmd =
           (state-machine replication on nonuniform consensus)")
     Term.(
       const run_serve $ serve_n $ clients $ slots $ batch $ window $ pipeline
-      $ compaction $ serve_jobs $ seed_arg $ transport $ reads $ read_mode
+      $ compaction $ serve_jobs $ seed_arg $ reads $ read_mode
       $ publish_every $ max_steps $ json)
 
 let main_cmd =

@@ -75,12 +75,3 @@ let check flavour o =
   let* () = check_termination o in
   let* () = check_validity o in
   check_agreement flavour o
-
-let decided_value o =
-  let correct = Sim.Failure_pattern.correct o.pattern in
-  Pset.fold
-    (fun p acc ->
-      match acc with
-      | Some _ -> acc
-      | None -> if Pset.mem p correct then o.decisions.(p) else None)
-    correct None

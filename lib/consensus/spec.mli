@@ -37,6 +37,3 @@ val check_agreement : flavour -> outcome -> (unit, string) result
 
 val check : flavour -> outcome -> (unit, string) result
 (** All three properties; the first violation is reported. *)
-
-val decided_value : outcome -> Value.t option
-(** The decision of the smallest decided correct process, if any. *)

@@ -68,14 +68,10 @@ end
 (* Mechanism switches, for the ablation study: the full algorithm
    enables both. Disabling either loses the corresponding safety
    guarantee (Section 6.3 / Lemmas 6.24-6.25) and exists purely so the
-   experiments can demonstrate that loss. [quorum_guard] optionally
-   restricts which detector-supplied quorums a process will use to a
-   structural quorum family; [None] (all named instances) is the
-   paper's algorithm, byte-identical to pre-family releases. *)
+   experiments can demonstrate that loss. *)
 module type CONFIG = sig
   val use_distrust : bool
   val use_awareness : bool
-  val quorum_guard : Quorum_family.t option
   val variant_name : string
 end
 
@@ -178,17 +174,6 @@ module Make (C : CONFIG) = struct
 
   let distrusts ~self ~n st q = Qhist.distrusts ~self ~n st.hist q
 
-  (* Guarded waits refuse non-family quorums exactly as they refuse
-     empty ones: stay in the loop and re-read the detector. Safety is
-     unaffected (a skipped wait decides nothing); liveness is kept by
-     family-matched oracles, whose post-stabilization quorums at
-     correct processes are family quorums (Sigma-nu+ adds the owner,
-     and families are monotone). *)
-  let guard_ok ~n q =
-    match C.quorum_guard with
-    | None -> true
-    | Some fam -> Quorum_family.is_quorum fam ~n q
-
   (* Advance the round machine as far as received messages allow. *)
   let rec advance ~n ~self st d sends =
     match st.phase with
@@ -215,7 +200,6 @@ module Make (C : CONFIG) = struct
       let inner = store_round st.k st.reps in
       if
         Pset.is_empty q
-        || (not (guard_ok ~n q))
         || not (Pset.for_all (fun m -> Imap.mem m inner) q)
       then (st, sends)
       else
@@ -236,7 +220,6 @@ module Make (C : CONFIG) = struct
       let inner = store_round st.k st.props in
       if
         Pset.is_empty q
-        || (not (guard_ok ~n q))
         || not (Pset.for_all (fun m -> Imap.mem m inner) q)
       then (st, sends)
       else begin
@@ -334,7 +317,6 @@ end
 module Full = Make (struct
   let use_distrust = true
   let use_awareness = true
-  let quorum_guard = None
   let variant_name = "A_nuc"
 end)
 
@@ -343,28 +325,17 @@ include (Full : S with type message := message)
 module Without_distrust = Make (struct
   let use_distrust = false
   let use_awareness = true
-  let quorum_guard = None
   let variant_name = "A_nuc[-distrust]"
 end)
 
 module Without_awareness = Make (struct
   let use_distrust = true
   let use_awareness = false
-  let quorum_guard = None
   let variant_name = "A_nuc[-awareness]"
 end)
 
 module Without_both = Make (struct
   let use_distrust = false
   let use_awareness = false
-  let quorum_guard = None
   let variant_name = "A_nuc[-distrust,-awareness]"
 end)
-
-let with_family fam : (module S) =
-  (module Make (struct
-    let use_distrust = true
-    let use_awareness = true
-    let quorum_guard = Some fam
-    let variant_name = Printf.sprintf "A_nuc[%s]" (Quorum_family.name fam)
-  end))

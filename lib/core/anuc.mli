@@ -84,16 +84,3 @@ module Without_awareness : S
 module Without_both : S
 (** Both mechanisms off — the naive Sigma-nu substitution expressed in
     the [A_nuc] skeleton. *)
-
-val with_family : Procset.Quorum_family.t -> (module S)
-(** The full algorithm with a structural quorum guard: a wait only
-    completes on a detector quorum that is also a quorum of the given
-    {!Procset.Quorum_family} (non-family quorums are treated like
-    empty ones — the process stays in the wait and re-reads the
-    detector). Safety is that of [A_nuc] regardless of family;
-    liveness requires a family-matched oracle
-    ([Fd.Oracle.sigma_nu_plus_family] with the same family), whose
-    post-stabilization quorums at correct processes pass the guard by
-    monotonicity. The unguarded instances correspond to
-    [quorum_guard = None] and are byte-identical to pre-family
-    releases. *)

@@ -56,5 +56,3 @@ let decision st = Anuc.decision st.c
 let decision_round st = Anuc.decision_round st.c
 let round st = Anuc.round st.c
 let emulated_quorum st = T_sigma_plus.output st.t
-let anuc_state st = st.c
-let transform_state st = st.t

@@ -32,9 +32,3 @@ val round : state -> int
 val emulated_quorum : state -> Procset.Pset.t
 (** The Sigma-nu+ quorum currently emulated by the transformation
     layer — what [A_nuc] sees as its quorum module. *)
-
-val anuc_state : state -> Anuc.state
-(** The consensus component's state (diagnostics). *)
-
-val transform_state : state -> T_sigma_plus.state
-(** The transformation component's state (diagnostics). *)

@@ -115,5 +115,4 @@ let pp_message = Dag.pp
 let equal_message = Adag.Algorithm.equal_message
 let output st = st.out
 let dag st = st.core.Adag.Core.g
-let sample_count st = st.core.Adag.Core.k
 let extractions st = st.extraction_count

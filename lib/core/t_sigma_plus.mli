@@ -31,9 +31,6 @@ val output : state -> Procset.Pset.t
 val dag : state -> Dagsim.Dag.t
 (** The current DAG of samples [G_p] (diagnostics). *)
 
-val sample_count : state -> int
-(** The sample counter [k_p]. *)
-
 val extractions : state -> int
 (** How many quorums this process has output so far. *)
 

@@ -2068,11 +2068,10 @@ let b13_quorum_table ?(quick = false) ?(seed_base = 0) () =
   List.map (fun (fam, n, t) -> b13_measure fam ~n ~t ~seeds) b13_configs
 
 (* ---------------------------------------------------------------- *)
-(* B14: ring transport + snapshot reads                              *)
+(* B14: the read path on the ring transport                         *)
 (* ---------------------------------------------------------------- *)
 
 type b14_row = {
-  b14_transport : string;
   b14_read_mode : string;
   b14_jobs : int;
   b14_slots : int;
@@ -2096,7 +2095,6 @@ let b14_spec =
   Report.Table.(
     make
       [
-        str "transport" "transp" 6 (fun r -> r.b14_transport);
         str "read_mode" "reads" 8 (fun r -> r.b14_read_mode);
         int "jobs" "jobs" 4 (fun r -> r.b14_jobs);
         int "slots" "slots" 5 (fun r -> r.b14_slots);
@@ -2120,7 +2118,6 @@ let b14_spec =
 
 let b14_row ~jobs cfg (o : Load.outcome) =
   {
-    b14_transport = Sim.Executor.transport_name cfg.Load.transport;
     b14_read_mode = Load.read_mode_name cfg.Load.read_mode;
     b14_jobs = jobs;
     b14_slots = o.Load.o_slots;
@@ -2140,11 +2137,11 @@ let b14_row ~jobs cfg (o : Load.outcome) =
     b14_stale_ok = o.Load.o_stale_max <= o.Load.o_stale_bound;
   }
 
-let b14_config ~transport ~read_mode ~reads ~target_slots ~max_steps =
+let b14_config ~read_mode ~reads ~target_slots ~max_steps =
   let base =
     b10_config ~clients:64 ~batch:1 ~target_slots ~max_steps
   in
-  { base with Load.transport; read_mode; reads; publish_every = 8 }
+  { base with Load.read_mode; reads; publish_every = 8 }
 
 let b14_ring_table ?(quick = false) () =
   let jobs_grid = if quick then [ 1 ] else [ 1; 2 ] in
@@ -2153,17 +2150,11 @@ let b14_ring_table ?(quick = false) () =
   let reads = if quick then 2_000 else 20_000 in
   List.concat_map
     (fun jobs ->
-      List.concat_map
-        (fun transport ->
-          List.map
-            (fun read_mode ->
-              let cfg =
-                b14_config ~transport ~read_mode ~reads ~target_slots
-                  ~max_steps
-              in
-              b14_row ~jobs cfg (Load.run_exec ~jobs cfg))
-            [ Load.Read_log; Load.Read_snapshot ])
-        [ Sim.Executor.Mutex; Sim.Executor.Ring ])
+      List.map
+        (fun read_mode ->
+          let cfg = b14_config ~read_mode ~reads ~target_slots ~max_steps in
+          b14_row ~jobs cfg (Load.run_exec ~jobs cfg))
+        [ Load.Read_log; Load.Read_snapshot ])
     jobs_grid
 
 
@@ -2449,8 +2440,8 @@ let sections =
       (fun ~smoke -> b13_quorum_table ~quick:smoke ())
       b13_spec;
     table "b14_ring"
-      "B14: the serving workload across {mutex, ring} transports x {log, \
-       snapshot} read modes on the concurrent executor — lock_ops / \
+      "B14: the serving workload across {log, snapshot} read modes on the \
+       concurrent executor and its lock-free ring transport — lock_ops / \
        cas_retries / sync_ops are the contention story (the ring locks only \
        on overflow spills; sharded counters sync per round, not per step); \
        ok needs no divergence and stale_max within the declared bound"

@@ -474,7 +474,6 @@ val b13_quorum_table : ?quick:bool -> ?seed_base:int -> unit -> b13_row list
     [quick] cuts the seed list from 20 to 6. *)
 
 type b14_row = {
-  b14_transport : string;  (** ["mutex"] or ["ring"] *)
   b14_read_mode : string;  (** ["log"] or ["snapshot"] *)
   b14_jobs : int;
   b14_slots : int;  (** slots decided at the reference replica *)
@@ -495,7 +494,7 @@ type b14_row = {
   b14_divergent : bool;  (** must be false *)
   b14_stale_ok : bool;  (** [stale_max <= stale_bound] — must be true *)
 }
-(** One row of the ring-vs-mutex / snapshot-vs-log serving matrix. *)
+(** One row of the snapshot-vs-log serving matrix. *)
 
 val b14_spec : b14_row Report.Table.t
 (** Shared by [bench] and [nuc_cli serve]; the text [ok] column is
@@ -506,7 +505,6 @@ val b14_row : jobs:int -> Load.config -> Load.outcome -> b14_row
     [nuc_cli serve] so CLI rows match bench rows). *)
 
 val b14_config :
-  transport:Sim.Executor.transport ->
   read_mode:Load.read_mode ->
   reads:int ->
   target_slots:int ->
@@ -517,13 +515,13 @@ val b14_config :
 
 val b14_ring_table : ?quick:bool -> unit -> b14_row list
 (** B14: the serving workload on the concurrent executor across
-    \{mutex, ring\} transports x \{log, snapshot\} read modes x jobs
-    (\[1\] quick, \[1; 2\] full). The contention columns are the
-    point: at any job count the ring's [lock_ops] collapses to its
-    overflow spills (the mutex backend pays one per send/recv probe)
-    and [sync_ops] counts rounds, not steps — honest single-core
-    evidence that the hot path gave up its shared atomics. Snapshot
-    rows must show [stale_ok] under the declared bound. *)
+    \{log, snapshot\} read modes x jobs (\[1\] quick, \[1; 2\]
+    full). The contention columns are the point: at any job count
+    the ring's [lock_ops] is only its overflow spills (0 on this
+    crash-free workload) and [sync_ops] counts rounds, not steps —
+    honest single-core evidence that the hot path holds no lock and
+    no shared per-step atomic. Snapshot rows must show [stale_ok]
+    under the declared bound. *)
 
 val metrics_spec : Sim.Runner.metrics Report.Table.t
 (** The [run_metrics] object: the counters of one instrumented

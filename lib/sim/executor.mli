@@ -15,13 +15,11 @@
     executor's own bookkeeping adds no shared-cache contention to the
     hot path ({!outcome.sync_ops} counts what remains).
 
-    Two transports are available behind {!Transport.CONCURRENT}:
-    the mutex-per-mailbox {!Transport.Concurrent} (the differential
-    oracle; supports every fault spec) and the lock-free
-    {!Transport.Ring} (CAS producers into bounded MPSC rings;
-    rejects reorder specs). With [jobs = 1] both yield the same
-    deterministic schedule, which is what the transport-equivalence
-    battery pins.
+    Messages travel over the lock-free {!Transport.Ring} (CAS
+    producers into bounded MPSC rings, consumer-side reordering), which
+    supports every fault spec. With [jobs = 1] the schedule is
+    sequential and deterministic; test_ring pins served runs at
+    [jobs = 1], and pins the transport against {!Transport.Simulated}.
 
     Determinism boundary (DESIGN.md §5e): per-message fault verdicts
     are pure hashes of [(seed, src, dst, seq, time)] exactly as in the
@@ -40,12 +38,9 @@
     neither spins a core nor miscounts: its [step_count] stays
     exact. *)
 
-type transport = Mutex | Ring  (** which {!Transport.CONCURRENT} backend *)
-
-val transport_name : transport -> string
-(** ["mutex"] / ["ring"] — the CLI spellings. *)
-
-val transport_of_string : string -> transport option
+type transport = Ring
+(** The only backend, {!Transport.Ring}. Kept, with [exec]'s ignored
+    [?transport] argument, because [perf/serve.ml] still names both. *)
 
 module Make (A : Automaton.S) : sig
   type outcome = {
@@ -86,11 +81,11 @@ module Make (A : Automaton.S) : sig
 
       [jobs] (default {!Pool.default_jobs}) is the domain count;
       [jobs <= 1] runs every slice inline on the calling domain — a
-      sequential but still slice-interleaved schedule, identical for
-      both transports on fault specs both support. [shards] (default
-      [jobs], clamped to [\[1, n\]]) is the number of replica groups
-      domains claim as units. [transport] (default [Mutex]) selects
-      the backend; [capacity] is the ring's per-mailbox capacity.
+      sequential but still slice-interleaved schedule, a pure function
+      of the arguments. [shards] (default [jobs], clamped to
+      [\[1, n\]]) is the number of replica groups domains claim as
+      units. [transport] is ignored. [capacity] is the ring's
+      per-mailbox capacity.
       [slice] (default 64) is how many consecutive steps one process
       takes per round; smaller slices interleave more finely at more
       synchronization cost. [lambda_every] (default 8) forces every
@@ -100,6 +95,5 @@ module Make (A : Automaton.S) : sig
       processes ([pattern]) take no further steps from their crash
       tick onward. [fd p t] must be safe to call from any domain
       ({!Fd.Oracle} queries are pure, so oracles qualify).
-      @raise Invalid_argument on a bad [slice]/[lambda_every], or a
-      fault spec the chosen transport rejects. *)
+      @raise Invalid_argument on a bad [slice]/[lambda_every]. *)
 end

@@ -72,17 +72,16 @@ val is_empty : 'a t -> bool
 val to_list : 'a t -> 'a list
 (** Contents oldest-first {e per producer} (ring first, then
     overflow). Call only when no producer is active — a post-join
-    drain, exactly like {!Transport.Concurrent.undelivered}. Does not
-    modify the ring. *)
+    drain, as {!Transport.Ring.undelivered} does. Does not modify the
+    ring. *)
 
 val cas_retries : 'a t -> int
 (** Failed tail-CAS attempts plus stale-tail re-reads — the ring's
     contention counter. 0 in any single-domain run. *)
 
 val lock_ops : 'a t -> int
-(** Overflow-mutex acquisitions (push and pop sides). The mutex
-    backend pays one of these per send {e and} per receive; the ring
-    pays them only on overflow — the contention gap B14 measures. *)
+(** Overflow-mutex acquisitions (push and pop sides): the ring's only
+    locks, paid only on overflow. B14 reports them. *)
 
 val overflows : 'a t -> int
 (** Pushes that spilled to the overflow queue. *)

@@ -19,22 +19,21 @@ type stats = {
   cas_retries : int;
 }
 
-module type CONCURRENT = sig
-  type 'a t
-
-  val create :
-    ?who:string -> ?capacity:int -> n:int -> faults:Faults.t -> unit -> 'a t
-
-  val send : 'a t -> src:Pid.t -> (Pid.t * 'a) list -> unit
-  val recv : 'a t -> Pid.t -> 'a Envelope.t option
-  val now : 'a t -> int
-  val tick : 'a t -> int
-  val n : 'a t -> int
-  val depth : 'a t -> Pid.t -> int
-  val note_delivered : 'a t -> unit
-  val undelivered : 'a t -> 'a Envelope.t list
-  val stats : 'a t -> stats
-end
+(* Queue [env] [displace] places short of [box]'s tail, as a reorder
+   verdict asks; true when it lands ahead of queued messages. Both
+   transports place arrivals with it, [Simulated] at send time and
+   [Ring] when the receiver drains its ring. *)
+let place box env ~displace =
+  let len = Mailbox.length box in
+  let at = max 0 (len - displace) in
+  if at < len then begin
+    Mailbox.insert_nth box at env;
+    true
+  end
+  else begin
+    Mailbox.enqueue box env;
+    false
+  end
 
 module Simulated = struct
   type 'a t = {
@@ -87,13 +86,8 @@ module Simulated = struct
         if v.Faults.copies = 0 then t.s_dropped <- t.s_dropped + 1
         else begin
           let buf = t.buffers.(dst) in
-          let len = Mailbox.length buf in
-          let at = max 0 (len - v.Faults.displace) in
-          if at < len then begin
+          if place buf env ~displace:v.Faults.displace then
             t.s_reordered <- t.s_reordered + 1;
-            Mailbox.insert_nth buf at env
-          end
-          else Mailbox.enqueue buf env;
           if v.Faults.copies = 2 then begin
             t.s_duplicated <- t.s_duplicated + 1;
             Mailbox.enqueue buf env
@@ -127,170 +121,59 @@ module Simulated = struct
     }
 end
 
-module Concurrent = struct
-  type 'a t = {
-    c_n : int;
-    c_faults : Faults.t;
-    c_who : string;
-    locks : Mutex.t array;
-    boxes : 'a Envelope.t Mailbox.t array;
-    lock_counts : int array;
-        (* per-mailbox lock acquisitions, incremented while holding
-           that mailbox's lock — exact and free of extra contention *)
-    seqs : int Atomic.t array; (* per-sender message counter *)
-    time : int Atomic.t;
-    c_sent : int Atomic.t;
-    c_delivered : int Atomic.t;
-    c_dropped : int Atomic.t;
-    c_duplicated : int Atomic.t;
-    c_reordered : int Atomic.t;
-    c_hwm : int Atomic.t;
-  }
+(* The lock-free backend: one {!Ring} per destination. Producers push
+   each message with its fault verdict's displacement: [(env, displace)]
+   for the first copy, [(env, 0)] for a duplicate, which [Simulated]
+   enqueues at the tail. The consumer applies the displacement: [recv p]
+   moves every published entry off [p]'s ring, in push order, into a
+   mailbox only the domain stepping [p] touches (like the ring's head),
+   landing each [displace] places short of the tail.
 
-  let create ?(who = "exec") ?capacity:_ ~n ~faults () =
-    {
-      c_n = n;
-      c_faults = faults;
-      c_who = who;
-      locks = Array.init n (fun _ -> Mutex.create ());
-      boxes = Array.init n (fun _ -> Mailbox.create ());
-      lock_counts = Array.make n 0;
-      seqs = Array.init n (fun _ -> Atomic.make 0);
-      time = Atomic.make 0;
-      c_sent = Atomic.make 0;
-      c_delivered = Atomic.make 0;
-      c_dropped = Atomic.make 0;
-      c_duplicated = Atomic.make 0;
-      c_reordered = Atomic.make 0;
-      c_hwm = Atomic.make 0;
-    }
-
-  let now t = Atomic.get t.time
-  let tick t = Atomic.fetch_and_add t.time 1 + 1
-  let n t = t.c_n
-
-  let rec bump_max a v =
-    let cur = Atomic.get a in
-    if v > cur && not (Atomic.compare_and_set a cur v) then bump_max a v
-
-  let send t ~src payloads =
-    List.iter
-      (fun (dst, payload) ->
-        if not (Pid.valid ~n:t.c_n dst) then
-          invalid_arg
-            (Printf.sprintf "%s: send to invalid pid %d" t.c_who dst);
-        let seq = Atomic.fetch_and_add t.seqs.(src) 1 in
-        let time = Atomic.get t.time in
-        let env = { Envelope.src; dst; seq; sent_at = time; payload } in
-        Atomic.incr t.c_sent;
-        let v = Faults.verdict t.c_faults ~src ~dst ~seq ~time in
-        if v.Faults.copies = 0 then Atomic.incr t.c_dropped
-        else begin
-          let lock = t.locks.(dst) in
-          Mutex.lock lock;
-          Fun.protect
-            ~finally:(fun () -> Mutex.unlock lock)
-            (fun () ->
-              t.lock_counts.(dst) <- t.lock_counts.(dst) + 1;
-              let buf = t.boxes.(dst) in
-              let len = Mailbox.length buf in
-              let at = max 0 (len - v.Faults.displace) in
-              if at < len then begin
-                Atomic.incr t.c_reordered;
-                Mailbox.insert_nth buf at env
-              end
-              else Mailbox.enqueue buf env;
-              if v.Faults.copies = 2 then begin
-                Atomic.incr t.c_duplicated;
-                Mailbox.enqueue buf env
-              end;
-              bump_max t.c_hwm (Mailbox.length buf))
-        end)
-      payloads
-
-  let recv t p =
-    let lock = t.locks.(p) in
-    Mutex.lock lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock lock)
-      (fun () ->
-        t.lock_counts.(p) <- t.lock_counts.(p) + 1;
-        Mailbox.dequeue_oldest t.boxes.(p))
-
-  let depth t p =
-    let lock = t.locks.(p) in
-    Mutex.lock lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock lock)
-      (fun () ->
-        t.lock_counts.(p) <- t.lock_counts.(p) + 1;
-        Mailbox.length t.boxes.(p))
-
-  let note_delivered t = Atomic.incr t.c_delivered
-
-  let undelivered t =
-    Array.to_list t.boxes |> List.concat_map Mailbox.to_list
-
-  let stats t =
-    {
-      sent = Atomic.get t.c_sent;
-      dropped = Atomic.get t.c_dropped;
-      duplicated = Atomic.get t.c_duplicated;
-      reordered = Atomic.get t.c_reordered;
-      delivered = Atomic.get t.c_delivered;
-      mailbox_hwm = Atomic.get t.c_hwm;
-      lock_ops = Array.fold_left ( + ) 0 t.lock_counts;
-      cas_retries = 0;
-    }
-end
-
-(* The lock-free backend: one {!Ring} per destination. Same fault
-   semantics as [Concurrent] for drops, duplication and partitions
-   (verdicts are the same pure hashes); reorder displacement is a
-   mailbox-surgery operation the ring cannot express, so reordering
-   specs are rejected at [create] — the mutex backend remains the
-   oracle for those. *)
+   On one domain this is exactly [Simulated]: no receive happens
+   between a send and the drain that places it, so each arrival meets
+   the queue length [Simulated] saw at send time. *)
 module Ring_ = struct
   type 'a t = {
     r_n : int;
     r_faults : Faults.t;
     r_who : string;
-    rings : 'a Envelope.t Ring.t array;
+    rings : ('a Envelope.t * int) Ring.t array;
+    boxes : 'a Envelope.t Mailbox.t array; (* consumer-owned *)
     seqs : int Atomic.t array; (* per-sender message counter *)
     time : int Atomic.t;
     r_sent : int Atomic.t;
     r_delivered : int Atomic.t;
     r_dropped : int Atomic.t;
     r_duplicated : int Atomic.t;
+    r_reordered : int Atomic.t;
     r_hwm : int Atomic.t;
   }
 
   let default_capacity = 1024
 
   let create ?(who = "ring") ?(capacity = default_capacity) ~n ~faults () =
-    if faults.Faults.reorder > 0 then
-      invalid_arg
-        (Printf.sprintf
-           "%s: reorder faults need indexed mailbox insertion; use the \
-            mutex transport"
-           who);
     {
       r_n = n;
       r_faults = faults;
       r_who = who;
       rings = Array.init n (fun _ -> Ring.create ~capacity);
+      boxes = Array.init n (fun _ -> Mailbox.create ());
       seqs = Array.init n (fun _ -> Atomic.make 0);
       time = Atomic.make 0;
       r_sent = Atomic.make 0;
       r_delivered = Atomic.make 0;
       r_dropped = Atomic.make 0;
       r_duplicated = Atomic.make 0;
+      r_reordered = Atomic.make 0;
       r_hwm = Atomic.make 0;
     }
 
   let now t = Atomic.get t.time
   let tick t = Atomic.fetch_and_add t.time 1 + 1
-  let n t = t.r_n
+
+  (* A sender reads the destination's box length unsynchronized: exact
+     on one domain, a snapshot otherwise, like [Ring.length]. *)
+  let depth t p = Ring.length t.rings.(p) + Mailbox.length t.boxes.(p)
 
   let rec bump_max a v =
     let cur = Atomic.get a in
@@ -310,26 +193,40 @@ module Ring_ = struct
         if v.Faults.copies = 0 then Atomic.incr t.r_dropped
         else begin
           let ring = t.rings.(dst) in
-          Ring.push ring env;
+          Ring.push ring (env, v.Faults.displace);
           if v.Faults.copies = 2 then begin
             Atomic.incr t.r_duplicated;
-            Ring.push ring env
+            Ring.push ring (env, 0)
           end;
-          bump_max t.r_hwm (Ring.length ring)
+          bump_max t.r_hwm (depth t dst)
         end)
       payloads
 
-  let recv t p = Ring.pop t.rings.(p)
-  let depth t p = Ring.length t.rings.(p)
+  let recv t p =
+    let ring = t.rings.(p) and box = t.boxes.(p) in
+    let rec drain () =
+      match Ring.pop ring with
+      | None -> ()
+      | Some (env, displace) ->
+        if place box env ~displace then Atomic.incr t.r_reordered;
+        drain ()
+    in
+    drain ();
+    Mailbox.dequeue_oldest box
+
   let note_delivered t = Atomic.incr t.r_delivered
-  let undelivered t = Array.to_list t.rings |> List.concat_map Ring.to_list
+
+  let undelivered t =
+    List.concat
+      (List.init t.r_n (fun p ->
+           Mailbox.to_list t.boxes.(p) @ List.map fst (Ring.to_list t.rings.(p))))
 
   let stats t =
     {
       sent = Atomic.get t.r_sent;
       dropped = Atomic.get t.r_dropped;
       duplicated = Atomic.get t.r_duplicated;
-      reordered = 0;
+      reordered = Atomic.get t.r_reordered;
       delivered = Atomic.get t.r_delivered;
       mailbox_hwm = Atomic.get t.r_hwm;
       lock_ops =

@@ -4,11 +4,6 @@ type read_mode = Read_log | Read_snapshot
 
 let read_mode_name = function Read_log -> "log" | Read_snapshot -> "snapshot"
 
-let read_mode_of_string = function
-  | "log" -> Some Read_log
-  | "snapshot" | "snap" -> Some Read_snapshot
-  | _ -> None
-
 type config = {
   n : int;
   clients : int;
@@ -48,7 +43,7 @@ let default =
     faults = Sim.Faults.none;
     crashes = [];
     continuous_check = false;
-    transport = Sim.Executor.Mutex;
+    transport = Sim.Executor.Ring;
     shards = 0;
     ring_capacity = 1024;
     reads = 0;
@@ -400,7 +395,7 @@ module Driver (S : Smr.S) = struct
     let out =
       E.exec ~jobs
         ?shards:(if cfg.shards > 0 then Some cfg.shards else None)
-        ~transport:cfg.transport ~capacity:cfg.ring_capacity
+        ~capacity:cfg.ring_capacity
         ~faults:cfg.faults ~stop:(observe cfg pattern tr) ~pattern
         ~fd:oracle.Fd.Oracle.query ~inputs:(commands_for cfg)
         ~max_steps:cfg.max_steps ()

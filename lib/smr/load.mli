@@ -10,7 +10,8 @@
     - {!run_sim} — the deterministic {!Sim.Runner} (seeded,
       replayable, one step per tick);
     - {!run_exec} — the concurrent {!Sim.Executor} over real domains
-      (wall-clock throughput, interleaving chosen by the OS).
+      and the lock-free ring transport (wall-clock throughput,
+      interleaving chosen by the OS; deterministic at [jobs = 1]).
 
     Because an automaton's input is fixed at [initial], client
     streams are preloaded into each replica's pending queue; a
@@ -45,9 +46,6 @@ type read_mode = Read_log | Read_snapshot
 val read_mode_name : read_mode -> string
 (** ["log"] / ["snapshot"] — the CLI spellings. *)
 
-val read_mode_of_string : string -> read_mode option
-(** Accepts ["log"], ["snapshot"], and ["snap"]. *)
-
 type config = {
   n : int;  (** replicas *)
   clients : int;  (** simulated clients, homed round-robin *)
@@ -71,10 +69,10 @@ type config = {
           (not just at the end) — O(n² · retained) per round, meant
           for tests, not throughput measurement *)
   transport : Sim.Executor.transport;
-      (** executor backend ({!run_exec} only): mutex-per-mailbox
-          oracle or lock-free ring *)
+      (** ignored: the executor has one backend, the lock-free ring.
+          Kept because [perf/serve.ml] still sets it. *)
   shards : int;  (** executor shard count; 0 means "match jobs" *)
-  ring_capacity : int;  (** per-mailbox ring slots (ring transport) *)
+  ring_capacity : int;  (** per-mailbox ring slots ({!run_exec}) *)
   reads : int;
       (** read-only queries to serve across the run ([<= 1_000_000_000]) *)
   read_mode : read_mode;
@@ -86,7 +84,7 @@ val default : config
 (** [n 3; clients 100; commands_per_client 4; batch 1; pipeline 1;
     window 64; retain 128; horizon 64; target_slots 50;
     max_steps 1_000_000; seed 0; no faults; no crashes;
-    no continuous check; transport Mutex; shards 0;
+    no continuous check; transport Ring; shards 0;
     ring_capacity 1024; reads 0; read_mode Read_log;
     publish_every 8]. *)
 
@@ -132,8 +130,8 @@ type outcome = {
   o_snapshots : int;  (** snapshots published to the store *)
   o_lock_ops : int;
       (** transport mutex acquisitions ({!run_exec}; 0 under
-          {!run_sim}) — the mutex backend pays one per send/recv
-          probe, the ring only on overflow spills *)
+          {!run_sim}): the ring takes its lock only on overflow
+          spills *)
   o_cas_retries : int;  (** failed transport CAS attempts (ring) *)
   o_sync_ops : int;  (** executor coordination ops (pool claims + joins) *)
 }

@@ -447,10 +447,10 @@ let test_mc_corrupt_selftest_requires_resume () =
   Alcotest.(check bool) "explains the missing flag" true
     (contains out "requires --resume")
 
-(* serve with the ring transport and snapshot-served reads: exits 0,
-   prints a B14 row, and the JSON gains the b14_ring fragment next to
-   b10_serve — the same invocation shape the serve-smoke CI step
-   drives. *)
+(* serve with snapshot-served reads on the executor's ring transport:
+   exits 0, prints an exec row and a B14 row, and the JSON gains the
+   b14_ring fragment next to b10_serve — the same invocation shape the
+   serve-smoke CI step drives. *)
 let test_serve_ring_snapshot_reads () =
   let path =
     Filename.concat
@@ -464,13 +464,15 @@ let test_serve_ring_snapshot_reads () =
         run_cli_status
           [
             "serve"; "--clients"; "10"; "--slots"; "30"; "--jobs"; "1";
-            "--transport"; "ring"; "--reads"; "200"; "--read-mode";
-            "snapshot"; "--publish-every"; "4"; "--json"; path;
+            "--reads"; "200"; "--read-mode"; "snapshot"; "--publish-every";
+            "4"; "--json"; path;
           ]
       in
       Alcotest.(check int) "serve ring/snapshot exits 0" 0 code;
-      Alcotest.(check bool) "prints a ring B14 row" true
-        (contains out "ring   snapshot");
+      Alcotest.(check bool) "prints an exec row" true
+        (contains out "exec(j=1)");
+      Alcotest.(check bool) "prints a B14 row" true
+        (contains out "snapshot    1");
       let ic = open_in path in
       let json = read_all ic in
       close_in ic;
@@ -631,6 +633,7 @@ let bad_flags =
       124,
       "bad partition" );
     (* unknown names *)
+    ([ "serve"; "--transport"; "mutex" ], 124, "unknown option '--transport'");
     ([ "mc"; "--algo"; "foo" ], 124, "invalid value 'foo'");
     ([ "fuzz"; "--family"; "foo" ], 124, "invalid value 'foo'");
     ([ "fuzz"; "--sampler"; "pct0" ], 124, "unknown sampler");

@@ -441,7 +441,6 @@ let b13_row : Experiments.b13_row =
 
 let b14_row : Experiments.b14_row =
   {
-    b14_transport = "ring";
     b14_read_mode = "snapshot";
     b14_jobs = 2;
     b14_slots = 120;
@@ -807,13 +806,12 @@ let pins =
           spec = Experiments.b14_spec;
           row = b14_row;
           header =
-            "transp reads    jobs slots    ops     ops/s  reads    reads/s rp50(us) rp99(us) stale bound  lock_ops  cas_rt sync_ops    ok";
+            "reads    jobs slots    ops     ops/s  reads    reads/s rp50(us) rp99(us) stale bound  lock_ops  cas_rt sync_ops    ok";
           line =
-            "ring   snapshot    2   120    120        64  20000   12000000    0.062    0.500     7     7         0       3     2523  true";
+            "snapshot    2   120    120        64  20000   12000000    0.062    0.500     7     7         0       3     2523  true";
           json =
             "[\n\
              \  {\n\
-             \    \"transport\": \"ring\",\n\
              \    \"read_mode\": \"snapshot\",\n\
              \    \"jobs\": 2,\n\
              \    \"slots\": 120,\n\

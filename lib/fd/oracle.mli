@@ -8,10 +8,18 @@
     {!Check} in the test suite.
 
     All oracles are deterministic functions of [(seed, p, t)], so runs
-    using them are reproducible. Each oracle declares a stabilization
-    time [stab_time]: after it, the "eventually" clauses of its
-    detector hold permanently. It is always at least one tick past the
-    pattern's last crash. *)
+    using them are reproducible and any domain may query them. A query
+    draws from {!Procset.Draw} streams keyed by [(seed, p, t)], one
+    stream per use site (the pre-stabilization leader, the pivot,
+    faulty and family quorums, Sigma-nu+'s faulty-branch coin and
+    [<>S]'s suspicions), so oracles queried together, as in
+    [pair omega sigma_nu_plus], read unrelated words. Everything that
+    depends only on the failure pattern (pivot, correct and faulty
+    sets, the stable Omega value) is computed once, when the oracle is
+    built. Each oracle declares a stabilization time [stab_time]:
+    after it, the "eventually" clauses of its detector hold
+    permanently. It is always at least one tick past the pattern's
+    last crash. *)
 
 type t = {
   name : string;
@@ -44,7 +52,9 @@ val omega :
   Sim.Failure_pattern.t -> t
 (** The leader detector. After stabilization every process trusts the
     smallest correct process. [stab_time] is clamped to be after the
-    last crash. *)
+    last crash. Raises [Invalid_argument] if no process is correct;
+    the other pivot-anchored oracles raise it at their first query
+    that needs the pivot. *)
 
 val sigma : ?seed:int -> ?stab_time:int -> Sim.Failure_pattern.t -> t
 (** The quorum detector Sigma, pivot construction: every quorum output
@@ -69,9 +79,9 @@ val sigma_family :
 
 val sigma_majority :
   ?seed:int -> ?stab_time:int -> Sim.Failure_pattern.t -> t
-(** Sigma by majorities — [sigma_family Quorum_family.majority] with
-    the historical name and RNG consumption, so seeded histories are
-    byte-identical to pre-family releases: every quorum is a majority
+(** Sigma by majorities — [sigma_family Quorum_family.majority] under
+    the historical name, with the same draws, so the two give the same
+    history: every quorum is a majority
     of [Pi] (any two majorities intersect); after stabilization the
     quorums of correct processes are majorities consisting of correct
     processes — which requires a correct majority. Raises

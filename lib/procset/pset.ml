@@ -59,16 +59,8 @@ let min_elt s =
 let is_majority ~n s = 2 * cardinal s > n
 let complement ~n s = diff (full ~n) s
 
-let random_subset rng s =
-  fold (fun p acc -> if Random.State.bool rng then add p acc else acc) s empty
-
-let random_nonempty_subset rng s =
-  if is_empty s then invalid_arg "Pset.random_nonempty_subset: empty universe";
-  let sub = random_subset rng s in
-  if not (is_empty sub) then sub
-  else
-    let elts = elements s in
-    singleton (List.nth elts (Random.State.int rng (List.length elts)))
+(* one draw is 62 bits, one per possible member *)
+let random_subset g s = s land Draw.bits g
 
 let subsets s =
   let elts = elements s in

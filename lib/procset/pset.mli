@@ -95,13 +95,10 @@ val is_majority : n:int -> t -> bool
 val complement : n:int -> t -> t
 (** [complement ~n s] is [Pi - s] for the universe of size [n]. *)
 
-val random_subset : Random.State.t -> t -> t
-(** [random_subset rng s] draws a uniformly random subset of [s]
-    (possibly empty). *)
-
-val random_nonempty_subset : Random.State.t -> t -> t
-(** Like {!random_subset} but never empty. Raises [Invalid_argument]
-    if [s] is empty. *)
+val random_subset : Draw.t -> t -> t
+(** [random_subset g s] draws a uniformly random subset of [s]
+    (possibly empty) from one draw of [g]: [s] masked by the draw's 62
+    bits, so each member is in with probability 1/2, independently. *)
 
 val subsets : t -> t list
 (** All subsets of [s] (2^|s| of them) — used by exhaustive tests for

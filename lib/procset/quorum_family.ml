@@ -60,17 +60,15 @@ let resilience (module F : S) ~n =
   if largest_non_quorum < 0 then n (* everything is a quorum *)
   else n - largest_non_quorum - 1
 
-(* Mirrors the historical [Oracle.sigma_majority] grow loop exactly:
-   one [Random.State.int] draw per added member, candidates listed in
-   increasing pid order. Byte-identity of seeded majority oracles
-   depends on this. *)
-let grow_quorum (module F : S) ~n rng ~pool =
+(* One [Draw.int] per added member, indexing the remaining candidates
+   in increasing pid order. *)
+let grow_quorum (module F : S) ~n g ~pool =
   let rec grow q candidates =
     if F.is_quorum ~n q then Some q
     else if Pset.is_empty candidates then None
     else
       let elts = Pset.elements candidates in
-      let pick = List.nth elts (Random.State.int rng (List.length elts)) in
+      let pick = List.nth elts (Draw.int g (List.length elts)) in
       grow (Pset.add pick q) (Pset.remove pick candidates)
   in
   grow Pset.empty pool

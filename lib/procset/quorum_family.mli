@@ -86,14 +86,12 @@ val resilience : t -> n:int -> int
     a quorum intact ([-1] when even the full universe is no quorum) —
     the structural resilience column of the B13 trade-off table. *)
 
-val grow_quorum :
-  t -> n:int -> Random.State.t -> pool:Pset.t -> Pset.t option
+val grow_quorum : t -> n:int -> Draw.t -> pool:Pset.t -> Pset.t option
 (** Grow a quorum by drawing uniformly random members of [pool]
     without replacement until the accumulated set is a quorum; [None]
-    if [pool] is exhausted first. For the majority family this
-    consumes the RNG exactly like the historical
-    [Oracle.sigma_majority] grow loop, which keeps seeded majority
-    runs byte-identical. *)
+    if [pool] is exhausted first. Each added member costs one
+    {!Draw.int}, so the result is a pure function of the stream's
+    key. *)
 
 (** {1 The shipped instances} *)
 

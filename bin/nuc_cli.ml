@@ -19,9 +19,10 @@
    Exit codes:
      0    verdict established
      1    no trustworthy verdict (mc truncation, an uncertified
-          counterexample, a failed experiment or serve gate), or flags
-          that do not fit together (t >= n, a quorum family that does
-          not tile n, --quorum on a uniform algorithm)
+          counterexample, a failed experiment, serve gate or detector
+          check), or flags that do not fit together (t >= n, a quorum
+          family that does not tile n, --quorum on a uniform
+          algorithm)
      2    a serve config refused by Load.check
      124  a value the parser refuses: an unknown name, a count out of
           range, a missing directory
@@ -269,7 +270,9 @@ let run_check (name, detector) n t seed horizon =
   let oracle, checker = detector ~seed ~stab:(2 * horizon / 3) pattern in
   match checker (Fd.Oracle.history ~horizon ~n oracle) with
   | Ok () -> pf "%s: history of %d samples conforms@." name ((horizon + 1) * n)
-  | Error v -> pf "%s: VIOLATION %a@." name Fd.Check.pp_violation v
+  | Error v ->
+    pf "%s: VIOLATION %a@." name Fd.Check.pp_violation v;
+    exit 1
 
 (* ---------------------------------------------------------------- *)
 (* scenario                                                          *)

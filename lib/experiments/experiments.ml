@@ -590,16 +590,16 @@ let universe ~n ~t ~bound =
    Sigma-nu+ contamination family, or under its lossy-link variant
    (optionally generalized over a quorum family; [None] is the
    pre-family construction verbatim). *)
-let mc_verify_anuc ?reduction ?(lossy = false) ?jobs ?(n = 3) ?quorum ~depth
-    () =
+let mc_verify_anuc ?reduction ?(lossy = false) ?jobs ?(n = 3) ?quorum
+    ?max_states ~depth () =
   let faulty, pattern, proposals = universe ~n ~t:1 ~bound:depth in
   let menu =
     (if lossy then Mc.Menu.lossy else Mc.Menu.contamination)
       ~plus:true ?quorum ~n ~faulty ()
   in
   let report =
-    Mc_anuc.run ?reduction ?jobs ~n ~menu ~depth ~inputs:proposals
-      ~props:
+    Mc_anuc.run ?reduction ?jobs ?max_states ~n ~menu ~depth
+      ~inputs:proposals ~props:
         (Mc_anuc.consensus_props ~decision:Core.Anuc.decision ~proposals
            ~flavour:Consensus.Spec.Nonuniform ~pattern)
       ~stop:
@@ -943,10 +943,15 @@ let e13_fuzz ?(quick = false) ?(seed_base = 0) () =
 let dpor_mc_depth ~quick = if quick then 11 else 13
 let dpor_diff_depth ~quick = if quick then 7 else 9
 
+(* Depth 13 holds 2,118,400 distinct states, past mc's default budget
+   of 2e6; the deep run gets room to finish. *)
+let dpor_max_states = 3_000_000
+
 let e14_dpor ?(quick = false) () =
   let deep_depth = dpor_mc_depth ~quick in
   let ((_, dpor_r) as deep) =
-    mc_verify_anuc ~reduction:Mc.Dpor ~depth:deep_depth ()
+    mc_verify_anuc ~reduction:Mc.Dpor ~max_states:dpor_max_states
+      ~depth:deep_depth ()
   in
   let d = dpor_diff_depth ~quick in
   let _, none_r = mc_verify_anuc ~reduction:Mc.No_reduction ~depth:d () in

@@ -25,7 +25,8 @@
     waiting in the side-queue — a push falls back to a small
     mutex-guarded overflow queue instead of failing or dropping: no
     message is ever lost, so the transport conservation law
-    [sent - dropped + duplicated = delivered + undelivered_at_stop]
+    [sent - dropped - discarded + duplicated
+     = delivered + undelivered_at_stop]
     is preserved by construction. Per-producer FIFO is preserved
     across the fallback because (a) a producer's pushes are
     sequential, (b) a producer routes to the overflow queue whenever

@@ -76,6 +76,31 @@ let test_sigma_majority_guard () =
     Alcotest.fail "sigma_majority should refuse a minority-correct pattern"
   with Invalid_argument _ -> ()
 
+(* A pattern with no correct process has no pivot. Omega refuses it
+   when built; the pivot-anchored oracles build, and fail at their
+   first query that needs the pivot. Sigma-nu's arbitrary faulty
+   quorums never need it. *)
+let test_all_faulty_pivot () =
+  let pattern =
+    Sim.Failure_pattern.make ~n:3 ~crashes:[ (0, 5); (1, 6); (2, 7) ]
+  in
+  let raises what f =
+    match f () with
+    | _ -> Alcotest.failf "%s should raise Invalid_argument" what
+    | exception Invalid_argument _ -> ()
+  in
+  raises "omega" (fun () -> Fd.Oracle.omega pattern);
+  let sigma = Fd.Oracle.sigma pattern in
+  raises "sigma query" (fun () -> sigma.Fd.Oracle.query 0 0);
+  let split =
+    Fd.Oracle.sigma_nu_plus ~faulty_mode:Fd.Oracle.Faulty_split pattern
+  in
+  ignore (split.Fd.Oracle.query 1 3);
+  let arbitrary = Fd.Oracle.sigma_nu pattern in
+  for t = 0 to 20 do
+    ignore (arbitrary.Fd.Oracle.query (t mod 3) t)
+  done
+
 let test_sigma_nu_valid () =
   over_patterns_and_seeds (fun i pattern seed ->
       List.iter
@@ -509,6 +534,8 @@ let () =
           Alcotest.test_case "sigma (pivot)" `Quick test_sigma_valid;
           Alcotest.test_case "sigma (majority)" `Quick
             test_sigma_majority_valid;
+          Alcotest.test_case "all-faulty pattern has no pivot" `Quick
+            test_all_faulty_pivot;
           Alcotest.test_case "sigma majority guard" `Quick
             test_sigma_majority_guard;
           Alcotest.test_case "sigma_nu (both faulty modes)" `Quick

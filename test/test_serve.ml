@@ -176,6 +176,48 @@ let test_retire_decided_everywhere () =
         (o.Load.o_max_open <= open_bound))
     [ 0; 1; 2; 3; 4; 5 ]
 
+(* The serve-write workload's simulator config (perf/serve.ml: n = 4,
+   128 clients x 64 commands, batch 4, pipeline 2, window 16, retain
+   128, horizon 64, 200 slots), pinned by log MD5, steps, sends and
+   commit percentiles on two seeds. A change that only speeds up the
+   consensus layer must leave every figure as it is. *)
+let serve_write_cfg seed =
+  {
+    Load.default with
+    n = 4;
+    clients = 128;
+    commands_per_client = 64;
+    batch = 4;
+    pipeline = 2;
+    window = 16;
+    retain = 128;
+    horizon = 64;
+    target_slots = 200;
+    max_steps = 4_000_000;
+    seed;
+  }
+
+let log_md5 (o : Load.outcome) =
+  Digest.to_hex
+    (Digest.string (String.concat "," (List.map string_of_int o.Load.o_log)))
+
+let test_serve_write_pins () =
+  List.iter
+    (fun (seed, md5, steps, sent, p50, p99) ->
+      let o = Load.run_sim (serve_write_cfg seed) in
+      let what field = Printf.sprintf "seed %d: %s" seed field in
+      Alcotest.(check bool) (what "reached the target") true o.Load.o_reached;
+      Alcotest.(check bool) (what "not divergent") false o.Load.o_divergent;
+      Alcotest.(check string) (what "log MD5") md5 (log_md5 o);
+      Alcotest.(check int) (what "steps") steps o.Load.o_steps;
+      Alcotest.(check int) (what "sends") sent o.Load.o_sent;
+      Alcotest.(check (float 0.)) (what "commit p50") p50 o.Load.o_p50;
+      Alcotest.(check (float 0.)) (what "commit p99") p99 o.Load.o_p99)
+    [
+      (1001, "b344b9e42d8df5128be3efb041585cfc", 88_420, 83_100, 320., 1_576.);
+      (1002, "9d29fc15f43a151713921b5d33a8478e", 86_644, 81_369, 308., 1_720.);
+    ]
+
 (* [Load.percentile] against the method it replaced: expand every
    (value, weight) pair into [weight] copies, sort, and index the rank
    [ceil (q * m) - 1], clamped. Values come from a small set, so ties
@@ -241,6 +283,8 @@ let () =
             test_instances_bounded;
           Alcotest.test_case "instances retire once decided everywhere"
             `Quick test_retire_decided_everywhere;
+          Alcotest.test_case "serve-write simulator pins" `Quick
+            test_serve_write_pins;
           test_percentile_qcheck;
           Alcotest.test_case "percentile cases" `Quick test_percentile_cases;
         ] );

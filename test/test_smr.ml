@@ -437,24 +437,19 @@ let test_smr_over_stack () =
           correct)
       ()
   in
+  (* seed 1's history, pinned: any change to the stack's steps, sends
+     or decisions moves one of these figures *)
   Alcotest.(check bool) "two slots decided from raw (Omega, Sigma-nu)" true
     run.Rs.stopped_early;
-  (* prefix consistency *)
-  let logs =
-    Pset.fold
-      (fun p acc -> Smr.Over_stack.log run.Rs.states.(p) :: acc)
-      correct []
-  in
-  match logs with
-  | l0 :: rest ->
-    let min_len =
-      List.fold_left (fun acc l -> min acc (List.length l))
-        (List.length l0) rest
-    in
-    let trunc l = List.filteri (fun i _ -> i < min_len) l in
-    Alcotest.(check bool) "prefixes agree" true
-      (List.for_all (fun l -> trunc l = trunc l0) rest)
-  | [] -> Alcotest.fail "no live replicas"
+  Alcotest.(check int) "stop step" 22_603 run.Rs.step_count;
+  Alcotest.(check int) "sends" 45_274 run.Rs.messages_sent;
+  Pset.iter
+    (fun p ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "p%d log" p)
+        [ 100; 200 ]
+        (Smr.Over_stack.log run.Rs.states.(p)))
+    correct
 
 (* The running full-log digest, pinned against the fold it replaces:
    at every round boundary of a random tuning, seed and crash, every

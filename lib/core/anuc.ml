@@ -170,7 +170,8 @@ module Make (C : CONFIG) = struct
      record the quorum in the process's own history. *)
   let get_quorum ~self st d =
     let _, q = fd_components d in
-    ({ st with hist = Qhist.add st.hist self q }, q)
+    let hist = Qhist.add st.hist self q in
+    ((if hist == st.hist then st else { st with hist }), q)
 
   let distrusts ~self ~n st q = Qhist.distrusts ~self ~n st.hist q
 
@@ -232,7 +233,7 @@ module Make (C : CONFIG) = struct
             q st
         in
         (* line 28: the until-clause; on failure stay in the loop *)
-        if C.use_distrust && Pset.exists (fun m -> distrusts ~self ~n st m) q
+        if C.use_distrust && Qhist.distrusts_any ~self ~n st.hist q
         then (st, sends)
         else begin
           let members =

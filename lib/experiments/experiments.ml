@@ -2236,6 +2236,17 @@ let micro_tests () =
         (3, [ 3 ]);
       ]
   in
+  (* everything Sigma-nu+ can give p at n = 4 in a crash-free run
+     pivoted at 0: every quorum holding both 0 and p *)
+  let anchored =
+    List.fold_left
+      (fun h p ->
+        List.fold_left
+          (fun h s -> Core.Qhist.add h p (Pset.union (Pset.of_list [ 0; p ]) s))
+          h
+          (Pset.subsets (Pset.full ~n:4)))
+      Core.Qhist.empty [ 0; 1; 2; 3 ]
+  in
   let dag_200 = dag 200 in
   let from = List.hd (Dagsim.Dag.samples_of dag_200 0) in
   let test name f = Bechamel.Test.make ~name (Bechamel.Staged.stage f) in
@@ -2246,6 +2257,8 @@ let micro_tests () =
           ignore (Pset.subset (Pset.inter a b) a));
       test "qhist-distrusts" (fun () ->
           ignore (Core.Qhist.distrusts ~self:0 ~n:4 h 3));
+      test "qhist-distrusts-anchored" (fun () ->
+          ignore (Core.Qhist.distrusts ~self:0 ~n:4 anchored 3));
       test "dag-add-sample-100" (fun () -> ignore (dag 100));
       test "dag-weave-200" (fun () ->
           ignore (Dagsim.Dag.weave dag_200 ~from));

@@ -263,8 +263,11 @@ module Make_tuned (T : TUNING) (C : CONSENSUS) : S = struct
   let step_instance ~n ~self st s received d =
     let st = ensure ~n ~self st s in
     let inst = Imap.find s st.instances in
-    let inst, sends = C.step ~n ~self inst received d in
-    let st = { st with instances = Imap.add s inst st.instances } in
+    let inst', sends = C.step ~n ~self inst received d in
+    let st =
+      if inst' == inst then st
+      else { st with instances = Imap.add s inst' st.instances }
+    in
     ( st,
       List.map
         (fun (dst, inner) ->
@@ -471,6 +474,9 @@ module Make_tuned (T : TUNING) (C : CONSENSUS) : S = struct
       else ({ st with fwd_slot = st.slot; fwd_leader = l }, [ (l, Forward cmds) ])
     | _ -> (st, [])
 
+  (* [a @ b], without copying [a] when [b] is empty *)
+  let append a b = match b with [] -> a | _ -> a @ b
+
   let step ~n ~self st received d =
     let from_slot = st.slot in
     let st, sends =
@@ -510,7 +516,7 @@ module Make_tuned (T : TUNING) (C : CONSENSUS) : S = struct
     in
     let st, open_sends = open_window ~n ~self st d in
     let st, pump_sends = pump ~n ~self st d in
-    (st, sends @ fwd_sends @ open_sends @ pump_sends)
+    (st, append sends (append fwd_sends (append open_sends pump_sends)))
 
   (* ---------------- observers ---------------- *)
 

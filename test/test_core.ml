@@ -146,6 +146,96 @@ let prop_qhist_never_self_faulty =
          in
          not (Pset.mem self (Qhist.considered_faulty ~self h))))
 
+(* The quadratic distrust test that [Qhist] answers with a shortcut:
+   F_p first, then every pair of known quorums scanned. It folds over
+   every pid instead of [h]'s bindings, which is the same for any
+   history over pids below [Pset.max_size]. *)
+module Ref_distrust = struct
+  let considered_faulty ~self h =
+    let own = Qhist.get h self in
+    List.fold_left
+      (fun acc q' ->
+        if Qset.exists_disjoint_pair (Qhist.get h q') own then Pset.add q' acc
+        else acc)
+      Pset.empty
+      (Pid.all ~n:Pset.max_size)
+
+  let distrusts ~self ~n h q =
+    let fp = considered_faulty ~self h in
+    let hq = Qhist.get h q in
+    if Qset.is_empty hq then false
+    else
+      List.exists
+        (fun r ->
+          (not (Pset.mem r fp)) && Qset.exists_disjoint_pair hq (Qhist.get h r))
+        (Pid.all ~n)
+end
+
+type ref_case = { n : int; h : Qhist.t; sets : Pset.t list }
+
+(* Histories at n = 2..8 and n = 62 over the empty quorum, the full
+   set and random subsets (sparse or dense), with some processes left
+   without quorums. A pivot-anchored history adds the pivot to every
+   quorum, as Sigma-nu+ does for correct processes in a crash-free
+   run; a mostly anchored one leaves a fifth of them free, as a
+   crashed process's own quorums may be; a free one anchors none. *)
+let gen_ref_case =
+  let open QCheck.Gen in
+  let* n = frequency [ (7, int_range 2 8); (1, return 62) ] in
+  let* anchor_rate = oneofl [ 1.0; 0.8; 0.0 ] in
+  let* density = oneofl [ 0.15; 0.5 ] in
+  let* pivot = int_bound (n - 1) in
+  let subset density =
+    map
+      (fun draws ->
+        snd
+          (List.fold_left
+             (fun (i, s) u -> (i + 1, if u < density then Pset.add i s else s))
+             (0, Pset.empty) draws))
+      (list_repeat n (float_bound_exclusive 1.))
+  in
+  let quorum =
+    let* qq =
+      frequency
+        [ (1, return Pset.empty); (1, return (Pset.full ~n)); (6, subset density) ]
+    in
+    let* u = float_bound_exclusive 1. in
+    return (if u < anchor_rate then Pset.add pivot qq else qq)
+  in
+  let* entries = list_size (int_bound 12) (pair (int_bound (n - 1)) quorum) in
+  let* sets = list_repeat 4 (subset 0.5) in
+  let h = List.fold_left (fun h (r, qq) -> Qhist.add h r qq) Qhist.empty entries in
+  return { n; h; sets = Pset.empty :: Pset.full ~n :: sets }
+
+let print_ref_case { n; h; sets } =
+  Format.asprintf "n = %d, h = %a, sets = %s" n Qhist.pp h
+    (String.concat " " (List.map Pset.to_string sets))
+
+let prop_qhist_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make
+       ~name:"shortcut distrust = quadratic reference (F_p, distrusts, any)"
+       ~count:1000
+       (QCheck.make ~print:print_ref_case gen_ref_case)
+       (fun { n; h; sets } ->
+         let pids = Pid.all ~n in
+         List.for_all
+           (fun self ->
+             Pset.equal
+               (Qhist.considered_faulty ~self h)
+               (Ref_distrust.considered_faulty ~self h)
+             && List.for_all
+                  (fun q ->
+                    Qhist.distrusts ~self ~n h q
+                    = Ref_distrust.distrusts ~self ~n h q)
+                  pids
+             && List.for_all
+                  (fun s ->
+                    Qhist.distrusts_any ~self ~n h s
+                    = Pset.exists (Ref_distrust.distrusts ~self ~n h) s)
+                  sets)
+           pids))
+
 (* -------------------------------------------------------------- *)
 (* A_nuc sweeps (Theorem 6.27)                                     *)
 (* -------------------------------------------------------------- *)
@@ -827,6 +917,7 @@ let () =
           prop_qhist_monotone;
           prop_qhist_import_union;
           prop_qhist_never_self_faulty;
+          prop_qhist_matches_reference;
         ] );
       ( "anuc",
         [

@@ -46,8 +46,9 @@ val distrusts_any :
     first. For each other member it walks the bound entries [r < n]
     of [h] (an unbound [r] has [H_p[r] = ∅] and conflicts with
     nothing), and computes [F_p] at most once per call, and only once
-    a conflicting pair has been found. Without conflicts a call costs
-    [O(|s| · Σ_r |H_p[r]|)] intersections and no pair scan. *)
+    a conflicting pair has been found. When every pair of commons
+    meets, a call costs [O(|s| · Σ_r |H_p[r]|)] intersections and
+    scans no pair of quorums. *)
 
 val distrusts : self:Procset.Pid.t -> n:int -> t -> Procset.Pid.t -> bool
 (** The [distrusts] function (Fig. 5, lines 51–53): [p] distrusts [q]

@@ -11,14 +11,15 @@ let read_all ic =
    with End_of_file -> ());
   Buffer.contents b
 
-(* Resolve the binary relative to this test executable, so the test
-   works both under `dune runtest` (cwd = test dir) and `dune exec`
-   (cwd = workspace root). *)
-let nuc_cli =
+(* Resolve a built executable relative to this test executable, so
+   the test works both under `dune runtest` (cwd = test dir) and `dune
+   exec` (cwd = workspace root). *)
+let built dir exe =
   Filename.concat
     (Filename.dirname Sys.executable_name)
-    (Filename.concat Filename.parent_dir_name
-       (Filename.concat "bin" "nuc_cli.exe"))
+    (Filename.concat Filename.parent_dir_name (Filename.concat dir exe))
+
+let nuc_cli = built "bin" "nuc_cli.exe"
 
 (* Runs the CLI and returns (exit code, combined output) — for the
    tests that pin the exit-code contract itself. *)
@@ -855,6 +856,36 @@ let test_every_target_pinned () =
     (fun sub -> ignore (run_cli [ sub; "--help=plain" ]))
     [ "run"; "experiments"; "check"; "scenario"; "ablation"; "mc"; "fuzz"; "serve" ]
 
+(* MD5 of each example's stdout. fd_transform_demo prints every change
+   of T_extract's output at p0, the extraction count and every final
+   T_sigma_plus output, so its digest pins both transformations step
+   for step; the others pin the Session, scripted and served paths the
+   bench does not run. *)
+let example_pins =
+  [
+    ("fd_transform_demo", "b426afd6b74491aab099f3f7d348c101");
+    ("separation_demo", "fd29cfd74ceb821dd350701723dfe4bb");
+    ("quickstart", "e45e5d17762f5f6cf6ab58c7f0daeb9d");
+    ("contamination_demo", "1fb9941cc7d574b0635a350036c780eb");
+    ("detector_tour", "8e7e6fc674b9b435cc0ef0ee4138f16c");
+    ("replicated_log", "cf089634e23a71312e29d61e49c2d71d");
+  ]
+
+let test_examples_pinned () =
+  List.iter
+    (fun (name, md5) ->
+      let exe = built "examples" (name ^ ".exe") in
+      let ic = Unix.open_process_args_in exe [| exe |] in
+      let out = read_all ic in
+      (match Unix.close_process_in ic with
+      | Unix.WEXITED 0 -> ()
+      | _ -> Alcotest.failf "%s did not exit 0:\n%s" name out);
+      Alcotest.(check string)
+        (name ^ " stdout digest")
+        md5
+        (Digest.to_hex (Digest.string out)))
+    example_pins
+
 let () =
   Alcotest.run "cli"
     [
@@ -879,6 +910,7 @@ let () =
             test_run_pinned;
           Alcotest.test_case "B13, B7 and B5 quick tables" `Quick
             test_sweep_tables_pinned;
+          Alcotest.test_case "example stdout" `Quick test_examples_pinned;
         ] );
       ( "exit-codes",
         [

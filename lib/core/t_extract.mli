@@ -17,10 +17,12 @@
     consensus (Theorem 5.8): experiment E2 checks the uniform
     intersection property on the very same emulated outputs.
 
-    Schedules are enumerated canonically: the {!Dagsim.Dag.spine} of
-    [G_p|u_p] is simulated with oldest-pending-message-first delivery
-    (the admissible schedule of Lemma 4.10), and the first deciding
-    prefix is used. *)
+    Steps, barrier and gossip are {!Dagsim.Adag.Emulator}'s. Every
+    fourth step the first 400 nodes of {!Dagsim.Dag.weave} of
+    [G_p|u_p], four samples per owner in turn, are simulated with
+    oldest-message-first delivery (Lemma 4.10's admissible schedule,
+    {!Dagsim.Path_sim}), and the first deciding prefix is used. Each
+    owner keeps its last 320 samples, more than the path holds. *)
 
 (** The simulated consensus algorithm: an automaton proposing a value
     and exposing its decision. *)
@@ -30,34 +32,4 @@ module type SIMULATED = sig
   val decision : state -> Consensus.Value.t option
 end
 
-module Make (A : SIMULATED) : sig
-  include
-    Sim.Automaton.S with type input = unit and type message = Dagsim.Dag.t
-
-  val output : state -> Procset.Pset.t
-  (** The current [Sigma-nu-output_p]. *)
-
-  val dag : state -> Dagsim.Dag.t
-  (** The current DAG of samples [G_p] (diagnostics). *)
-
-  val extractions : state -> int
-  (** How many times a new quorum has been output. *)
-
-  val simulation_window : int ref
-  (** Maximum spine length simulated per extraction (default 400). *)
-
-  val extract_every : int ref
-  (** Run the (expensive) simulation only on every [k]-th step
-      (default 4); intermediate steps only grow the DAG. Soundness is
-      unaffected; liveness needs extraction infinitely often, which
-      any positive period provides. *)
-
-  val prune_window : int ref
-  (** Per-owner sample window kept in the DAG (default 320) — see
-      {!Dagsim.Adag.Core.step}. Must comfortably exceed
-      [simulation_window] divided by the process count. *)
-
-  val weave_block : int ref
-  (** Consecutive same-owner samples per rotation step of the
-      simulated path (default 4) — see {!Dagsim.Dag.weave}. *)
-end
+module Make (A : SIMULATED) : Dagsim.Adag.TRANSFORMATION

@@ -17,33 +17,10 @@
     Sigma-nu module being sampled). The emulated Sigma-nu+ value is
     exposed by {!output}.
 
-    The path search walks the {!Dagsim.Dag.spine} of [G_p|u_p] and
-    scans its contiguous subpaths; [search_window] bounds the suffix
-    of the spine considered (soundness is unaffected — any found path
-    is a genuine path of [G_p|u_p]; liveness is preserved because the
-    good path of Lemma 6.1 consists of fresh samples). *)
+    Steps, barrier and gossip are {!Dagsim.Adag.Emulator}'s. Every
+    second step the search scans the contiguous subpaths of the last
+    120 nodes of {!Dagsim.Dag.weave} of [G_p|u_p]: any path found is a
+    path of [G_p|u_p], and the good path of Lemma 6.1 consists of
+    fresh samples. Each owner keeps its last 160 samples in [G_p]. *)
 
-include Sim.Automaton.S with type input = unit and type message = Dagsim.Dag.t
-
-val output : state -> Procset.Pset.t
-(** The current [Sigma-nu+-output_p]. *)
-
-val dag : state -> Dagsim.Dag.t
-(** The current DAG of samples [G_p] (diagnostics). *)
-
-val extractions : state -> int
-(** How many quorums this process has output so far. *)
-
-val search_window : int ref
-(** Maximum spine suffix length scanned per extraction (default 120). *)
-
-val extract_every : int ref
-(** Run the path search only on every [k]-th step (default 2);
-    intermediate steps only grow the DAG. Any positive period keeps
-    the extraction attempted infinitely often, which is all liveness
-    needs. *)
-
-val prune_window : int ref
-(** Per-owner sample window kept in the DAG (default 160) — see
-    {!Dagsim.Adag.Core.step}. Must comfortably exceed
-    [search_window]. *)
+include Dagsim.Adag.TRANSFORMATION

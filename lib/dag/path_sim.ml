@@ -1,72 +1,31 @@
 open Procset
 
 module Make (A : Sim.Automaton.S) = struct
-  type result = {
-    states : A.state array;
-    steps_executed : int;
-    stopped : bool;
-    messages_sent : int;
-    messages_delivered : int;
-    messages_dropped : int;
-    mailbox_hwm : int;
-  }
+  module R = Sim.Runner.Make (A)
 
-  let run ~n ~inputs ~path ?(faults = Sim.Faults.none)
-      ?(until = fun _ -> false) () =
-    let states = Array.init n (fun p -> A.initial ~n ~self:p (inputs p)) in
-    let buffers = Array.init n (fun _ -> Sim.Mailbox.create ()) in
-    let send_seq = Array.make n 0 in
-    let time = ref 1 in
-    let executed = ref 0 in
-    let stopped = ref false in
-    let sent = ref 0 in
-    let delivered = ref 0 in
-    let dropped = ref 0 in
-    let hwm = ref 0 in
-    let rec exec = function
-      | [] -> ()
-      | (p, d) :: rest ->
-        if not (Pid.valid ~n p) then
-          invalid_arg (Printf.sprintf "Path_sim.run: pid %d out of range" p);
-        let received = Sim.Mailbox.dequeue_oldest buffers.(p) in
-        if received <> None then incr delivered;
-        let state, sends = A.step ~n ~self:p states.(p) received d in
-        states.(p) <- state;
-        List.iter
-          (fun (dst, payload) ->
-            let seq = send_seq.(p) in
-            send_seq.(p) <- seq + 1;
-            incr sent;
-            let v = Sim.Faults.verdict faults ~src:p ~dst ~seq ~time:!time in
-            if v.Sim.Faults.copies = 0 then incr dropped
-            else begin
-              let env =
-                { Sim.Envelope.src = p; dst; seq; sent_at = !time; payload }
-              in
-              let buf = buffers.(dst) in
-              let len = Sim.Mailbox.length buf in
-              let at = max 0 (len - v.Sim.Faults.displace) in
-              if at < len then Sim.Mailbox.insert_nth buf at env
-              else Sim.Mailbox.enqueue buf env;
-              if v.Sim.Faults.copies = 2 then Sim.Mailbox.enqueue buf env;
-              let depth = Sim.Mailbox.length buf in
-              if depth > !hwm then hwm := depth
-            end)
-          sends;
-        incr time;
-        incr executed;
-        if until states then stopped := true else exec rest
+  type result = { states : A.state array; steps_executed : int; stopped : bool }
+
+  let run ~n ~inputs ~path ?(until = fun _ -> false) () =
+    (* The detector value of the path entry being stepped. *)
+    let d = ref Sim.Fd_value.Unit in
+    let s =
+      R.Session.create ~record:false
+        ~pattern:(Sim.Failure_pattern.failure_free ~n)
+        ~fd:(fun _ _ -> !d)
+        ~inputs ()
     in
-    exec path;
-    {
-      states;
-      steps_executed = !executed;
-      stopped = !stopped;
-      messages_sent = !sent;
-      messages_delivered = !delivered;
-      messages_dropped = !dropped;
-      mailbox_hwm = !hwm;
-    }
+    let state = R.Session.state s in
+    (* A step with no choice receives the oldest pending message, else
+       lambda: Lemma 4.10's canonical schedule. *)
+    let rec exec executed = function
+      | [] -> (executed, false)
+      | (p, dp) :: rest ->
+        d := dp;
+        R.Session.step s p;
+        if until state then (executed + 1, true) else exec (executed + 1) rest
+    in
+    let steps_executed, stopped = exec 0 path in
+    { states = Array.init n state; steps_executed; stopped }
 
   let participants ~path ~prefix =
     List.filteri (fun i _ -> i < prefix) path

@@ -14,35 +14,25 @@
 module Make (A : Sim.Automaton.S) : sig
   type result = {
     states : A.state array;  (** configuration after the executed prefix *)
-    steps_executed : int;
-        (** length of the executed prefix of the path *)
+    steps_executed : int;  (** length of the executed prefix *)
     stopped : bool;  (** the [until] predicate fired *)
-    messages_sent : int;  (** messages enqueued along the prefix *)
-    messages_delivered : int;
-        (** steps of the prefix that received a message *)
-    messages_dropped : int;
-        (** sends lost to the fault spec; 0 without one *)
-    mailbox_hwm : int;
-        (** high-water mark of any single mailbox depth *)
   }
 
   val run :
     n:int ->
     inputs:(Procset.Pid.t -> A.input) ->
     path:(Procset.Pid.t * Sim.Fd_value.t) list ->
-    ?faults:Sim.Faults.t ->
-    ?until:(A.state array -> bool) ->
+    ?until:((Procset.Pid.t -> A.state) -> bool) ->
     unit ->
     result
   (** [run ~n ~inputs ~path ()] applies the canonical schedule
       compatible with [path] to the initial configuration given by
-      [inputs]. If [until] is supplied, execution stops after the
-      first step whose resulting configuration satisfies it; the
-      executed prefix length identifies the deciding schedule prefix
-      (and hence its participants). [faults] (default
-      {!Sim.Faults.none}) applies the same deterministic per-send
-      fault verdicts as [Sim.Runner]: the canonical schedule then
-      delivers the oldest {e surviving} message of each step. *)
+      [inputs], one {!Sim.Runner.Make.Session} step per path entry, on
+      a crash-free network. If [until] is supplied, execution stops
+      after the first step whose resulting configuration (process
+      states by pid) satisfies it; the executed prefix length
+      identifies the deciding schedule prefix (and hence its
+      participants). *)
 
   val participants : path:(Procset.Pid.t * Sim.Fd_value.t) list ->
     prefix:int -> Procset.Pset.t

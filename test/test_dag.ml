@@ -355,7 +355,7 @@ let test_path_sim_until () =
     PS.run ~n:2
       ~inputs:(fun _ -> 0)
       ~path
-      ~until:(fun states -> states.(0).Probe.sent >= 3)
+      ~until:(fun state -> (state 0).Probe.sent >= 3)
       ()
   in
   Alcotest.(check bool) "stopped" true r.PS.stopped;

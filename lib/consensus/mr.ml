@@ -74,7 +74,7 @@ let quorum_of_fd name = function
 
 module type CONFIG = sig
   val algorithm_name : string
-  val mode : [ `Majority | `Fd_quorum | `Family of Quorum_family.t ]
+  val mode : [ `Fd_quorum | `Family of Quorum_family.t ]
 end
 
 module Make (C : CONFIG) : S = struct
@@ -109,16 +109,13 @@ module Make (C : CONFIG) : S = struct
         { st with props = store_add round env.Sim.Envelope.src value st.props })
 
   (* [collected ~n st round store d] decides whether the wait of the
-     current phase is satisfied: under `Majority, a majority of
-     distinct senders; under `Family, a family quorum of distinct
-     senders; under `Fd_quorum, every member of the quorum currently
-     output by the detector. Returns the bindings to consider. *)
+     current phase is satisfied: under `Family, a family quorum of
+     distinct senders; under `Fd_quorum, every member of the quorum
+     currently output by the detector. Returns the bindings to
+     consider. *)
   let collected ~n round store d =
     let inner = store_round round store in
     match C.mode with
-    | `Majority ->
-      if 2 * Imap.cardinal inner > n then Some (Imap.bindings inner)
-      else None
     | `Family fam ->
       let senders =
         Imap.fold (fun sender _ acc -> Pset.add sender acc) inner Pset.empty
@@ -157,16 +154,6 @@ module Make (C : CONFIG) : S = struct
     in
     let decide =
       match C.mode with
-      | `Majority -> (
-        (* a majority of proposals for the same v <> ? *)
-        match non_unknown with
-        | (_, v) :: _ ->
-          let count =
-            List.length
-              (List.filter (fun (_, v') -> Value.equal v v') non_unknown)
-          in
-          if 2 * count > n then Some v else None
-        | [] -> None)
       | `Family fam ->
         (* a family quorum of proposals for the same v <> ?; at most
            one value can be quorum-supported (any two family quorums
@@ -263,7 +250,7 @@ end
 
 module Majority = Make (struct
   let algorithm_name = "MR-majority"
-  let mode = `Majority
+  let mode = `Family Quorum_family.majority
 end)
 
 module With_quorum = Make (struct

@@ -13,13 +13,11 @@
 
     The instances differ only in what "quorum" means:
 
-    - {!Majority} waits for any majority of processes (the original
-      [MR01] algorithm, correct for uniform consensus when a majority
-      of processes are correct);
     - {!family} waits for any set of senders that is a quorum of the
-      given {!Procset.Quorum_family} — {!Majority} is exactly the
-      majority-family instance, kept as a separate module for
-      byte-compatibility of seeded runs;
+      given {!Procset.Quorum_family};
+    - {!Majority} is its majority-family instance under its own name:
+      the original [MR01] algorithm, correct for uniform consensus
+      when a majority of processes are correct;
     - {!With_quorum} waits for all members of the set currently output
       by the quorum component of its failure detector, re-read at
       every step. Driven by a Sigma oracle this solves uniform
@@ -66,7 +64,8 @@ module type S = sig
 end
 
 module Majority : S
-(** Quorums are majorities of [Pi]. *)
+(** Quorums are majorities of [Pi]: [family Quorum_family.majority],
+    named ["MR-majority"]. *)
 
 module With_quorum : S
 (** Quorums are read from the failure detector at every step. *)
@@ -78,6 +77,5 @@ val family : Procset.Quorum_family.t -> (module S)
     Uniform agreement needs the family's pairwise intersection law
     (any two quorums meet in a process that reported/proposed a single
     value per round) — the law the qcheck suite pins for every shipped
-    family. [family Quorum_family.majority] computes the same
-    histories as {!Majority} (a set is a majority iff it is a
-    majority-family quorum), but the algorithm name differs. *)
+    family. [family Quorum_family.majority] is {!Majority} under the
+    name ["MR[majority]"]. *)

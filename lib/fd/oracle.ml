@@ -115,13 +115,6 @@ let sigma_family ?(seed = 0) ?stab_time family pattern =
         stab_time;
       }
 
-let sigma_majority ?(seed = 0) ?stab_time pattern =
-  (* the majority instance of the family construction, under the
-     historical name *)
-  match sigma_family ~seed ?stab_time Quorum_family.majority pattern with
-  | Ok o -> { o with name = "Sigma-majority" }
-  | Error _ -> invalid_arg "Oracle.sigma_majority: needs a correct majority"
-
 type faulty_mode = Faulty_arbitrary | Faulty_split
 
 (* The quorum of a faulty process [p]: any subset of [all] under

@@ -74,19 +74,10 @@ val sigma_family :
     stabilization the quorums of correct processes are grown inside
     [correct(F)]. Returns the typed {!Procset.Quorum_family.error}
     when the family's shape does not fit [n] or no quorum survives in
-    [correct(F)] — the condition {!sigma_majority} used to turn into
-    an uncaught [Invalid_argument]. *)
-
-val sigma_majority :
-  ?seed:int -> ?stab_time:int -> Sim.Failure_pattern.t -> t
-(** Sigma by majorities — [sigma_family Quorum_family.majority] under
-    the historical name, with the same draws, so the two give the same
-    history: every quorum is a majority
-    of [Pi] (any two majorities intersect); after stabilization the
-    quorums of correct processes are majorities consisting of correct
-    processes — which requires a correct majority. Raises
-    [Invalid_argument] otherwise (prefer {!sigma_family}, which
-    returns the typed error instead). This mirrors the from-scratch
+    [correct(F)]. With {!Procset.Quorum_family.majority} every quorum
+    is a majority of [Pi], and after stabilization the quorums of
+    correct processes are majorities of correct processes, which
+    needs a correct majority; this mirrors the from-scratch
     construction of Theorem 7.1 (IF). *)
 
 (** Behaviour of faulty processes' quorums under Sigma-nu family

@@ -42,9 +42,8 @@ end
 
 type t = (module S)
 
-(** Typed validation errors ({!validate}); these replace the
-    [Invalid_argument] that [Oracle.sigma_majority] used to let escape
-    to the CLI. *)
+(** Typed validation errors ({!validate}), returned where an
+    [Invalid_argument] would otherwise escape to the CLI. *)
 type error =
   | Bad_shape of { family : string; n : int; reason : string }
       (** The family's parameters do not fit a universe of size [n]. *)

@@ -56,26 +56,6 @@ let test_sigma_valid () =
         (Fd.Check.sigma ~max_stab:o.Fd.Oracle.stab_time pattern
            (history_of o pattern)))
 
-let test_sigma_majority_valid () =
-  over_patterns_and_seeds (fun i pattern seed ->
-      let n = Sim.Failure_pattern.n pattern in
-      if Pset.is_majority ~n (Sim.Failure_pattern.correct pattern) then begin
-        let o = Fd.Oracle.sigma_majority ~seed ~stab_time:stab pattern in
-        check_ok
-          (Printf.sprintf "sigma_majority pattern %d seed %d" i seed)
-          (Fd.Check.sigma ~max_stab:o.Fd.Oracle.stab_time pattern
-             (history_of o pattern))
-      end)
-
-let test_sigma_majority_guard () =
-  let pattern =
-    Sim.Failure_pattern.make ~n:4 ~crashes:[ (2, 10); (3, 30) ]
-  in
-  try
-    ignore (Fd.Oracle.sigma_majority pattern);
-    Alcotest.fail "sigma_majority should refuse a minority-correct pattern"
-  with Invalid_argument _ -> ()
-
 (* A pattern with no correct process has no pivot. Omega refuses it
    when built; the pivot-anchored oracles build, and fail at their
    first query that needs the pivot. Sigma-nu's arbitrary faulty
@@ -479,36 +459,6 @@ let test_family_oracles_valid () =
             "sigma_nu_plus_family" Fd.Check.sigma_nu_plus)
         (families_for ~n))
 
-(* sigma_majority IS sigma_family majority: identical histories,
-   sample for sample, under every pattern and seed — the byte-identity
-   that keeps pre-family seeded runs reproducible. *)
-let test_sigma_majority_is_family_majority () =
-  over_patterns_and_seeds (fun i pattern seed ->
-      let n = Sim.Failure_pattern.n pattern in
-      if Pset.is_majority ~n (Sim.Failure_pattern.correct pattern) then begin
-        let o = Fd.Oracle.sigma_majority ~seed ~stab_time:stab pattern in
-        let o' =
-          match
-            Fd.Oracle.sigma_family ~seed ~stab_time:stab
-              Quorum_family.majority pattern
-          with
-          | Ok o' -> o'
-          | Error e ->
-            Alcotest.failf "pattern %d: sigma_family majority: %s" i
-              (Quorum_family.error_to_string e)
-        in
-        let s = Fd.History.all_samples (history_of o pattern) in
-        let s' = Fd.History.all_samples (history_of o' pattern) in
-        List.iter2
-          (fun (p, t, v) (p', t', v') ->
-            if not (p = p' && t = t' && Sim.Fd_value.equal v v') then
-              Alcotest.failf
-                "pattern %d seed %d: sigma_majority and sigma_family \
-                 majority disagree at (p%d, t=%d)"
-                i seed p t)
-          s s'
-      end)
-
 let test_family_oracle_typed_errors () =
   let minority =
     Sim.Failure_pattern.make ~n:4 ~crashes:[ (2, 10); (3, 30) ]
@@ -532,12 +482,8 @@ let () =
         [
           Alcotest.test_case "omega" `Quick test_omega_valid;
           Alcotest.test_case "sigma (pivot)" `Quick test_sigma_valid;
-          Alcotest.test_case "sigma (majority)" `Quick
-            test_sigma_majority_valid;
           Alcotest.test_case "all-faulty pattern has no pivot" `Quick
             test_all_faulty_pivot;
-          Alcotest.test_case "sigma majority guard" `Quick
-            test_sigma_majority_guard;
           Alcotest.test_case "sigma_nu (both faulty modes)" `Quick
             test_sigma_nu_valid;
           Alcotest.test_case "sigma_nu_plus (both faulty modes)" `Quick
@@ -559,8 +505,6 @@ let () =
         [
           Alcotest.test_case "families satisfy their class specs" `Quick
             test_family_oracles_valid;
-          Alcotest.test_case "sigma_majority = sigma_family majority" `Quick
-            test_sigma_majority_is_family_majority;
           Alcotest.test_case "typed errors" `Quick
             test_family_oracle_typed_errors;
         ] );

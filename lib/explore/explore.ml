@@ -153,7 +153,11 @@ module Make (A : Sim.Automaton.S) = struct
   (* Certified shrinking (ddmin over the recorded schedule)             *)
   (* ------------------------------------------------------------------ *)
 
-  let shrink_schedule ?(max_candidates = 20_000) ~n ~inputs ~props moves =
+  (* Candidate re-executions one shrink may spend; past it the result
+     is the best schedule found so far. *)
+  let max_candidates = 20_000
+
+  let shrink_schedule ~n ~inputs ~props moves =
     let spent = ref 0 in
     (* Every candidate is built from the current best's list cells, so
        it replays from the longest prefix it shares with the best. *)

@@ -226,7 +226,6 @@ module Make (A : Sim.Automaton.S) : sig
       final and writes no checkpoint. *)
 
   val shrink_schedule :
-    ?max_candidates:int ->
     n:int ->
     inputs:(Pid.t -> A.input) ->
     props:M.property list ->
@@ -253,8 +252,8 @@ module Make (A : Sim.Automaton.S) : sig
       initial configuration gives. Every accepted candidate is
       applicable move by move and violates some property of [props];
       the pair is the shrunk schedule and the number of candidate
-      re-executions spent (capped by [max_candidates], default 20000 —
-      the result is then the best schedule found so far). *)
+      re-executions spent (capped at 20,000 — the result is then the
+      best schedule found so far). *)
 
   val json_of_report : report -> Report.t
   (** The fuzz report as a JSON document ([lib/report]); excludes

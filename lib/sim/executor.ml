@@ -19,6 +19,16 @@ let backoff attempt =
    be mistaken for global death by one unlucky zero-step round. *)
 let idle_rechecks = 3
 
+(* Consecutive steps one process takes per round: smaller slices
+   interleave more finely at more synchronization cost. *)
+let slice = 64
+
+(* Every [lambda_every]-th step of a slice receives lambda even when
+   messages are pending, so a flooded process still takes the
+   spontaneous steps protocols need for timeouts and
+   retransmissions. *)
+let lambda_every = 8
+
 module Make (A : Automaton.S) = struct
   type outcome = {
     states : A.state array;
@@ -34,15 +44,11 @@ module Make (A : Automaton.S) = struct
   module T = Transport.Ring
 
   let exec ?jobs ?shards ?transport:_ ?capacity ?(faults = Faults.none)
-      ?(slice = 64) ?(lambda_every = 8) ?(stop = fun _ _ -> false) ~pattern
-      ~fd ~inputs ~max_steps () =
+      ?(stop = fun _ _ -> false) ~pattern ~fd ~inputs ~max_steps () =
     let jobs =
       match jobs with Some j -> max 1 j | None -> Pool.default_jobs ()
     in
     let shards = match shards with Some s -> max 1 s | None -> jobs in
-    if slice < 1 then invalid_arg "Executor.exec: slice must be >= 1";
-    if lambda_every < 2 then
-      invalid_arg "Executor.exec: lambda_every must be >= 2";
     let n = Failure_pattern.n pattern in
     let shards = max 1 (min shards n) in
     let net : A.message T.t =

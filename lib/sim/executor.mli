@@ -68,8 +68,6 @@ module Make (A : Automaton.S) : sig
     ?transport:transport ->
     ?capacity:int ->
     ?faults:Faults.t ->
-    ?slice:int ->
-    ?lambda_every:int ->
     ?stop:((Procset.Pid.t -> A.state) -> int -> bool) ->
     pattern:Failure_pattern.t ->
     fd:(Procset.Pid.t -> int -> Fd_value.t) ->
@@ -90,16 +88,14 @@ module Make (A : Automaton.S) : sig
       [\[1, n\]]) is the number of replica groups domains claim as
       units. [transport] is ignored. [capacity] is the ring's
       per-mailbox capacity.
-      [slice] (default 64) is how many consecutive steps one process
-      takes per round; smaller slices interleave more finely at more
-      synchronization cost. [lambda_every] (default 8) forces every
-      k-th step of a slice to receive lambda even when messages are
-      pending, so a flooded process still takes the spontaneous steps
-      protocols need for timeouts and retransmissions. Crashed
+      Each round a process takes a slice of up to 64 consecutive
+      steps, and every 8th step of a slice receives lambda even when
+      messages are pending, so a flooded process still takes the
+      spontaneous steps protocols need for timeouts and
+      retransmissions. Crashed
       processes ([pattern]) take no further steps from their crash
       tick onward, and the ring discards sends addressed to them from
       that tick on ([stats.discarded]). [fd p t] must be safe to call
       from any domain ({!Fd.Oracle} queries are pure, so oracles
-      qualify).
-      @raise Invalid_argument on a bad [slice]/[lambda_every]. *)
+      qualify). *)
 end

@@ -92,9 +92,6 @@ let prune ~window g =
 let samples_of g p =
   nodes g |> List.filter (fun v -> Procset.Pid.equal v.Node.owner p)
 
-let owners g =
-  Kmap.fold (fun (p, _) _ acc -> Procset.Pset.add p acc) g Procset.Pset.empty
-
 let ancestor_count g v =
   match Kmap.find_opt (Node.key v) g with
   | None -> 0

@@ -70,9 +70,6 @@ val prune : window:int -> t -> t
 val samples_of : t -> Procset.Pid.t -> Node.t list
 (** The samples of one process, sorted by index. *)
 
-val owners : t -> Procset.Pset.t
-(** The set of processes owning at least one node. *)
-
 val ancestor_count : t -> Node.t -> int
 (** Number of ancestors of a node within the graph. *)
 

@@ -39,18 +39,6 @@ let rec pp fmt = function
   | Suspects s -> Format.fprintf fmt "suspects=%a" Procset.Pset.pp s
   | Pair (a, b) -> Format.fprintf fmt "(%a, %a)" pp a pp b
 
-let leader_exn = function
-  | Leader p -> p
-  | v -> invalid_arg (Format.asprintf "Fd_value.leader_exn: %a" pp v)
-
-let quorum_exn = function
-  | Quorum s -> s
-  | v -> invalid_arg (Format.asprintf "Fd_value.quorum_exn: %a" pp v)
-
-let suspects_exn = function
-  | Suspects s -> s
-  | v -> invalid_arg (Format.asprintf "Fd_value.suspects_exn: %a" pp v)
-
 let pair_exn = function
   | Pair (a, b) -> a, b
   | v -> invalid_arg (Format.asprintf "Fd_value.pair_exn: %a" pp v)

@@ -29,18 +29,6 @@ val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 (** Human-readable rendering. *)
 
-val leader_exn : t -> Procset.Pid.t
-(** Projects [Leader p]; raises [Invalid_argument] otherwise. *)
-
-val quorum_exn : t -> Procset.Pset.t
-(** Projects [Quorum q]; raises [Invalid_argument] otherwise. *)
-
-val suspects_exn : t -> Procset.Pset.t
-(** Projects [Suspects s]; raises [Invalid_argument] otherwise. *)
-
-val pair_exn : t -> t * t
-(** Projects [Pair (d, d')]; raises [Invalid_argument] otherwise. *)
-
 val fst_exn : t -> t
 (** First component of a [Pair]; raises [Invalid_argument] otherwise. *)
 

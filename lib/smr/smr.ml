@@ -81,9 +81,7 @@ module type S = sig
   val snapshot : state -> tick:int -> Snapshot.t
   val slots_decided : state -> int
   val commands_applied : state -> int
-  val current_slot : state -> int
   val open_instances : state -> int
-  val pending_len : state -> int
   val pp_message : Format.formatter -> message -> unit
   val equal_message : message -> message -> bool
 end
@@ -125,7 +123,6 @@ module Make_tuned (T : TUNING) (C : CONSENSUS) : S = struct
        nothing is silently re-proposed by position. *)
     pending_f : Consensus.Value.t list; (* front, oldest first *)
     pending_b : Consensus.Value.t list; (* back, newest first *)
-    pending_n : int;
     pending_set : Vset.t; (* values pending or in flight (dedup gate) *)
     inflight : Consensus.Value.t list Imap.t; (* slot -> our proposal *)
     inflight_n : int; (* total commands across [inflight] *)
@@ -167,7 +164,6 @@ module Make_tuned (T : TUNING) (C : CONSENSUS) : S = struct
     {
       pending_f = commands;
       pending_b = [];
-      pending_n = List.length commands;
       pending_set =
         List.fold_left (fun s c -> Vset.add c s) Vset.empty commands;
       inflight = Imap.empty;
@@ -196,23 +192,17 @@ module Make_tuned (T : TUNING) (C : CONSENSUS) : S = struct
     {
       st with
       pending_b = c :: st.pending_b;
-      pending_n = st.pending_n + 1;
       pending_set = Vset.add c st.pending_set;
     }
 
   (* re-queue lost commands ahead of everything else, preserving their
      order; their values are already members of [pending_set] *)
-  let pending_push_front_list st cs =
-    {
-      st with
-      pending_f = cs @ st.pending_f;
-      pending_n = st.pending_n + List.length cs;
-    }
+  let pending_push_front_list st cs = { st with pending_f = cs @ st.pending_f }
 
   let rec pending_pop st =
     match st.pending_f with
     | c :: rest ->
-      Some (c, { st with pending_f = rest; pending_n = st.pending_n - 1 })
+      Some (c, { st with pending_f = rest })
     | [] -> (
       match st.pending_b with
       | [] -> None
@@ -533,9 +523,7 @@ module Make_tuned (T : TUNING) (C : CONSENSUS) : S = struct
       ~ops:st.applied_cmds ~digest:st.full_digest ~batches:(batches st) ~tick
   let slots_decided st = st.decided_count
   let commands_applied st = st.applied_cmds
-  let current_slot st = st.slot
   let open_instances st = Imap.cardinal st.instances
-  let pending_len st = st.pending_n
 
   let pp_message fmt = function
     | Slot { slot; inner; frontier } ->

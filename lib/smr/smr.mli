@@ -151,17 +151,11 @@ module type S = sig
   val commands_applied : state -> int
   (** Non-{!noop} commands applied, across all decided slots. O(1). *)
 
-  val current_slot : state -> int
-  (** The first undecided slot. *)
-
   val open_instances : state -> int
   (** Live consensus instances: the slots from the lowest slot some
       replica has not yet reported deciding through the pipeline
       window — a handful while every replica keeps up, never more
       than [horizon] behind plus the window. *)
-
-  val pending_len : state -> int
-  (** Commands still queued (submitted, not yet proposed). *)
 
   val pp_message : Format.formatter -> message -> unit
   val equal_message : message -> message -> bool

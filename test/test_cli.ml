@@ -650,6 +650,9 @@ let bad_flags =
     ( [ "run"; "-n"; "3"; "-t"; "1"; "--partition"; "0-5:0,99|1" ],
       124,
       "bad partition" );
+    ( [ "run"; "-n"; "4"; "-t"; "1"; "--partition"; "20-60:0,9|2,3" ],
+      1,
+      "error: partition pid 9 is out of range for n = 4" );
     (* unknown names *)
     ([ "serve"; "--transport"; "mutex" ], 124, "unknown option '--transport'");
     ([ "mc"; "--algo"; "foo" ], 124, "invalid value 'foo'");

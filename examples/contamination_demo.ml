@@ -7,7 +7,6 @@
    awareness are then shown to survive the same adversary family.
 
    Run with: dune exec examples/contamination_demo.exe *)
-open Procset
 
 let () =
   Format.printf "=== naive MR + Sigma-nu quorums under the Section 6.3 \
@@ -47,21 +46,14 @@ let () =
           (Fd.Oracle.sigma_nu_plus ~seed ~faulty_mode:Fd.Oracle.Faulty_split
              ~stab_time:120 pattern)
       in
-      let module R = Sim.Runner.Make (Core.Anuc) in
-      let correct = Sim.Failure_pattern.correct pattern in
-      let proposals p = if p < 2 then 0 else 1 in
-      let run =
-        R.exec ~seed ~record:false ~pattern ~fd:oracle.Fd.Oracle.query
-          ~inputs:proposals ~max_steps:8000
-          ~stop:(fun st _ ->
-            Pset.for_all (fun p -> Core.Anuc.decision (st p) <> None) correct)
-          ()
+      let r =
+        Consensus.Spec.decide (module Core.Anuc) ~seed ~pattern
+          ~fd:oracle.Fd.Oracle.query
+          ~proposals:(fun p -> if p < 2 then 0 else 1)
+          ~max_steps:8000 ()
       in
       incr runs;
-      let outcome =
-        Consensus.Spec.outcome ~pattern ~proposals ~decisions:(fun p ->
-            Core.Anuc.decision run.R.states.(p))
-      in
+      let outcome = r.Consensus.Spec.outcome in
       match Consensus.Spec.check Consensus.Spec.Nonuniform outcome with
       | Ok () -> ()
       | Error e ->

@@ -17,16 +17,7 @@
    Run with: dune exec examples/fd_transform_demo.exe *)
 open Procset
 
-module Tx = Core.T_extract.Make (struct
-  include Consensus.Mr.With_quorum
-
-  type message = Consensus.Mr.message
-
-  let pp_message = Consensus.Mr.pp_message
-  let equal_message = Consensus.Mr.equal_message
-  let step = Consensus.Mr.With_quorum.step
-  let decision = Consensus.Mr.With_quorum.decision
-end)
+module Tx = Core.T_extract.Make (Consensus.Mr.With_quorum)
 
 module Tx_runner = Sim.Runner.Make (Tx)
 module Tsp_runner = Sim.Runner.Make (Core.T_sigma_plus)

@@ -15,15 +15,7 @@ module Scratch = Core.Separation.Sigma_scratch
 module Scratch_runner = Sim.Runner.Make (Scratch)
 module Attack_scratch = Core.Separation.Attack (Scratch)
 
-module Attack_tsp = Core.Separation.Attack (struct
-  include Core.T_sigma_plus
-
-  type message = Core.T_sigma_plus.message
-
-  let pp_message = Core.T_sigma_plus.pp_message
-  let equal_message = Core.T_sigma_plus.equal_message
-  let step = Core.T_sigma_plus.step
-end)
+module Attack_tsp = Core.Separation.Attack (Core.T_sigma_plus)
 
 let () =
   let n = 4 in

@@ -189,5 +189,3 @@ let equal_message a b =
 
 let decision st = Option.map fst st.decided
 let decision_round st = Option.map snd st.decided
-let round st = st.k
-let estimate st = st.x

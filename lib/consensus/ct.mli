@@ -27,17 +27,4 @@ type message =
   | Nack of { round : int }
   | Decide of { value : Value.t }
 
-include
-  Sim.Automaton.S with type input = Value.t and type message := message
-
-val decision : state -> Value.t option
-(** The decided value, if any. *)
-
-val decision_round : state -> int option
-(** Round at which the decision was locked in at this process. *)
-
-val round : state -> int
-(** Current round number. *)
-
-val estimate : state -> Value.t
-(** Current timestamped estimate. *)
+include Spec.S with type message := message

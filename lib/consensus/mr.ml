@@ -22,11 +22,8 @@ let equal_message a b =
 type phase_view = Phase_start | Phase_lead | Phase_rep | Phase_prop
 
 module type S = sig
-  include
-    Sim.Automaton.S with type input = Value.t and type message = message
+  include Spec.S with type message = message
 
-  val decision : state -> Value.t option
-  val decision_round : state -> int option
   val round : state -> int
   val estimate : state -> Value.t
   val phase : state -> phase_view

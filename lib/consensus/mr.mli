@@ -44,14 +44,7 @@ val equal_message : message -> message -> bool
 type phase_view = Phase_start | Phase_lead | Phase_rep | Phase_prop
 
 module type S = sig
-  include
-    Sim.Automaton.S with type input = Value.t and type message = message
-
-  val decision : state -> Value.t option
-  (** The decided value, if this process has decided. *)
-
-  val decision_round : state -> int option
-  (** The round in which the decision was taken. *)
+  include Spec.S with type message = message
 
   val round : state -> int
   (** The current round number [k_p]. *)

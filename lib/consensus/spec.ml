@@ -1,5 +1,12 @@
 open Procset
 
+module type S = sig
+  include Sim.Automaton.S with type input = Value.t
+
+  val decision : state -> Value.t option
+  val decision_round : state -> int option
+end
+
 type flavour = Uniform | Nonuniform
 
 let pp_flavour fmt = function
@@ -71,7 +78,42 @@ let check_agreement flavour o =
 
 let ( let* ) = Result.bind
 
-let check flavour o =
-  let* () = check_termination o in
+let check_safety flavour o =
   let* () = check_validity o in
   check_agreement flavour o
+
+let check flavour o =
+  let* () = check_termination o in
+  check_safety flavour o
+
+type run = {
+  outcome : outcome;
+  rounds : int list;
+  steps : int;
+  all_decided : bool;
+  metrics : Sim.Runner.metrics;
+}
+
+let decide (module A : S) ?faults ~seed ~pattern ~fd ~proposals ~max_steps ()
+    =
+  let module R = Sim.Runner.Make (A) in
+  let correct = Sim.Failure_pattern.correct pattern in
+  let run =
+    R.exec ~seed ?faults ~record:false ~pattern ~fd ~inputs:proposals
+      ~max_steps
+      ~stop:(fun st _ ->
+        Pset.for_all (fun p -> A.decision (st p) <> None) correct)
+      ()
+  in
+  let state p = run.R.states.(p) in
+  {
+    outcome =
+      outcome ~pattern ~proposals ~decisions:(fun p -> A.decision (state p));
+    rounds =
+      List.filter_map
+        (fun p -> A.decision_round (state p))
+        (Pset.elements correct);
+    steps = run.R.step_count;
+    all_decided = run.R.stopped_early;
+    metrics = run.R.metrics;
+  }

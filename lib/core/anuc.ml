@@ -7,8 +7,6 @@ type message =
   | Saw of { quorum : Pset.t }
   | Ack of { quorum : Pset.t; round : int }
 
-type phase_view = Phase_start | Phase_lead | Phase_rep | Phase_prop
-
 let pp_message fmt = function
   | Lead { round; est; _ } ->
     Format.fprintf fmt "LEAD(%d, %a, H)" round Consensus.Value.pp est
@@ -51,16 +49,9 @@ let store_round round s =
   Option.value ~default:Imap.empty (Imap.find_opt round s)
 
 module type S = sig
-  include
-    Sim.Automaton.S
-      with type input = Consensus.Value.t
-       and type message = message
+  include Consensus.Spec.S with type message = message
 
-  val decision : state -> Consensus.Value.t option
-  val decision_round : state -> int option
-  val round : state -> int
   val estimate : state -> Consensus.Value.t
-  val phase : state -> phase_view
   val history : state -> Qhist.t
   val considered_faulty : self:Procset.Pid.t -> state -> Procset.Pset.t
 end
@@ -300,16 +291,7 @@ module Make (C : CONFIG) = struct
 
   let decision st = Option.map fst st.decided
   let decision_round st = Option.map snd st.decided
-  let round st = st.k
   let estimate st = st.x
-
-  let phase st =
-    match st.phase with
-    | Start -> Phase_start
-    | Wait_lead -> Phase_lead
-    | Wait_rep -> Phase_rep
-    | Wait_prop -> Phase_prop
-
   let history st = st.hist
   let considered_faulty ~self st = Qhist.considered_faulty ~self st.hist
 

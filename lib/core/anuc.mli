@@ -30,29 +30,12 @@ type message =
   | Saw of { quorum : Procset.Pset.t }
   | Ack of { quorum : Procset.Pset.t; round : int }
 
-type phase_view = Phase_start | Phase_lead | Phase_rep | Phase_prop
-
 (** The full interface of one [A_nuc] variant. *)
 module type S = sig
-  include
-    Sim.Automaton.S
-      with type input = Consensus.Value.t
-       and type message = message
-
-  val decision : state -> Consensus.Value.t option
-  (** The decided value, if any. Decisions are irrevocable. *)
-
-  val decision_round : state -> int option
-  (** Round in which the decision was taken. *)
-
-  val round : state -> int
-  (** Current round [k_p]. *)
+  include Consensus.Spec.S with type message = message
 
   val estimate : state -> Consensus.Value.t
   (** Current estimate [x_p]. *)
-
-  val phase : state -> phase_view
-  (** Which wait the process is currently in. *)
 
   val history : state -> Qhist.t
   (** The quorum history [H_p]. *)

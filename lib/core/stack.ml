@@ -54,5 +54,4 @@ let equal_message a b =
 
 let decision st = Anuc.decision st.c
 let decision_round st = Anuc.decision_round st.c
-let round st = Anuc.round st.c
 let emulated_quorum st = T_sigma_plus.output st.t

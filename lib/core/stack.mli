@@ -15,19 +15,7 @@
 
 type message = Gossip of Dagsim.Dag.t | Cons of Anuc.message
 
-include
-  Sim.Automaton.S
-    with type input = Consensus.Value.t
-     and type message := message
-
-val decision : state -> Consensus.Value.t option
-(** The decided value, if any. *)
-
-val decision_round : state -> int option
-(** Round of the decision. *)
-
-val round : state -> int
-(** Current [A_nuc] round. *)
+include Consensus.Spec.S with type message := message
 
 val emulated_quorum : state -> Procset.Pset.t
 (** The Sigma-nu+ quorum currently emulated by the transformation

@@ -2,13 +2,7 @@ open Procset
 module Dag = Dagsim.Dag
 module Node = Dagsim.Node
 
-module type SIMULATED = sig
-  include Sim.Automaton.S with type input = Consensus.Value.t
-
-  val decision : state -> Consensus.Value.t option
-end
-
-module Make (A : SIMULATED) = struct
+module Make (A : Consensus.Spec.S) = struct
   module PS = Dagsim.Path_sim.Make (A)
 
   (* Simulation cost is linear in the path length; keep a bounded

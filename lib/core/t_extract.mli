@@ -2,9 +2,10 @@
     that can be used to solve nonuniform consensus (Fig. 2 of the
     paper, Theorem 5.4).
 
-    Parametric in the consensus algorithm [A] that uses [D]: each
-    process runs [A_DAG] sampling its [D] module, and periodically
-    simulates schedules of [A] over its DAG of samples. When it finds
+    Parametric in the consensus algorithm [A] that uses [D], any
+    {!Consensus.Spec.S}: each process runs [A_DAG] sampling its [D]
+    module, and periodically simulates schedules of [A] over its DAG
+    of samples. When it finds
     a schedule from the all-zeros initial configuration [I_0] and one
     from the all-ones configuration [I_1] — both drawn from
     [G_p|u_p], with [u_p] the freshness barrier — in which it decides,
@@ -24,12 +25,4 @@
     {!Dagsim.Path_sim}), and the first deciding prefix is used. Each
     owner keeps its last 320 samples, more than the path holds. *)
 
-(** The simulated consensus algorithm: an automaton proposing a value
-    and exposing its decision. *)
-module type SIMULATED = sig
-  include Sim.Automaton.S with type input = Consensus.Value.t
-
-  val decision : state -> Consensus.Value.t option
-end
-
-module Make (A : SIMULATED) : Dagsim.Adag.TRANSFORMATION
+module Make (A : Consensus.Spec.S) : Dagsim.Adag.TRANSFORMATION

@@ -1,4 +1,5 @@
 open Procset
+module Spec = Consensus.Spec
 
 type row = {
   id : string;
@@ -46,12 +47,6 @@ let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l
 let mean total count =
   if count = 0 then nan else float_of_int total /. float_of_int count
 
-(* Validity and NU agreement: [Consensus.Spec.check] without
-   termination, for runs whose liveness may legitimately fail. *)
-let safety outcome =
-  Result.bind (Consensus.Spec.check_validity outcome) (fun () ->
-      Consensus.Spec.check_agreement Consensus.Spec.Nonuniform outcome)
-
 (* Tally of pass/fail over a parameter sweep. *)
 type tally = { mutable total : int; mutable failed : int; mutable note : string }
 
@@ -98,19 +93,11 @@ let algo_name = function
   | Ct -> "CT-<>S"
   | Family fam -> Printf.sprintf "MR[%s]" (Quorum_family.name fam)
 
-(* A consensus automaton, as [decide] drives and reads it. *)
-module type DECIDER = sig
-  include Sim.Automaton.S with type input = Consensus.Value.t
-
-  val decision : state -> Consensus.Value.t option
-  val decision_round : state -> int option
-end
-
 (* The automaton behind [algo] and the history it runs under: Omega
    paired with the quorum detector its proof assumes. CT reads <>S;
    MR over a family reads Omega alone, since its waits count senders
    against the family. *)
-let protocol algo ?stab_time ~seed pattern : (module DECIDER) * Fd.Oracle.t =
+let protocol algo ?stab_time ~seed pattern : (module Spec.S) * Fd.Oracle.t =
   let open Fd.Oracle in
   let omega = omega ~seed ?stab_time pattern in
   match algo with
@@ -127,51 +114,18 @@ let protocol algo ?stab_time ~seed pattern : (module DECIDER) * Fd.Oracle.t =
   | Ct -> ((module Consensus.Ct), eventually_strong ~seed ?stab_time pattern)
   | Family fam -> ((module (val Consensus.Mr.family fam)), omega)
 
-type decision_run = {
-  decisions : Consensus.Value.t option array;  (* every process, at the stop *)
-  rounds : int list;  (* decision rounds of the correct deciders *)
-  steps : int;
-  all_decided : bool;  (* every correct process decided within the budget *)
-  metrics : Sim.Runner.metrics;
-}
-
-(* One seeded, unrecorded run of [A] until every correct process has
-   decided or [max_steps] ticks have passed. *)
-let decide (module A : DECIDER) ?faults ~seed ~pattern ~fd ~proposals
-    ~max_steps () =
-  let module R = Sim.Runner.Make (A) in
-  let correct = Sim.Failure_pattern.correct pattern in
-  let run =
-    R.exec ~seed ?faults ~record:false ~pattern ~fd ~inputs:proposals
-      ~max_steps
-      ~stop:(fun st _ ->
-        Pset.for_all (fun p -> A.decision (st p) <> None) correct)
-      ()
-  in
-  {
-    decisions = Array.map A.decision run.R.states;
-    rounds =
-      List.filter_map
-        (fun p -> A.decision_round run.R.states.(p))
-        (Pset.elements correct);
-    steps = run.R.step_count;
-    all_decided = run.R.stopped_early;
-    metrics = run.R.metrics;
-  }
-
 (* [algo] under [protocol]'s history, proposals alternating with the
    seed: the run behind E4, E5 and the B1, B2, B7 and B13 sweeps. *)
 let measure ?faults ?stab_time algo ~pattern ~seed ~max_steps =
   let m, oracle = protocol algo ?stab_time ~seed pattern in
-  decide m ?faults ~seed ~pattern ~fd:oracle.Fd.Oracle.query
+  Spec.decide m ?faults ~seed ~pattern ~fd:oracle.Fd.Oracle.query
     ~proposals:(fun p -> (p + seed) mod 2)
     ~max_steps ()
 
 (* The Section 6.3 adversary family that E6 and B5 sweep: the two
    faulty processes crash late, Omega trusts them first and
-   Sigma-nu+ gives them quorums of their own. Returns the consensus
-   outcome with the run. *)
-let adversarial_run (module V : DECIDER) ~seed =
+   Sigma-nu+ gives them quorums of their own. *)
+let adversarial_run algo ~seed =
   let pattern =
     Sim.Failure_pattern.make ~n:4 ~crashes:[ (2, 150); (3, 150) ]
   in
@@ -182,14 +136,9 @@ let adversarial_run (module V : DECIDER) ~seed =
       (Fd.Oracle.sigma_nu_plus ~seed ~faulty_mode:Fd.Oracle.Faulty_split
          ~stab_time:120 pattern)
   in
-  let proposals p = if p < 2 then 0 else 1 in
-  let d =
-    decide (module V) ~seed ~pattern ~fd:oracle.Fd.Oracle.query ~proposals
-      ~max_steps:8000 ()
-  in
-  ( Consensus.Spec.outcome ~pattern ~proposals
-      ~decisions:(Array.get d.decisions),
-    d )
+  Spec.decide algo ~seed ~pattern ~fd:oracle.Fd.Oracle.query
+    ~proposals:(fun p -> if p < 2 then 0 else 1)
+    ~max_steps:8000 ()
 
 (* Runs emulator [E] for every case and seed, reads its output at each
    recorded step as a detector history, and checks that history
@@ -292,12 +241,7 @@ let consensus_sweep ~id ~theorem ~expected algo ~ns ~seeds ~max_steps =
             (fun seed ->
               let pattern = random_pattern ~seed ~n ~t:tt in
               let d = measure algo ~pattern ~seed ~max_steps in
-              let outcome =
-                Consensus.Spec.outcome ~pattern
-                  ~proposals:(fun p -> (p + seed) mod 2)
-                  ~decisions:(Array.get d.decisions)
-              in
-              match Consensus.Spec.check Consensus.Spec.Nonuniform outcome with
+              match Spec.check Spec.Nonuniform d.Spec.outcome with
               | Ok () -> record t true ""
               | Error e ->
                 record t false
@@ -335,9 +279,9 @@ let e6_contamination ?(quick = false) ?(seed_base = 0) () =
   let anuc_violations =
     List.init runs (fun i -> seed_base + i)
     |> List.filter (fun seed ->
-           let outcome, _ = adversarial_run (module Core.Anuc) ~seed in
+           let d = adversarial_run (module Core.Anuc) ~seed in
            Result.is_error
-             (Consensus.Spec.check Consensus.Spec.Nonuniform outcome))
+             (Spec.check Spec.Nonuniform d.Spec.outcome))
     |> List.length
   in
   {
@@ -524,15 +468,15 @@ let e10_not_uniform ?quick:_ () =
       ()
   in
   let outcome =
-    Consensus.Spec.outcome ~pattern ~proposals ~decisions:(fun p ->
+    Spec.outcome ~pattern ~proposals ~decisions:(fun p ->
         Core.Anuc.decision run.Anuc_runner.states.(p))
   in
   let nonuniform_ok =
-    Result.is_ok (Consensus.Spec.check Consensus.Spec.Nonuniform outcome)
+    Result.is_ok (Spec.check Spec.Nonuniform outcome)
   in
   let uniform_violated =
     Result.is_error
-      (Consensus.Spec.check_agreement Consensus.Spec.Uniform outcome)
+      (Spec.check_agreement Spec.Uniform outcome)
   in
   (* the driving history must be a legal Sigma-nu+ history *)
   let samples =
@@ -601,7 +545,7 @@ let mc_verify_anuc ?reduction ?(lossy = false) ?jobs ?(n = 3) ?quorum
     Mc_anuc.run ?reduction ?jobs ?max_states ~n ~menu ~depth
       ~inputs:proposals ~props:
         (Mc_anuc.consensus_props ~decision:Core.Anuc.decision ~proposals
-           ~flavour:Consensus.Spec.Nonuniform ~pattern)
+           ~flavour:Spec.Nonuniform ~pattern)
       ~stop:
         (Mc_anuc.decided_stop ~decision:Core.Anuc.decision
            ~scope:(Sim.Failure_pattern.correct pattern))
@@ -635,7 +579,7 @@ let mc_attack_naive ?reduction ?(lossy = false) ~depth () =
       ~props:
         (Mc_naive.consensus_props
            ~decision:Consensus.Mr.With_quorum.decision ~proposals
-           ~flavour:Consensus.Spec.Nonuniform ~pattern)
+           ~flavour:Spec.Nonuniform ~pattern)
       ~stop:
         (Mc_naive.decided_stop ~decision:Consensus.Mr.With_quorum.decision
            ~scope:(Sim.Failure_pattern.correct pattern))
@@ -752,14 +696,14 @@ let e12_faults ?(quick = false) ?(seed_base = 0) () =
           ()
       in
       let outcome =
-        Consensus.Spec.outcome ~pattern ~proposals ~decisions:(fun p ->
+        Spec.outcome ~pattern ~proposals ~decisions:(fun p ->
             Core.Anuc.decision run.Anuc_runner.states.(p))
       in
       (* Safety only: a dropped message is never retransmitted, so a
          loss on the critical path legitimately stalls liveness (the
          degradation B7 quantifies) — but no fault may ever induce a
          validity or NU-agreement violation. *)
-      (match safety outcome with
+      (match Spec.check_safety Spec.Nonuniform outcome with
       | Ok () -> record t true ""
       | Error e ->
         record t false (Printf.sprintf "seed %d: %s" seed e));
@@ -828,7 +772,7 @@ let fuzz_attack_naive ?quorum ~seed ~runs ~n ~t () =
   let menu = Mc.Menu.contamination ?quorum ~n ~faulty () in
   let props =
     Ex_naive.M.consensus_props ~decision:Consensus.Mr.With_quorum.decision
-      ~proposals ~flavour:Consensus.Spec.Nonuniform ~pattern
+      ~proposals ~flavour:Spec.Nonuniform ~pattern
   in
   let stop =
     Ex_naive.M.decided_stop ~decision:Consensus.Mr.With_quorum.decision
@@ -860,7 +804,7 @@ let fuzz_survive_anuc ~seed ~runs ~n ~t =
   in
   let props =
     Ex_anuc.M.consensus_props ~decision:Core.Anuc.decision ~proposals
-      ~flavour:Consensus.Spec.Nonuniform ~pattern
+      ~flavour:Spec.Nonuniform ~pattern
   in
   let stop =
     Ex_anuc.M.decided_stop ~decision:Core.Anuc.decision
@@ -1127,18 +1071,20 @@ let latency ?faults algo ~n ~t ~seeds =
           ~stab_time:60 ~max_steps:(budget algo))
       seeds
   in
-  let rounds = List.concat_map (fun d -> d.rounds) runs in
+  let rounds = List.concat_map (fun d -> d.Spec.rounds) runs in
   let count = List.length runs in
   {
     algorithm = algo_name algo;
     n;
     t;
     runs = count;
-    decided = List.length (List.filter (fun d -> d.all_decided) runs);
+    decided = List.length (List.filter (fun d -> d.Spec.all_decided) runs);
     avg_rounds = mean (sum Fun.id rounds) (List.length rounds);
-    avg_steps = mean (sum (fun d -> d.steps) runs) count;
-    avg_msgs = mean (sum (fun d -> d.metrics.Sim.Runner.sent) runs) count;
-    avg_hwm = mean (sum (fun d -> d.metrics.Sim.Runner.mailbox_hwm) runs) count;
+    avg_steps = mean (sum (fun d -> d.Spec.steps) runs) count;
+    avg_msgs =
+      mean (sum (fun d -> d.Spec.metrics.Sim.Runner.sent) runs) count;
+    avg_hwm =
+      mean (sum (fun d -> d.Spec.metrics.Sim.Runner.mailbox_hwm) runs) count;
   }
 
 type stab_row = { stab_time : int; s_runs : int; s_avg_steps : float }
@@ -1160,7 +1106,7 @@ let stabilization_series algo ~n ~t ~stabs ~seeds =
       let steps seed =
         (measure algo ~pattern:(random_pattern ~seed ~n ~t) ~seed ~stab_time
            ~max_steps)
-          .steps
+          .Spec.steps
       in
       {
         stab_time;
@@ -1210,7 +1156,7 @@ let fault_latency algo ~n ~t ~drops ~seeds =
               ~stab_time:60 ~max_steps:(budget algo))
           seeds
       in
-      let decided = List.filter (fun d -> d.all_decided) runs in
+      let decided = List.filter (fun d -> d.Spec.all_decided) runs in
       {
         f_algorithm = algo_name algo;
         f_drop = drop;
@@ -1218,10 +1164,10 @@ let fault_latency algo ~n ~t ~drops ~seeds =
         f_decided = List.length decided;
         f_budget = budget algo;
         f_avg_steps =
-          mean (sum (fun d -> d.steps) decided) (List.length decided);
+          mean (sum (fun d -> d.Spec.steps) decided) (List.length decided);
         f_avg_dropped =
           mean
-            (sum (fun d -> d.metrics.Sim.Runner.dropped) runs)
+            (sum (fun d -> d.Spec.metrics.Sim.Runner.dropped) runs)
             (List.length runs);
       })
     drops
@@ -1318,9 +1264,12 @@ let ablation_spec =
    agreement/validity violations and decision rounds. *)
 let ablation_sweep (module V : Core.Anuc.S) ~seeds =
   let runs = List.map (fun seed -> adversarial_run (module V) ~seed) seeds in
-  let rounds = List.concat_map (fun (_, d) -> d.rounds) runs in
+  let rounds = List.concat_map (fun d -> d.Spec.rounds) runs in
+  let unsafe d =
+    Result.is_error (Spec.check_safety Spec.Nonuniform d.Spec.outcome)
+  in
   ( List.length runs,
-    List.length (List.filter (fun (o, _) -> Result.is_error (safety o)) runs),
+    List.length (List.filter unsafe runs),
     mean (sum Fun.id rounds) (List.length rounds) )
 
 let ablation_variant (module V : Core.Anuc.S)
@@ -2031,8 +1980,8 @@ let b13_measure fam ~n ~t ~seeds =
           measure (Family fam) ~pattern ~seed ~stab_time:60 ~max_steps:4000 ))
       seeds
   in
-  let decided = List.filter (fun (_, d) -> d.all_decided) runs in
-  let rounds = List.concat_map (fun (_, d) -> d.rounds) decided in
+  let decided = List.filter (fun (_, d) -> d.Spec.all_decided) runs in
+  let rounds = List.concat_map (fun (_, d) -> d.Spec.rounds) decided in
   {
     b13_family = Quorum_family.name fam;
     b13_n = n;
@@ -2045,8 +1994,9 @@ let b13_measure fam ~n ~t ~seeds =
     b13_decided = List.length decided;
     b13_avg_rounds = mean (sum Fun.id rounds) (List.length rounds);
     b13_avg_steps =
-      mean (sum (fun (_, d) -> d.steps) decided) (List.length decided);
-    b13_pass = List.for_all (fun (live, d) -> live = d.all_decided) runs;
+      mean (sum (fun (_, d) -> d.Spec.steps) decided) (List.length decided);
+    b13_pass =
+      List.for_all (fun (live, d) -> live = d.Spec.all_decided) runs;
   }
 
 (* The trade-off sweep: same MR skeleton, five quorum structures.

@@ -164,13 +164,7 @@ let percentile pairs q =
 
 let make_smr cfg : (module Smr.S) =
   let module T = (val tuning cfg) in
-  (module Smr.Make_tuned
-            (T)
-            (struct
-              include Core.Anuc
-
-              let decision = Core.Anuc.decision
-            end))
+  (module Smr.Make_tuned (T) (Core.Anuc))
 
 module Driver (S : Smr.S) = struct
   module R = Sim.Runner.Make (S)

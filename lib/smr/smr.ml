@@ -43,12 +43,6 @@ module Batch = struct
     end
 end
 
-module type CONSENSUS = sig
-  include Sim.Automaton.S with type input = Consensus.Value.t
-
-  val decision : state -> Consensus.Value.t option
-end
-
 module type TUNING = sig
   val batch : int
   val pipeline : int
@@ -98,7 +92,7 @@ let check_tuning (module T : TUNING) =
   else if T.horizon < T.pipeline then Error "Smr: horizon must be >= pipeline"
   else Ok ()
 
-module Make_tuned (T : TUNING) (C : CONSENSUS) : S = struct
+module Make_tuned (T : TUNING) (C : Consensus.Spec.S) : S = struct
   module Imap = Map.Make (Int)
   module Vset = Set.Make (Int)
 
@@ -547,21 +541,6 @@ module Make_tuned (T : TUNING) (C : CONSENSUS) : S = struct
     | _ -> false
 end
 
-module Make (C : CONSENSUS) : S = Make_tuned (Defaults) (C)
-
-module Over_anuc : S = Make (struct
-  include Core.Anuc
-
-  let decision = Core.Anuc.decision
-end)
-
-module Over_stack : S = Make (struct
-  include Core.Stack
-
-  type message = Core.Stack.message
-
-  let pp_message = Core.Stack.pp_message
-  let equal_message = Core.Stack.equal_message
-  let step = Core.Stack.step
-  let decision = Core.Stack.decision
-end)
+module Make (C : Consensus.Spec.S) : S = Make_tuned (Defaults) (C)
+module Over_anuc : S = Make (Core.Anuc)
+module Over_stack : S = Make (Core.Stack)

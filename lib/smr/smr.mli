@@ -2,16 +2,17 @@
 
     The classical application of consensus, built as one automaton:
     replicas agree on a command batch per log slot by running one
-    consensus instance per slot, all multiplexed over the same
-    network (messages are tagged with their slot). A replica proposes
-    the head of its pending-command queue for each slot it opens,
-    keeps up to [pipeline] instances open at once, forwards pending
-    commands to the detector's current leader (whose proposals are
-    the ones that win once the detector stabilizes), retires a slot's
-    instance once every replica has reported deciding the slot (or,
-    failing that, once it falls [horizon] slots behind), and compacts
-    the applied log beyond a retention bound into a digest — so
-    replica state stays bounded however long the log grows.
+    instance of a consensus automaton ({!Consensus.Spec.S}) per slot,
+    all multiplexed over the same network (messages are tagged with
+    their slot). A replica proposes the head of its pending-command
+    queue for each slot it opens, keeps up to [pipeline] instances
+    open at once, forwards pending commands to the detector's current
+    leader (whose proposals are the ones that win once the detector
+    stabilizes), retires a slot's instance once every replica has
+    reported deciding the slot (or, failing that, once it falls
+    [horizon] slots behind), and compacts the applied log beyond a
+    retention bound into a digest — so replica state stays bounded
+    however long the log grows.
 
     Nonuniform consensus is the right tool when clients only talk to
     live replicas: a replica that crashes may have applied a divergent
@@ -43,13 +44,6 @@ module Batch : sig
 
   val decode : Consensus.Value.t -> Consensus.Value.t list
   (** Left inverse of {!encode}; [decode noop = []]. *)
-end
-
-(** The per-slot consensus algorithm. *)
-module type CONSENSUS = sig
-  include Sim.Automaton.S with type input = Consensus.Value.t
-
-  val decision : state -> Consensus.Value.t option
 end
 
 (** Replication throughput/footprint knobs, fixed per functor
@@ -161,14 +155,14 @@ module type S = sig
   val equal_message : message -> message -> bool
 end
 
-module Make_tuned (_ : TUNING) (_ : CONSENSUS) : S
+module Make_tuned (_ : TUNING) (_ : Consensus.Spec.S) : S
 (** Build a replicated log over any consensus automaton, with
     explicit tuning. The ambient failure-detector value is passed
     through to every instance (and consulted for the current
     leader when forwarding).
     @raise Invalid_argument at application time on invalid tuning. *)
 
-module Make (_ : CONSENSUS) : S
+module Make (_ : Consensus.Spec.S) : S
 (** [Make_tuned (Defaults)]. *)
 
 module Over_anuc : S

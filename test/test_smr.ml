@@ -255,11 +255,7 @@ let test_smr_compaction_counts () =
         let retain = 4
         let horizon = 8
       end)
-      (struct
-        include Core.Anuc
-
-        let decision = Core.Anuc.decision
-      end)
+      (Core.Anuc)
   in
   let module Rt = Sim.Runner.Make (S) in
   let n = 3 in
@@ -322,11 +318,7 @@ let test_smr_bounded_instances () =
         let retain = 16
         let horizon = 8
       end)
-      (struct
-        include Core.Anuc
-
-        let decision = Core.Anuc.decision
-      end)
+      (Core.Anuc)
   in
   let module Rt = Sim.Runner.Make (S) in
   let n = 3 in
@@ -499,11 +491,7 @@ let running_digest_holds c =
         let retain = c.retain
         let horizon = 8
       end)
-      (struct
-        include Core.Anuc
-
-        let decision = Core.Anuc.decision
-      end)
+      (Core.Anuc)
   in
   let module Rt = Sim.Runner.Make (S) in
   let n = 3 in

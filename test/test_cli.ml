@@ -751,6 +751,34 @@ let mc_pins =
          leaves, 718 depth leaves" );
   ]
 
+(* The same targets at depth 6 under `--reduction dpor`, default
+   family: the verdict, states and self-loops of the sleep-set line
+   with DPOR's own transitions, races and backtracks. A change to how
+   DPOR skips known no-op lambda steps moves these counters. *)
+let mc_dpor_pins =
+  [
+    ( "anuc",
+      "5691 transitions, 3392 distinct states (1709 dedup hits, 3487 \
+       self-loops, 4532 sleep-pruned, 7870 races, 2811 backtracks), 0 decided \
+       leaves, 2750 depth leaves" );
+    ( "naive-sn",
+      "3187 transitions, 1747 distinct states (1125 dedup hits, 2361 \
+       self-loops, 2883 sleep-pruned, 4185 races, 1608 backtracks), 0 decided \
+       leaves, 1316 depth leaves" );
+    ( "mr-sigma",
+      "47035 transitions, 7384 distinct states (36916 dedup hits, 24029 \
+       self-loops, 25555 sleep-pruned, 302314 races, 23672 backtracks), 0 \
+       decided leaves, 7074 depth leaves" );
+    ( "mr-majority",
+      "24676 transitions, 6867 distinct states (15451 dedup hits, 13642 \
+       self-loops, 16082 sleep-pruned, 75442 races, 9546 backtracks), 0 \
+       decided leaves, 6520 depth leaves" );
+    ( "ct",
+      "3764 transitions, 802 distinct states (2467 dedup hits, 3138 \
+       self-loops, 2190 sleep-pruned, 10158 races, 3567 backtracks), 0 \
+       decided leaves, 718 depth leaves" );
+  ]
+
 (* MD5 of `fuzz --algo A -n 3 -t 1 --runs 300 --seed 1 --json`, plain
    and with --swarm. *)
 let fuzz_pins =
@@ -835,6 +863,20 @@ let test_every_target_pinned () =
             (contains row (Printf.sprintf "\"algorithm\": \"%s\"" algo)
             && contains row (Printf.sprintf "\"depth\": %d," default_depth)))
         mc_pins;
+      List.iter
+        (fun (algo, stats) ->
+          let out =
+            run_cli
+              [
+                "mc"; "--algo"; algo; "-n"; "3"; "-t"; "1"; "--depth"; "6";
+                "--reduction"; "dpor";
+              ]
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "mc %s dpor stats: %s" algo out)
+            true
+            (contains out (stats ^ ", ")))
+        mc_dpor_pins;
       List.iter
         (fun (algo, plain, swarm) ->
           List.iter

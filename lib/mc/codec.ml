@@ -41,19 +41,19 @@ let bytes_hash (b : Bytes.t) =
 (* Varints                                                           *)
 (* ---------------------------------------------------------------- *)
 
+(* Pool indices and queue lengths are mostly below 128: one byte,
+   written without the loop. *)
 let write_varint buf n =
   if n < 0 then invalid_arg "Codec.write_varint: negative";
-  let n = ref n in
-  let continue = ref true in
-  while !continue do
-    let b = !n land 0x7f in
-    n := !n lsr 7;
-    if !n = 0 then begin
-      Buffer.add_char buf (Char.chr b);
-      continue := false
-    end
-    else Buffer.add_char buf (Char.chr (b lor 0x80))
-  done
+  if n < 0x80 then Buffer.add_char buf (Char.unsafe_chr n)
+  else begin
+    let n = ref n in
+    while !n >= 0x80 do
+      Buffer.add_char buf (Char.unsafe_chr (!n land 0x7f lor 0x80));
+      n := !n lsr 7
+    done;
+    Buffer.add_char buf (Char.unsafe_chr !n)
+  end
 
 (* [read_varint b pos] reads at [!pos], advancing it. Raises
    [Invalid_argument] past the end — callers decoding trusted,
@@ -165,7 +165,10 @@ let magic = "NUCCKPT\n"
    (varint) | MD5 digest of the payload (16 bytes) | payload
    ([Marshal] of the caller's value). The write is atomic (temp file
    + rename), so a kill mid-write leaves the previous checkpoint
-   intact rather than a truncated file. *)
+   intact rather than a truncated file. The rename runs only once
+   [close_out] has flushed every byte: an error from the last flush
+   (a full disk) removes the temp file and re-raises, and the previous
+   file stays in place. *)
 let write_file ~path ~version v =
   let payload = Marshal.to_bytes v [] in
   let buf = Buffer.create (Bytes.length payload + 64) in
@@ -176,9 +179,13 @@ let write_file ~path ~version v =
   Buffer.add_bytes buf payload;
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> Buffer.output_buffer oc buf);
+  (try
+     Buffer.output_buffer oc buf;
+     close_out oc
+   with e ->
+     close_out_noerr oc;
+     (try Sys.remove tmp with Sys_error _ -> ());
+     raise e);
   Sys.rename tmp path
 
 let read_file ~path ~version =

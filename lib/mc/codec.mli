@@ -60,7 +60,9 @@ val error_to_string : error -> string
 val write_file : path:string -> version:int -> 'a -> unit
 (** Writes [magic | version | payload length | MD5 digest | Marshal
     payload] atomically (temp file + rename): a kill mid-write leaves
-    the previous checkpoint intact. *)
+    the previous checkpoint intact. A write or final flush that fails
+    removes the temp file and re-raises its [Sys_error] before the
+    rename, so the previous file is never replaced by a partial one. *)
 
 val read_file : path:string -> version:int -> ('a, error) result
 (** Validates magic, schema version and payload digest {e before}

@@ -151,11 +151,7 @@ module Striped (K : KEY) = struct
     | None -> invalid_arg "Intern.Striped.spill: no spill directory set"
     | Some dir ->
       for i = 0 to t.mask do
-        let m = t.locks.(i) in
-        Mutex.lock m;
-        Fun.protect
-          ~finally:(fun () -> Mutex.unlock m)
-          (fun () ->
+        Mutex.protect t.locks.(i) (fun () ->
             if T.length t.tables.(i) > 0 then begin
               let mem = T.fold (fun k v acc -> (k, v) :: acc) t.tables.(i) [] in
               let prev =
@@ -177,11 +173,7 @@ module Striped (K : KEY) = struct
 
   let with_key t k f =
     let i = stripe t k in
-    let m = t.locks.(i) in
-    Mutex.lock m;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock m)
-      (fun () ->
+    Mutex.protect t.locks.(i) (fun () ->
         maybe_reload_locked t i k.ih;
         let bound = T.find_opt t.tables.(i) k in
         let r, insert = f bound in
@@ -196,11 +188,7 @@ module Striped (K : KEY) = struct
 
   let intern t k mk =
     let i = stripe t k in
-    let m = t.locks.(i) in
-    Mutex.lock m;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock m)
-      (fun () ->
+    Mutex.protect t.locks.(i) (fun () ->
         maybe_reload_locked t i k.ih;
         match T.find_opt t.tables.(i) k with
         | Some v -> (v, false)
@@ -214,10 +202,7 @@ module Striped (K : KEY) = struct
 
   let stripe_stats t =
     Array.mapi
-      (fun i tbl ->
-        Mutex.lock t.locks.(i);
-        Fun.protect ~finally:(fun () -> Mutex.unlock t.locks.(i)) (fun () ->
-            T.stats tbl))
+      (fun i tbl -> Mutex.protect t.locks.(i) (fun () -> T.stats tbl))
       t.tables
 
   (* ---- checkpoint image ----------------------------------------- *)
@@ -225,11 +210,7 @@ module Striped (K : KEY) = struct
   let export t =
     let acc = ref [] in
     for i = t.mask downto 0 do
-      let m = t.locks.(i) in
-      Mutex.lock m;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock m)
-        (fun () ->
+      Mutex.protect t.locks.(i) (fun () ->
           reload_locked t i;
           acc := T.fold (fun k v l -> (k, v) :: l) t.tables.(i) !acc)
     done;

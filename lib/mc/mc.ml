@@ -321,8 +321,9 @@ let history_legal ~kind ~pattern samples =
    - [Dpor]: happens-before sleep inheritance over the full
      independence relation [Make.move_dependent] (per-channel, not
      per-pid: a sleeper is woken only by a move it actually races
-     with, and drop moves are slept too), plus a per-run no-op cache
-     that skips known self-loop lambda steps at move generation. The
+     with, and drop moves are slept too), plus a skip at move
+     generation of every lambda step the transition table already
+     knows to be a self-loop ([Packed.known_noop]). The
      woken sleepers are exactly the classical DPOR backtrack points:
      a detected race re-inserts the slept move into the sibling
      exploration instead of pruning it. *)
@@ -473,6 +474,34 @@ module Make (A : Sim.Automaton.S) = struct
 
   let config_hash c = Hashtbl.hash_param 150 600 c
 
+  let rec remove_nth i = function
+    | [] -> invalid_arg "remove_nth"
+    | x :: rest -> if i = 0 then rest else x :: remove_nth (i - 1) rest
+
+  (* A drop, or a delivery from another process, shortens the channel
+     it consumes from, and a step only appends to the stepper's own
+     outgoing channels: such a move always changes the configuration.
+     Only a lambda or a self-delivery can leave it unchanged, so only
+     those compare the child with its parent. *)
+  let may_self_loop mv =
+    (not mv.m_drop)
+    &&
+    match mv.m_recv with
+    | None -> true
+    | Some (src, _) -> Pid.equal src mv.m_pid
+
+  (* A structural hash over detector values, so the transition table
+     can use a monomorphic [Hashtbl.Make] instance instead of the
+     generic table's [caml_hash]/[caml_compare] calls per probe. The
+     [Pset.t] leaves are immediate ints, so [Hashtbl.hash] on them is
+     a constant-time word mix, not a traversal. *)
+  let rec fd_hash : Sim.Fd_value.t -> int = function
+    | Sim.Fd_value.Unit -> 0x2545f491
+    | Leader p -> 0x01000193 + p
+    | Quorum q -> 0x811c9dc5 lxor Hashtbl.hash q
+    | Suspects s -> 0x7feb352d lxor Hashtbl.hash s
+    | Pair (a, b) -> (fd_hash a * 0x01000193) lxor fd_hash b
+
   (* -------------------------------------------------------------- *)
   (* Packed canonical-state encoding                                  *)
   (* -------------------------------------------------------------- *)
@@ -527,135 +556,224 @@ module Make (A : Sim.Automaton.S) = struct
     let export_pools p =
       (Codec.Pool.export p.pk_states, Codec.Pool.export p.pk_msgs)
 
-    let locked p f =
-      Mutex.lock p.pk_lock;
-      Fun.protect ~finally:(fun () -> Mutex.unlock p.pk_lock) f
+    let locked p f = Mutex.protect p.pk_lock f
 
     let sizes p =
       locked p (fun () ->
           (Codec.Pool.length p.pk_states, Codec.Pool.length p.pk_msgs))
 
-    let encode p cfg =
-      locked p (fun () ->
-          let n = p.pk_n in
-          let buf = Buffer.create 64 in
-          Array.iter
-            (fun st -> Codec.write_varint buf (Codec.Pool.intern p.pk_states st))
-            cfg.states;
-          let nonempty = ref 0 in
-          Array.iter (fun q -> if q <> [] then incr nonempty) cfg.chans;
-          Codec.write_varint buf !nonempty;
-          for c = 0 to (n * n) - 1 do
-            match cfg.chans.(c) with
-            | [] -> ()
-            | q ->
-              Codec.write_varint buf c;
-              Codec.write_varint buf (List.length q);
-              List.iter
-                (fun m ->
-                  Codec.write_varint buf (Codec.Pool.intern p.pk_msgs m))
-                q
-          done;
-          Buffer.to_bytes buf)
+    (* The index configuration a packed key serializes: the state pool
+       index of each process, and the message pool indices queued on
+       each channel in send order. Its arrays are never mutated once
+       built, so a child shares every array its move leaves alone. *)
+    type node = { ix_states : int array; ix_chans : int list array }
 
-    (* [encode_child p ~key mv child] is [encode p child] for
-       [child = apply ~n parent mv] and [key = encode p parent], built
-       from [key] alone. [apply] replaces one state slot (none for a
-       drop) and leaves every child channel equal to the parent's
-       queue, less the consumed message on the consumed channel,
-       followed by the messages the step appended. So the other state
-       indices and the kept message indices are copied as bytes, and
-       only the new state and the appended messages are interned — in
-       the order [encode] would meet them (the state, then channels
-       ascending), so the pool indices, and hence the bytes, are
-       [encode]'s (pinned by the differential walks in
-       test_codec.ml). *)
-    let encode_child p ~key mv child =
+    (* Interns [cfg]'s values in the order the key lists them: the
+       states in pid order, then each queue, channels ascending. *)
+    let node p cfg =
       locked p (fun () ->
-          let n = p.pk_n in
-          let buf = Buffer.create (Bytes.length key + 8) in
-          let pos = ref 0 in
-          let read () = Codec.read_varint key pos in
-          let copy_varint () =
-            let start = !pos in
-            ignore (read () : int);
-            Buffer.add_subbytes buf key start (!pos - start)
+          let ix_states =
+            Array.map (Codec.Pool.intern p.pk_states) cfg.states
           in
-          for i = 0 to n - 1 do
-            if i = mv.m_pid && not mv.m_drop then begin
-              ignore (read () : int);
-              Codec.write_varint buf
-                (Codec.Pool.intern p.pk_states child.states.(i))
-            end
-            else copy_varint ()
-          done;
-          let cut_chan, cut_idx =
-            match mv.m_recv with
-            | Some (src, i) -> ((src * n) + mv.m_pid, i)
-            | None -> (-1, -1)
+          let ix_chans =
+            Array.map (List.map (Codec.Pool.intern p.pk_msgs)) cfg.chans
           in
-          let nonempty = ref 0 in
-          Array.iter (fun q -> if q <> [] then incr nonempty) child.chans;
-          Codec.write_varint buf !nonempty;
-          (* the parent's sections come in ascending channel order;
-             [next] is the channel of the first one not yet read *)
-          let sections = ref (read ()) in
-          let read_next () =
-            if !sections = 0 then n * n
-            else begin
-              decr sections;
-              read ()
-            end
-          in
-          let next = ref (read_next ()) in
-          for c = 0 to (n * n) - 1 do
-            let q = child.chans.(c) in
-            if q <> [] then begin
-              Codec.write_varint buf c;
-              Codec.write_varint buf (List.length q)
-            end;
-            let kept = ref 0 in
-            if !next = c then begin
-              for j = 0 to read () - 1 do
-                if c = cut_chan && j = cut_idx then ignore (read () : int)
-                else begin
-                  incr kept;
-                  copy_varint ()
-                end
-              done;
-              next := read_next ()
-            end;
-            List.iteri
-              (fun j m ->
-                if j >= !kept then
-                  Codec.write_varint buf (Codec.Pool.intern p.pk_msgs m))
-              q
-          done;
-          Buffer.to_bytes buf)
+          { ix_states; ix_chans })
+
+    (* The values behind [nd], read from the pools: a walk reads the
+       states of every fresh node, the channels only where it expands. *)
+    let states p nd =
+      locked p (fun () -> Array.map (Codec.Pool.get p.pk_states) nd.ix_states)
+
+    let chans p nd =
+      locked p (fun () ->
+          Array.map (List.map (Codec.Pool.get p.pk_msgs)) nd.ix_chans)
+
+    (* [nd]'s packed key, written into [buf] (cleared first) and copied
+       out: the walk reuses one buffer per worker. *)
+    let key buf nd =
+      let put = Codec.write_varint buf in
+      Buffer.clear buf;
+      Array.iter put nd.ix_states;
+      put
+        (Array.fold_left (fun k q -> if q = [] then k else k + 1) 0 nd.ix_chans);
+      for c = 0 to Array.length nd.ix_chans - 1 do
+        match nd.ix_chans.(c) with
+        | [] -> ()
+        | q ->
+          put c;
+          put (List.length q);
+          List.iter put q
+      done;
+      Buffer.to_bytes buf
+
+    let encode p cfg = key (Buffer.create 64) (node p cfg)
 
     let decode p b =
+      let n = p.pk_n and pos = ref 0 in
+      let read () = Codec.read_varint b pos in
+      let ix_states = Array.init n (fun _ -> read ()) in
+      let ix_chans = Array.make (n * n) [] in
+      for _ = 1 to read () do
+        let c = read () in
+        ix_chans.(c) <- List.init (read ()) (fun _ -> read ())
+      done;
+      if !pos <> Bytes.length b then
+        invalid_arg "Packed.decode: trailing bytes";
+      let nd = { ix_states; ix_chans } in
+      { states = states p nd; chans = chans p nd }
+
+    (* The transition table. [A.step] is a function of (n, self, state,
+       received sender and payload, detector value) — the abstraction
+       the walk already rests on (see the module header) — so one step
+       per distinct (pid, state index, received (src, message index) or
+       lambda, detector value) serves every transition with that key.
+       An entry holds the successor state's index and the message
+       indices the step appends, per destination ascending, empty
+       destinations left out. *)
+    type step = { st_state : int; st_sends : (Pid.t * int list) list }
+
+    type step_key = {
+      k_pid : Pid.t;
+      k_state : int;
+      k_src : Pid.t;  (* -1 for lambda *)
+      k_msg : int;
+      k_fd : Sim.Fd_value.t;
+    }
+
+    module Steps = Hashtbl.Make (struct
+      type t = step_key
+
+      let equal a b =
+        a.k_pid = b.k_pid && a.k_state = b.k_state && a.k_src = b.k_src
+        && a.k_msg = b.k_msg
+        && Sim.Fd_value.equal a.k_fd b.k_fd
+
+      let hash k =
+        ((((((k.k_pid * 31) + k.k_state) * 31) + k.k_src) * 31) + k.k_msg)
+        * 0x01000193
+        lxor fd_hash k.k_fd
+    end)
+
+    (* One table per worker over the shared pool: a hit reads no
+       value, hashes no state and takes no lock. *)
+    type table = { tb_pool : pool; tb_steps : step Steps.t }
+
+    let table p = { tb_pool = p; tb_steps = Steps.create 1024 }
+
+    let step_key nd mv =
+      let n = Array.length nd.ix_states and p = mv.m_pid in
+      let k_src, k_msg =
+        match mv.m_recv with
+        | None -> (-1, -1)
+        | Some (src, i) -> (src, List.nth nd.ix_chans.((src * n) + p) i)
+      in
+      { k_pid = p; k_state = nd.ix_states.(p); k_src; k_msg; k_fd = mv.m_fd }
+
+    (* A miss steps [A] once on the pool's values, then interns the new
+       state and the appended messages, destinations ascending: the
+       order [encode] meets them in the child, so the pool indices, and
+       hence every key, are those of encoding each child whole. *)
+    let fresh_step p k =
+      let st, received =
+        locked p (fun () ->
+            ( Codec.Pool.get p.pk_states k.k_state,
+              if k.k_src < 0 then None
+              else
+                Some
+                  {
+                    Sim.Envelope.src = k.k_src;
+                    dst = k.k_pid;
+                    seq = 0;
+                    sent_at = 0;
+                    payload = Codec.Pool.get p.pk_msgs k.k_msg;
+                  } ))
+      in
+      let st', sends = A.step ~n:p.pk_n ~self:k.k_pid st received k.k_fd in
       locked p (fun () ->
-          let n = p.pk_n in
-          let pos = ref 0 in
-          let rec read_k k acc =
-            if k = 0 then List.rev acc
-            else read_k (k - 1) (Codec.read_varint b pos :: acc)
+          let st_state = Codec.Pool.intern p.pk_states st' in
+          let st_sends =
+            List.filter_map
+              (fun dst ->
+                match List.filter (fun (d, _) -> d = dst) sends with
+                | [] -> None
+                | ms ->
+                  Some
+                    (dst, List.map (fun (_, m) -> Codec.Pool.intern p.pk_msgs m) ms))
+              (Pid.all ~n:p.pk_n)
           in
-          let states =
-            Array.of_list
-              (List.map (Codec.Pool.get p.pk_states) (read_k n []))
-          in
-          let chans = Array.make (n * n) [] in
-          let k = Codec.read_varint b pos in
-          for _ = 1 to k do
-            let c = Codec.read_varint b pos in
-            let len = Codec.read_varint b pos in
-            chans.(c) <-
-              List.map (Codec.Pool.get p.pk_msgs) (read_k len [])
-          done;
-          if !pos <> Bytes.length b then
-            invalid_arg "Packed.decode: trailing bytes";
-          { states; chans })
+          { st_state; st_sends })
+
+    let step tb nd mv =
+      let k = step_key nd mv in
+      match Steps.find_opt tb.tb_steps k with
+      | Some s -> s
+      | None ->
+        let s = fresh_step tb.tb_pool k in
+        Steps.add tb.tb_steps k s;
+        s
+
+    let is_noop k s = k.k_src < 0 && s.st_state = k.k_state && s.st_sends = []
+
+    (* A lambda step already in the table as one that changes nothing. *)
+    let known_noop tb nd mv =
+      let k = step_key nd mv in
+      match Steps.find_opt tb.tb_steps k with
+      | Some s -> is_noop k s
+      | None -> false
+
+    (* The table's lambda no-op entries as [(pid, state index, detector
+       value)], the form checkpoints store them in, and back. *)
+    let noops tb =
+      Steps.fold
+        (fun k s acc ->
+          if is_noop k s then (k.k_pid, k.k_state, k.k_fd) :: acc else acc)
+        tb.tb_steps []
+
+    let add_noop tb (k_pid, k_state, k_fd) =
+      Steps.replace tb.tb_steps
+        { k_pid; k_state; k_src = -1; k_msg = -1; k_fd }
+        { st_state = k_state; st_sends = [] }
+
+    (* [nd]'s channels less the message [mv] consumes, if any *)
+    let cut ~n nd mv =
+      match mv.m_recv with
+      | None -> nd.ix_chans
+      | Some (src, i) ->
+        let a = Array.copy nd.ix_chans in
+        let c = (src * n) + mv.m_pid in
+        a.(c) <- remove_nth i a.(c);
+        a
+
+    (* [child tb (node p cfg) mv] is [Some (node p (apply ~n cfg mv))],
+       or [None] when that child equals [cfg] — the [Space.self_loop]
+       rule, decided on indices. *)
+    let child tb nd mv =
+      let n = Array.length nd.ix_states and p = mv.m_pid in
+      if mv.m_drop then Some { nd with ix_chans = cut ~n nd mv }
+      else begin
+        let s = step tb nd mv in
+        let ix_chans =
+          match s.st_sends with
+          | [] -> cut ~n nd mv
+          | sends ->
+            let a = cut ~n nd mv in
+            let a = if a == nd.ix_chans then Array.copy a else a in
+            List.iter
+              (fun (dst, ms) -> a.((p * n) + dst) <- a.((p * n) + dst) @ ms)
+              sends;
+            a
+        in
+        let same_state = s.st_state = nd.ix_states.(p) in
+        if may_self_loop mv && same_state && slots_equal ix_chans nd.ix_chans
+        then None
+        else if same_state then Some { nd with ix_chans }
+        else begin
+          let ix_states = Array.copy nd.ix_states in
+          ix_states.(p) <- s.st_state;
+          Some { ix_states; ix_chans }
+        end
+      end
   end
 
   module BKey = struct
@@ -681,10 +799,6 @@ module Make (A : Sim.Automaton.S) = struct
 
     let equal = move_equal
   end)
-
-  let rec remove_nth i = function
-    | [] -> invalid_arg "remove_nth"
-    | x :: rest -> if i = 0 then rest else x :: remove_nth (i - 1) rest
 
   let initial_config ~n ~inputs =
     {
@@ -719,24 +833,13 @@ module Make (A : Sim.Automaton.S) = struct
     done;
     !opts
 
+  (* Per process in pid order: each delivery choice, then lambda, each
+     with every menu value. The list is built back to front, so each
+     move costs one record and one cons. *)
   let moves_of ~n ~delivery ~lossy ~menus cfg =
-    let process_moves =
-      List.concat_map
-        (fun p ->
-          let recvs =
-            List.map (fun r -> Some r) (recv_options ~n ~delivery cfg p)
-            @ [ None ]
-          in
-          List.concat_map
-            (fun m_recv ->
-              List.map
-                (fun m_fd -> { m_pid = p; m_fd; m_recv; m_drop = false })
-                menus.(p))
-            recvs)
-        (Pid.all ~n)
-    in
-    if not lossy then process_moves
-    else
+    let recvs = Array.init n (recv_options ~n ~delivery cfg) in
+    let moves = ref [] in
+    if lossy then
       (* Network moves, enumerated after the process moves so DFS
          walks the loss-free subtree first. Dropping only deliverable
          messages loses no generality: under FIFO links the delivered
@@ -745,22 +848,33 @@ module Make (A : Sim.Automaton.S) = struct
          generated by the per-head deliver-or-drop choice (and
          likewise per eligible representative under [`Any]).
          Self-channels are exempt, as in [Sim.Faults]. *)
-      process_moves
-      @ List.concat_map
-          (fun p ->
-            List.filter_map
-              (fun (src, i) ->
-                if Pid.equal src p then None
-                else
-                  Some
-                    {
-                      m_pid = p;
-                      m_fd = Sim.Fd_value.Unit;
-                      m_recv = Some (src, i);
-                      m_drop = true;
-                    })
-              (recv_options ~n ~delivery cfg p))
-          (Pid.all ~n)
+      for p = n - 1 downto 0 do
+        moves :=
+          List.fold_right
+            (fun (src, i) acc ->
+              if Pid.equal src p then acc
+              else
+                {
+                  m_pid = p;
+                  m_fd = Sim.Fd_value.Unit;
+                  m_recv = Some (src, i);
+                  m_drop = true;
+                }
+                :: acc)
+            recvs.(p) !moves
+      done;
+    for p = n - 1 downto 0 do
+      let with_fds m_recv acc =
+        List.fold_right
+          (fun m_fd acc -> { m_pid = p; m_fd; m_recv; m_drop = false } :: acc)
+          menus.(p) acc
+      in
+      moves :=
+        List.fold_right
+          (fun r acc -> with_fds (Some r) acc)
+          recvs.(p) (with_fds None !moves)
+    done;
+    !moves
 
   let apply ~n cfg mv =
     let p = mv.m_pid in
@@ -800,20 +914,6 @@ module Make (A : Sim.Automaton.S) = struct
       sends;
     { states; chans }
     end
-
-  (* A drop, or a delivery from another process, shortens the channel
-     it consumes from, and a step only appends to the stepper's own
-     outgoing channels: such a move always changes the configuration.
-     Only a lambda or a self-delivery can leave it unchanged, so only
-     those compare [child = apply ~n cfg mv] with [cfg]. *)
-  let may_self_loop mv =
-    (not mv.m_drop)
-    &&
-    match mv.m_recv with
-    | None -> true
-    | Some (src, _) -> Pid.equal src mv.m_pid
-
-  let is_self_loop cfg mv child = may_self_loop mv && config_equal child cfg
 
   (* -------------------------------------------------------------- *)
   (* Exploration                                                     *)
@@ -993,10 +1093,14 @@ module Make (A : Sim.Automaton.S) = struct
       end
       else t.s_pid.(mv.m_pid) <- mv :: t.s_pid.(mv.m_pid)
 
-    (* membership probes only the one bucket the move could be in *)
+    (* membership probes only the one bucket the move could be in; one
+       probe per enabled move, so the walk allocates no closure for it *)
     let mem ~n t mv =
-      List.exists (move_equal mv)
-        (if mv.m_drop then t.s_chan.(chan ~n mv) else t.s_pid.(mv.m_pid))
+      let rec any = function
+        | [] -> false
+        | m :: rest -> move_equal mv m || any rest
+      in
+      any (if mv.m_drop then t.s_chan.(chan ~n mv) else t.s_pid.(mv.m_pid))
   end
 
   (* Sleep-set inheritance, per reduction. [Sleep_sets] keeps a
@@ -1093,38 +1197,6 @@ module Make (A : Sim.Automaton.S) = struct
       backtracks := !backtracks + !nbt;
       !keep
 
-  (* A structural hash over detector values, so the no-op memo can use
-     a monomorphic [Hashtbl.Make] instance: the generic table's
-     [caml_hash]/[caml_compare] calls per probe were the last
-     DPOR-only cost visible in the B11 profiles. The [Pset.t] leaves
-     are immediate ints, so [Hashtbl.hash] on them is a constant-time
-     word mix, not a traversal. *)
-  let rec fd_hash : Sim.Fd_value.t -> int = function
-    | Sim.Fd_value.Unit -> 0x2545f491
-    | Leader p -> 0x01000193 + p
-    | Quorum q -> 0x811c9dc5 lxor Hashtbl.hash q
-    | Suspects s -> 0x7feb352d lxor Hashtbl.hash s
-    | Pair (a, b) -> (fd_hash a * 0x01000193) lxor fd_hash b
-
-  (* Keyed by (pid, state pool index, detector value): the packed
-     layout leads with the n state pool indices, so a node's own key
-     yields [states.(p)]'s index without hashing the state. *)
-  module Noop_tbl = Hashtbl.Make (struct
-    type t = Pid.t * int * Sim.Fd_value.t
-
-    let equal (p, i, f) (p', i', f') =
-      p = p' && i = i' && Sim.Fd_value.equal f f'
-
-    let hash (p, i, f) = (((p * 31) + i) * 0x01000193) lxor fd_hash f
-  end)
-
-  let noop_key (hc : Bytes.t Intern.hashed) mv =
-    let pos = ref 0 in
-    for _ = 1 to mv.m_pid do
-      ignore (Codec.read_varint hc.Intern.iv pos)
-    done;
-    (mv.m_pid, Codec.read_varint hc.Intern.iv pos, mv.m_fd)
-
   (* ---------------------------------------------------------------- *)
   (* Campaign checkpoints                                              *)
   (* ---------------------------------------------------------------- *)
@@ -1162,7 +1234,7 @@ module Make (A : Sim.Automaton.S) = struct
     ck_visited : (int * Bytes.t * Cov.entry) array;
         (* (cached hash, packed key, coverage) per visited state *)
     ck_noops : (Pid.t * int * Sim.Fd_value.t) array;
-        (* known no-op lambda keys ([Noop_tbl]), all workers' *)
+        (* the transition tables' lambda no-op entries, all workers' *)
     ck_tasks : (config * int * int * move list * move list) array;
         (* the frontier task queue, as built by the prefix walk *)
     ck_next : int;  (* first task not yet fully expanded *)
@@ -1257,8 +1329,9 @@ module Make (A : Sim.Automaton.S) = struct
 
      Checkpointing rides on the task queue: tasks are processed in
      chunks, and a checkpoint — the Codec container holding the
-     fingerprint, the packed pools, the visited export, the known
-     no-op keys, the task queue and the cursor — is written only at
+     fingerprint, the packed pools, the visited export, the transition
+     tables' lambda no-op entries, the task queue and the cursor — is
+     written only at
      chunk boundaries, after [Pool.run] has joined. At a boundary
      every claim in the memo table is fulfilled (each inserted entry's
      coverage has been fully walked), which is what makes resuming
@@ -1301,18 +1374,6 @@ module Make (A : Sim.Automaton.S) = struct
     let pool =
       match resumed with Some (_, p) -> p | None -> Packed.create ~n
     in
-    (* A node's memo key: its packed bytes with their full-width hash,
-       computed once and reused for every probe of the node. The root,
-       the queued tasks and nothing else are encoded whole; every
-       transition's child key is derived from its parent's
-       ([Packed.encode_child]). The table retains only the bytes. *)
-    let hconfig cfg =
-      Intern.hashed Codec.bytes_hash (Packed.encode pool cfg)
-    in
-    let hchild (hc : Bytes.t Intern.hashed) mv child =
-      Intern.hashed Codec.bytes_hash
-        (Packed.encode_child pool ~key:hc.Intern.iv mv child)
-    in
     let violation = Atomic.make None in
     let truncated = Atomic.make false in
     let halt = Atomic.make false in
@@ -1329,20 +1390,28 @@ module Make (A : Sim.Automaton.S) = struct
     and decided_leaves = counters ()
     and depth_leaves = counters ()
     and max_depths = counters () in
-    (* Known no-op lambda steps ([Dpor] only): a lambda step's result
-       is a function of (pid, its state, the detector value) alone, so
-       once observed to change nothing it is skipped at move
-       generation — without re-applying [A.step] — at every later
-       node. Counted as a [self_loops] skip but not a transition. A
-       no-op is never recorded in a sleep set (it is skipped before
-       the sleep check could record it), so memo coverage domination
-       is untouched. One table per worker instead of a shared locked
-       one: the cache is a pure memo of [A.step], so divergence
-       between workers only costs repeated first encounters. The
-       coordinator's prefix walk ends before any worker starts and
-       shares worker 0's table, and checkpoints carry the known keys,
-       so at [jobs = 1] one table spans the whole campaign. *)
-    let noops = Array.init jobs (fun _ -> Noop_tbl.create 1024) in
+    (* The walk runs on nodes ([Packed.node]): each transition derives
+       its child's indices through the worker's transition table, and
+       the child's memo key — its packed bytes with their full-width
+       hash, computed once per visit — is written from those indices
+       into the worker's scratch buffer. Values are read back from the
+       pools only where a value is read: properties and the stop test
+       at a fresh state, move generation at an expanded node, the
+       frontier task queue.
+
+       One table and one buffer per worker instead of a shared locked
+       table: the table is a pure memo of [A.step], so divergence
+       between workers only costs repeated misses. The coordinator's
+       prefix walk ends before any worker starts and shares worker 0's,
+       so at [jobs = 1] one table spans the walk. Under [Dpor] a lambda
+       step the table knows to change nothing is skipped at move
+       generation, counted as a [self_loops] skip but not a transition;
+       it is never recorded in a sleep set (it is skipped before the
+       sleep check could record it), so memo coverage domination is
+       untouched. Checkpoints carry those lambda no-op entries, so a
+       resumed [Dpor] walk skips what the straight walk skips. *)
+    let tables = Array.init jobs (fun _ -> Packed.table pool) in
+    let bufs = Array.init jobs (fun _ -> Buffer.create 64) in
     (match resumed with
     | None -> ()
     | Some (c, _) ->
@@ -1355,25 +1424,22 @@ module Make (A : Sim.Automaton.S) = struct
         (fun i r -> r.(0) := c.ck_counts.(i))
         [| transitions; dedup_hits; self_loops; sleep_skipped; races;
            backtracks; decided_leaves; depth_leaves; max_depths |];
-      Array.iter
-        (fun t -> Array.iter (fun k -> Noop_tbl.replace t k ()) c.ck_noops)
-        noops);
+      Array.iter (fun t -> Array.iter (Packed.add_noop t) c.ck_noops) tables);
     let spawn_depth = max 1 (min 2 (depth - 1)) in
-    let stopped cfg =
-      match stop with Some f -> f (fun p -> cfg.states.(p)) | None -> false
+    let stopped states =
+      match stop with Some f -> f (fun p -> states.(p)) | None -> false
     in
     let frontier = ref [] in
     (* [sink]: the coordinator's prefix walk queues frontier
        expansions instead of performing them; workers ([sink=false])
        expand in place. A queued task resumes exactly at the
        expansion step — its node is already in the table, claiming
-       the coverage the task will perform. [hc] is [cfg]'s packed
-       key. *)
-    let rec expand ~w ~sink cfg hc remaining drops slept path_rev =
+       the coverage the task will perform. [nd] is [cfg]'s node. *)
+    let rec expand ~w ~sink cfg nd remaining drops slept path_rev =
       if sink && depth - remaining >= spawn_depth then
         frontier := (cfg, remaining, drops, slept, path_rev) :: !frontier
       else begin
-        let noop = noops.(max 0 (w - 1)) in
+        let tbl = tables.(max 0 (w - 1)) in
         (* the drop alphabet switches off once the path's loss budget
            is spent *)
         let all =
@@ -1386,52 +1452,54 @@ module Make (A : Sim.Automaton.S) = struct
         List.iter
           (fun mv ->
             if sleep && Sibs.mem ~n sl mv then incr sleep_skipped.(w)
-            else if
-              dpor && mv.m_recv = None && Noop_tbl.mem noop (noop_key hc mv)
+            else if dpor && mv.m_recv = None && Packed.known_noop tbl nd mv
             then incr self_loops.(w)
             else begin
-              let child = apply ~n cfg mv in
               incr transitions.(w);
-              if is_self_loop cfg mv child then begin
+              match Packed.child tbl nd mv with
+              | None ->
                 (* self-loop (e.g. a lambda step whose detector value
                    unlocks nothing): no new state, and every move
                    enabled at the child is enabled here — skip *)
-                incr self_loops.(w);
-                if dpor && mv.m_recv = None then
-                  Noop_tbl.replace noop (noop_key hc mv) ()
-              end
-              else begin
+                incr self_loops.(w)
+              | Some child ->
                 let child_slept =
                   inherit_slept ~reduction ~lossy ~races:races.(w)
                     ~backtracks:backtracks.(w) ~n ~explored:ex ~slept:sl mv
                 in
-                pdfs ~w ~sink child (hchild hc mv child) (remaining - 1)
+                pdfs ~w ~sink child (remaining - 1)
                   (if mv.m_drop then drops - 1 else drops)
                   child_slept (mv :: path_rev);
                 if sleep then Sibs.add ~n ex mv
-              end
             end)
           all
       end
-    and pdfs ~w ~sink cfg hc remaining drops slept path_rev =
+    and pdfs ~w ~sink nd remaining drops slept path_rev =
       if Atomic.get halt then raise Limit;
       if depth - remaining > !(max_depths.(w)) then
         max_depths.(w) := depth - remaining;
+      let hc =
+        Intern.hashed Codec.bytes_hash (Packed.key bufs.(max 0 (w - 1)) nd)
+      in
+      let states = lazy (Packed.states pool nd) in
+      let expand slept =
+        let cfg =
+          { states = Lazy.force states; chans = Packed.chans pool nd }
+        in
+        expand ~w ~sink cfg nd remaining drops slept path_rev
+      in
       let act = function
         | `Absorbed -> incr dedup_hits.(w)
         | `Expand slept' ->
-          if remaining > 0 then
-            expand ~w ~sink cfg hc remaining drops slept' path_rev
-          else incr depth_leaves.(w)
+          if remaining > 0 then expand slept' else incr depth_leaves.(w)
         | `Known ->
           (* dedup off: nothing is absorbed; re-explore the revisit *)
-          if stopped cfg then incr decided_leaves.(w)
+          if stopped (Lazy.force states) then incr decided_leaves.(w)
           else if remaining = 0 then incr depth_leaves.(w)
-          else expand ~w ~sink cfg hc remaining drops slept path_rev
+          else expand slept
         | `Decided -> incr decided_leaves.(w)
         | `Inserted ->
-          if remaining = 0 then incr depth_leaves.(w)
-          else expand ~w ~sink cfg hc remaining drops slept path_rev
+          if remaining = 0 then incr depth_leaves.(w) else expand slept
         | `Full ->
           Atomic.set truncated true;
           Atomic.set halt true;
@@ -1461,13 +1529,14 @@ module Make (A : Sim.Automaton.S) = struct
         if (not ckpt_mode) && Shared.length visited >= max_states then
           act `Full
         else begin
+          let states = Lazy.force states in
           List.iter
             (fun pr ->
-              match pr.prop_check (fun p -> cfg.states.(p)) with
+              match pr.prop_check (fun p -> states.(p)) with
               | Ok () -> ()
               | Error d -> raise (Found (pr.prop_name, d, List.rev path_rev)))
             props;
-          let decided = stopped cfg in
+          let decided = stopped states in
           act
             (probe (fun () ->
                  if (not ckpt_mode) && Shared.length visited >= max_states
@@ -1498,7 +1567,7 @@ module Make (A : Sim.Automaton.S) = struct
       | Some (c, _) -> (c.ck_tasks, c.ck_next)
       | None ->
         guard (fun () ->
-            pdfs ~w:0 ~sink:true root (hconfig root) depth max_drops [] []);
+            pdfs ~w:0 ~sink:true (Packed.node pool root) depth max_drops [] []);
         (Array.of_list (List.rev !frontier), 0)
     in
     let ntasks = Array.length tasks in
@@ -1530,12 +1599,10 @@ module Make (A : Sim.Automaton.S) = struct
             ck_msgs = mp;
             ck_visited = vis;
             ck_noops =
-              (* union of the workers' tables: each key stored once *)
-              (let all = Noop_tbl.create 1024 in
-               Array.iter
-                 (Noop_tbl.iter (fun k () -> Noop_tbl.replace all k ()))
-                 noops;
-               Array.of_seq (Noop_tbl.to_seq_keys all));
+              (* union of the workers' tables: each entry stored once *)
+              Array.of_list
+                (List.sort_uniq compare
+                   (List.concat_map Packed.noops (Array.to_list tables)));
             ck_tasks = tasks;
             ck_next = next;
             ck_counts = snapshot ();
@@ -1546,8 +1613,8 @@ module Make (A : Sim.Automaton.S) = struct
       if not (Atomic.get halt) then begin
         let cfg, remaining, drops, slept, path_rev = tasks.(i) in
         guard (fun () ->
-            expand ~w:(worker + 1) ~sink:false cfg (hconfig cfg) remaining
-              drops slept path_rev)
+            expand ~w:(worker + 1) ~sink:false cfg (Packed.node pool cfg)
+              remaining drops slept path_rev)
       end
     in
     (* The task loop: budget check, then a joined chunk of tasks, then

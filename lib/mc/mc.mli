@@ -159,8 +159,9 @@ type reduction = No_reduction | Sleep_sets | Dpor
     - [Dpor]: happens-before sleep inheritance over the full
       independence relation ([Make.move_dependent]) — a sleeper is
       woken only by a move it actually races with (same process, or
-      same channel for drops), drop moves are slept too, and known
-      no-op lambda steps are skipped at move generation. Detected
+      same channel for drops), drop moves are slept too, and a lambda
+      step the walk's transition table already knows to change
+      nothing is skipped at move generation. Detected
       races and woken sleepers (the DPOR backtrack points) are
       reported in [stats.races] / [stats.backtracks]. *)
 
@@ -168,14 +169,19 @@ val pp_reduction : Format.formatter -> reduction -> unit
 (** ["none"], ["sleep"] or ["dpor"] — the [--reduction] spelling. *)
 
 type stats = {
-  transitions : int;  (** edges taken (including into already-seen states) *)
+  transitions : int;
+      (** edges taken (including into already-seen states). Each is
+          derived through the transition table ({!Make.Packed.child}):
+          [A.step] runs once per distinct (pid, state, received message,
+          detector value), not once per transition. *)
   distinct_states : int;  (** canonical states after deduplication *)
   dedup_hits : int;
       (** transitions absorbed by memoization (0 when [dedup] is off) *)
   self_loops : int;
-      (** transitions skipped because child = parent; under [Dpor]
-          this includes cached no-op lambda skips, which do not count
-          as [transitions] *)
+      (** transitions skipped because child = parent, decided on pool
+          indices; under [Dpor] this includes the lambda steps skipped
+          because the transition table already holds them as no-ops,
+          which do not count as [transitions] *)
   sleep_skipped : int;  (** moves pruned by sleep sets *)
   races : int;
       (** [Dpor] only: dependent (taken move, sleeping candidate)
@@ -329,6 +335,14 @@ module Make (A : Sim.Automaton.S) : sig
       so absorption stays sound across paths that reach a state with
       different budgets.
 
+      The walk steps each distinct (pid, state, received sender and
+      payload or lambda, detector value) once: every later transition
+      with the same key reads its successor from a per-worker
+      transition table ({!Packed.table}). That is sound because
+      [A.step] must be a function of exactly those arguments and [n]
+      — the envelope's [seq] and [sent_at] are abstracted away, as
+      everywhere in this checker.
+
       [jobs] (default 1) sets how many domains run the exploration.
       There is one engine: a prefix walk queues the root frontier
       (depth-2 expansions) as tasks over a striped visited table
@@ -351,8 +365,9 @@ module Make (A : Sim.Automaton.S) : sig
       [checkpoint:(path, every_n_states)] makes the campaign
       resumable: the task queue is processed in chunks and a
       versioned snapshot — fingerprint, packed state/message pools,
-      the visited set as packed bytes, the known no-op lambda steps,
-      the task queue and cursor, cumulative counters — is written to [path] (atomically, temp + rename)
+      the visited set as packed bytes, the transition tables' lambda
+      no-op entries, the task queue and cursor, cumulative counters —
+      is written to [path] (atomically, temp + rename)
       whenever at least [every_n_states] new distinct states have
       accumulated since the last write, always at a task-chunk
       boundary where every memoization claim is fulfilled. [resume]
@@ -453,12 +468,14 @@ module Make (A : Sim.Automaton.S) : sig
       message payloads are interned into pools, and a configuration
       becomes a flat byte string of varint pool indices (process
       states in pid order, then the non-empty channels in canonical
-      order with length-prefixed queues). Exposed for the B12 memory
-      benchmark and the round-trip test battery; {!run} uses it
-      internally. *)
+      order with length-prefixed queues). {!run} walks on the index
+      configurations these keys serialize ({!node}) and derives each
+      child's indices through a transition table ({!child}). Exposed
+      for the B12 memory benchmark and the round-trip and
+      differential test batteries. *)
   module Packed : sig
     type pool
-    (** The interning pools (mutex-protected; parallel workers encode
+    (** The interning pools (mutex-protected; parallel workers intern
         concurrently). *)
 
     val create : n:int -> pool
@@ -469,14 +486,39 @@ module Make (A : Sim.Automaton.S) : sig
         which is why distinct states (crafted hash collisions
         included) stay distinct in the packed visited set. *)
 
-    val encode_child : pool -> key:Bytes.t -> move -> Space.config -> Bytes.t
-    (** [encode_child p ~key mv child] equals [encode p child] when
-        [key = encode p parent] and [child = Space.apply ~n parent mv],
-        and leaves the pools as [encode p child] would. It copies the
-        parent key's untouched state indices and message indices, cuts
-        the consumed message's index, and interns only the stepped
-        process's new state and the messages its step appended — the
-        per-transition key {!run} builds. *)
+    type node
+    (** An index configuration: the state pool index of each process
+        and the message pool indices queued on each channel — exactly
+        what a packed key serializes. *)
+
+    val node : pool -> Space.config -> node
+    (** Interns the configuration's values in the order {!encode}
+        does; [encode p cfg] is [key buf (node p cfg)]. *)
+
+    val key : Buffer.t -> node -> Bytes.t
+    (** The node's packed key, written into the buffer (cleared first)
+        and copied out, so a walk reuses one buffer. *)
+
+    type table
+    (** A transition table over one pool: per (pid, state index,
+        received (src, message index) or lambda, detector value), the
+        successor state's index and the message indices the step
+        appends per channel. It rests on [A.step] being a function of
+        [(n, self, state, received src and payload, detector value)] —
+        the abstraction {!run} already assumes; envelope [seq] and
+        [sent_at] are never read. *)
+
+    val table : pool -> table
+
+    val child : table -> node -> move -> node option
+    (** [child tb (node p cfg) mv] is [Some (node p (Space.apply ~n cfg
+        mv))], or [None] exactly when [Space.self_loop ~n cfg mv]. A
+        table miss runs [A.step] once on the pools' values and interns
+        the new state, then the appended messages by ascending
+        channel, which is the order {!encode} meets them in the child,
+        so keys and pool indices are those of encoding the child
+        whole. A hit runs no step and takes no lock. Drops never touch
+        the table. The move must be {!Space.applicable}. *)
 
     val sizes : pool -> int * int
     (** Distinct (process states, message payloads) interned so far. *)

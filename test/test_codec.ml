@@ -190,6 +190,35 @@ let test_container_truncated () =
       | Ok _ -> Alcotest.fail "truncated file accepted"
       | Error e -> Alcotest.failf "wrong error: %s" (Mc.Codec.error_to_string e))
 
+(* A flush that fails must not replace the previous file: with the
+   temp file a link to /dev/full, the second write raises at its final
+   flush, the link is removed, and the first checkpoint still reads
+   back. *)
+let test_container_failed_flush_keeps_previous () =
+  if not (Sys.file_exists "/dev/full") then Alcotest.skip ();
+  let dir = Filename.temp_dir "nuc_codec" "" in
+  let path = Filename.concat dir "c.ckpt" in
+  let tmp = path ^ ".tmp" in
+  let exists f =
+    match Unix.lstat f with _ -> true | exception Unix.Unix_error _ -> false
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ tmp; path ];
+      try Unix.rmdir dir with Unix.Unix_error _ -> ())
+    (fun () ->
+      Mc.Codec.write_file ~path ~version:3 [ "first" ];
+      Unix.symlink "/dev/full" tmp;
+      (match Mc.Codec.write_file ~path ~version:3 [ "second" ] with
+      | () -> Alcotest.fail "a write that could not flush returned normally"
+      | exception Sys_error _ -> ());
+      Alcotest.(check bool) "temp file removed" false (exists tmp);
+      match Mc.Codec.read_file ~path ~version:3 with
+      | Ok v ->
+        Alcotest.(check (list string)) "previous checkpoint reads back"
+          [ "first" ] v
+      | Error e -> Alcotest.failf "read: %s" (Mc.Codec.error_to_string e))
+
 (* -------------------------------------------------------------- *)
 (* Packed encode/decode round-trip over reachable configs          *)
 (* -------------------------------------------------------------- *)
@@ -223,12 +252,22 @@ let walk_configs ~menu ~lossy ~steps seed =
   let root, moves = walk ~menu ~lossy ~steps seed in
   root :: List.map (fun (_, _, child) -> child) moves
 
-(* Along a walk, under one pool: [decode] inverts [encode] and
-   re-encoding is stable (the memo key is reproducible), and the
-   parent-derived key [encode_child] equals the full [encode] of the
-   child — which, run after it, interns nothing new. *)
-let round_trip_walk ?delivery ~menu ~lossy seed =
+(* Along a walk, under one pool and one transition table: [decode]
+   inverts [encode] and re-encoding is stable (the memo key is
+   reproducible); and at every config of the walk, for every enabled
+   move, the derived child ([Packed.child]) is [None] exactly when
+   [Space.self_loop] holds, and otherwise its key equals the full
+   [encode] of [Space.apply] — which, run after it, interns nothing
+   new — and equals it in a second pool that only ever encodes whole
+   children, so derivation interns in [encode]'s order. The walk's own
+   move then derives the next node, so the table serves both misses
+   and hits. *)
+let round_trip_walk ?(delivery = `Fifo) ~menu ~lossy seed =
   let pool = M_anuc.Packed.create ~n in
+  let whole = M_anuc.Packed.create ~n in
+  let tbl = M_anuc.Packed.table pool in
+  let buf = Buffer.create 64 in
+  let menus = Array.init n (fun p -> menu.Mc.Menu.values p) in
   let round_trip cfg b =
     let cfg' = M_anuc.Packed.decode pool b in
     M_anuc.Space.equal cfg cfg'
@@ -236,23 +275,37 @@ let round_trip_walk ?delivery ~menu ~lossy seed =
     && Mc.Codec.bytes_hash b
        = Mc.Codec.bytes_hash (M_anuc.Packed.encode pool cfg')
   in
-  let root, moves = walk ?delivery ~menu ~lossy ~steps:25 seed in
-  let root_key = M_anuc.Packed.encode pool root in
-  round_trip root root_key
+  let derives cfg nd =
+    List.for_all
+      (fun mv ->
+        let self_loop = M_anuc.Space.self_loop ~n cfg mv in
+        match M_anuc.Packed.child tbl nd mv with
+        | None -> self_loop
+        | Some c ->
+          let derived = M_anuc.Packed.key buf c in
+          let sizes = M_anuc.Packed.sizes pool in
+          let applied = M_anuc.Space.apply ~n cfg mv in
+          (not self_loop)
+          && Bytes.equal derived (M_anuc.Packed.encode pool applied)
+          && M_anuc.Packed.sizes pool = sizes
+          && Bytes.equal derived (M_anuc.Packed.encode whole applied))
+      (M_anuc.Space.enabled ~n ~delivery ~lossy ~menus cfg)
+  in
+  let root, moves = walk ~delivery ~menu ~lossy ~steps:25 seed in
+  let root_node = M_anuc.Packed.node pool root in
+  ignore (M_anuc.Packed.encode whole root : Bytes.t);
+  round_trip root (M_anuc.Packed.key buf root_node)
   && snd
        (List.fold_left
-          (fun (key, ok) (_, mv, child) ->
-            let derived =
-              M_anuc.Packed.encode_child pool ~key mv child
+          (fun (nd, ok) (cfg, mv, child) ->
+            let ok = ok && derives cfg nd in
+            let nd =
+              match M_anuc.Packed.child tbl nd mv with
+              | Some c -> c
+              | None -> nd
             in
-            let sizes = M_anuc.Packed.sizes pool in
-            let full = M_anuc.Packed.encode pool child in
-            ( derived,
-              ok
-              && Bytes.equal derived full
-              && M_anuc.Packed.sizes pool = sizes
-              && round_trip child derived ))
-          (root_key, true) moves)
+            (nd, ok && round_trip child (M_anuc.Packed.key buf nd)))
+          (root_node, true) moves)
 
 let test_packed_round_trip_qcheck =
   QCheck_alcotest.to_alcotest
@@ -269,9 +322,10 @@ let test_packed_round_trip_lossy_qcheck =
        (round_trip_walk ~menu:(Mc.Menu.lossy ~plus:true ~n ~faulty ()) ~lossy:true))
 
 (* [`Any] delivery receives from anywhere in a channel, not just its
-   head; with the lossy menu the walk also drops, so the child key's
-   index cut is exercised off the head, on drops, and on a process
-   that receives from its own channel and sends to itself again. *)
+   head; with the lossy menu the walk also drops, so the derived
+   child's index cut is exercised off the head, on drops, and on a
+   process that receives from its own channel and sends to itself
+   again. *)
 let any_lossy_menu = Mc.Menu.lossy ~plus:true ~n ~faulty ()
 
 let test_packed_round_trip_any_qcheck =
@@ -332,7 +386,7 @@ let packed_chan_len key c =
 
 (* The qcheck seeds vary from run to run; this fixed sweep over the
    same generator pins that the [`Any] walks do reach the three cases
-   the child key must get right. *)
+   the derived child must get right. *)
 let test_any_walks_cover_cuts () =
   let seen = Hashtbl.create 3 in
   let pool = M_anuc.Packed.create ~n in
@@ -623,6 +677,8 @@ let () =
           Alcotest.test_case "corrupt payload" `Quick
             test_container_corrupt_payload;
           Alcotest.test_case "truncated file" `Quick test_container_truncated;
+          Alcotest.test_case "failed flush keeps the previous file" `Quick
+            test_container_failed_flush_keeps_previous;
         ] );
       ( "packed",
         [

@@ -833,13 +833,24 @@ module Make (A : Sim.Automaton.S) = struct
     done;
     !opts
 
-  (* Per process in pid order: each delivery choice, then lambda, each
-     with every menu value. The list is built back to front, so each
-     move costs one record and one cons. *)
   let moves_of ~n ~delivery ~lossy ~menus cfg =
-    let recvs = Array.init n (recv_options ~n ~delivery cfg) in
-    let moves = ref [] in
-    if lossy then
+    let process_moves =
+      List.concat_map
+        (fun p ->
+          let recvs =
+            List.map (fun r -> Some r) (recv_options ~n ~delivery cfg p)
+            @ [ None ]
+          in
+          List.concat_map
+            (fun m_recv ->
+              List.map
+                (fun m_fd -> { m_pid = p; m_fd; m_recv; m_drop = false })
+                menus.(p))
+            recvs)
+        (Pid.all ~n)
+    in
+    if not lossy then process_moves
+    else
       (* Network moves, enumerated after the process moves so DFS
          walks the loss-free subtree first. Dropping only deliverable
          messages loses no generality: under FIFO links the delivered
@@ -848,33 +859,22 @@ module Make (A : Sim.Automaton.S) = struct
          generated by the per-head deliver-or-drop choice (and
          likewise per eligible representative under [`Any]).
          Self-channels are exempt, as in [Sim.Faults]. *)
-      for p = n - 1 downto 0 do
-        moves :=
-          List.fold_right
-            (fun (src, i) acc ->
-              if Pid.equal src p then acc
-              else
-                {
-                  m_pid = p;
-                  m_fd = Sim.Fd_value.Unit;
-                  m_recv = Some (src, i);
-                  m_drop = true;
-                }
-                :: acc)
-            recvs.(p) !moves
-      done;
-    for p = n - 1 downto 0 do
-      let with_fds m_recv acc =
-        List.fold_right
-          (fun m_fd acc -> { m_pid = p; m_fd; m_recv; m_drop = false } :: acc)
-          menus.(p) acc
-      in
-      moves :=
-        List.fold_right
-          (fun r acc -> with_fds (Some r) acc)
-          recvs.(p) (with_fds None !moves)
-    done;
-    !moves
+      process_moves
+      @ List.concat_map
+          (fun p ->
+            List.filter_map
+              (fun (src, i) ->
+                if Pid.equal src p then None
+                else
+                  Some
+                    {
+                      m_pid = p;
+                      m_fd = Sim.Fd_value.Unit;
+                      m_recv = Some (src, i);
+                      m_drop = true;
+                    })
+              (recv_options ~n ~delivery cfg p))
+          (Pid.all ~n)
 
   let apply ~n cfg mv =
     let p = mv.m_pid in

@@ -628,10 +628,10 @@ module Make (A : Sim.Automaton.S) = struct
        the walk already rests on (see the module header) — so one step
        per distinct (pid, state index, received (src, message index) or
        lambda, detector value) serves every transition with that key.
-       An entry holds the successor state's index and the message
-       indices the step appends, per destination ascending, empty
-       destinations left out. *)
-    type step = { st_state : int; st_sends : (Pid.t * int list) list }
+       An entry holds the successor state's index and the
+       (destination, message index) pairs the step sends, destinations
+       ascending, each destination's in send order. *)
+    type step = { st_state : int; st_sends : (Pid.t * int) list }
 
     type step_key = {
       k_pid : Pid.t;
@@ -671,9 +671,9 @@ module Make (A : Sim.Automaton.S) = struct
       { k_pid = p; k_state = nd.ix_states.(p); k_src; k_msg; k_fd = mv.m_fd }
 
     (* A miss steps [A] once on the pool's values, then interns the new
-       state and the appended messages, destinations ascending: the
-       order [encode] meets them in the child, so the pool indices, and
-       hence every key, are those of encoding each child whole. *)
+       state and the sent messages, destinations ascending: the order
+       [encode] meets them in the child, so the pool indices, and hence
+       every key, are those of encoding each child whole. *)
     let fresh_step p k =
       let st, received =
         locked p (fun () ->
@@ -693,14 +693,9 @@ module Make (A : Sim.Automaton.S) = struct
       locked p (fun () ->
           let st_state = Codec.Pool.intern p.pk_states st' in
           let st_sends =
-            List.filter_map
-              (fun dst ->
-                match List.filter (fun (d, _) -> d = dst) sends with
-                | [] -> None
-                | ms ->
-                  Some
-                    (dst, List.map (fun (_, m) -> Codec.Pool.intern p.pk_msgs m) ms))
-              (Pid.all ~n:p.pk_n)
+            List.map
+              (fun (dst, m) -> (dst, Codec.Pool.intern p.pk_msgs m))
+              (List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) sends)
           in
           { st_state; st_sends })
 
@@ -760,7 +755,7 @@ module Make (A : Sim.Automaton.S) = struct
             let a = cut ~n nd mv in
             let a = if a == nd.ix_chans then Array.copy a else a in
             List.iter
-              (fun (dst, ms) -> a.((p * n) + dst) <- a.((p * n) + dst) @ ms)
+              (fun (dst, m) -> a.((p * n) + dst) <- a.((p * n) + dst) @ [ m ])
               sends;
             a
         in

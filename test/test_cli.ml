@@ -804,6 +804,33 @@ let fuzz_pins_n4 =
       "c1f9562bf923ac22f6e3e5a2edbea435" );
   ]
 
+(* MD5 of `fuzz --algo A -n N -t 1 --runs 300 --seed 1 --json` under
+   flags that mix the sampler's paths no pin above combines: swarm
+   stabilization points with [`Any]-order self-deliveries, PCT under
+   FIFO, and A_nuc's own any-order swarm. All three run clean. *)
+let fuzz_pins_mixed =
+  [
+    ( "naive-sn", "4", [ "--swarm"; "--delivery"; "any" ],
+      "ca1930adaaca442e30772f3738c02d91" );
+    ("naive-sn", "4", [ "--sampler"; "pct3" ], "c4d1f905fa22b14058345ee94d28b743");
+    ( "anuc", "3", [ "--swarm"; "--delivery"; "any" ],
+      "9fae3e9702b25e19a75b5d04c0426723" );
+  ]
+
+let check_fuzz_digest ~json (algo, n, flags, md5) =
+  let args =
+    [
+      "fuzz"; "--algo"; algo; "-n"; n; "-t"; "1"; "--runs"; "300"; "--seed";
+      "1"; "--json"; json;
+    ]
+    @ flags
+  in
+  ignore (run_cli args);
+  Alcotest.(check string)
+    (String.concat " " args ^ " JSON digest")
+    md5
+    (Digest.to_hex (Digest.file json))
+
 let test_fuzz_n4_pinned () =
   let json = Filename.temp_file "nuc_fuzz_n4" ".json" in
   Fun.protect
@@ -811,19 +838,14 @@ let test_fuzz_n4_pinned () =
     (fun () ->
       List.iter
         (fun (flags, md5) ->
-          let args =
-            [
-              "fuzz"; "--algo"; "naive-sn"; "-n"; "4"; "-t"; "1"; "--runs";
-              "300"; "--seed"; "1"; "--json"; json;
-            ]
-            @ flags
-          in
-          ignore (run_cli args);
-          Alcotest.(check string)
-            (String.concat " " args ^ " JSON digest")
-            md5
-            (Digest.to_hex (Digest.file json)))
+          check_fuzz_digest ~json ("naive-sn", "4", flags, md5))
         fuzz_pins_n4)
+
+let test_fuzz_mixed_pinned () =
+  let json = Filename.temp_file "nuc_fuzz_mixed" ".json" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove json with Sys_error _ -> ())
+    (fun () -> List.iter (check_fuzz_digest ~json) fuzz_pins_mixed)
 
 let test_every_target_pinned () =
   let json = Filename.temp_file "nuc_target" ".json" in
@@ -1000,5 +1022,7 @@ let () =
             test_every_target_pinned;
           Alcotest.test_case "naive-sn n = 4 fuzz pinned" `Quick
             test_fuzz_n4_pinned;
+          Alcotest.test_case "any-order, PCT and swarm fuzz pinned" `Quick
+            test_fuzz_mixed_pinned;
         ] );
     ]

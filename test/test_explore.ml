@@ -207,6 +207,60 @@ let test_shrink_does_not_grow () =
     Alcotest.(check bool) "no growth on re-shrink" true
       (List.length again <= List.length v.Ex.v_shrunk)
 
+(* The benchmark's hunt universe (perf/hunt.ml): n = 4, pid 3 faulty
+   with its crash past the 72-step budget, the contamination menu,
+   proposal 1 at the faulty process, a campaign of up to 20,000 runs
+   stopped at its first violation. Hunt seeds 100000-100004 each find
+   a nonuniform-agreement violation; (runs, raw steps, shrunk steps,
+   shrink candidates) pins the sampled schedule, the shrinker and the
+   property checks together. *)
+let hunt_pins =
+  [
+    (100000, [ 30; 68; 31; 2425 ]);
+    (100001, [ 44; 71; 30; 1664 ]);
+    (100002, [ 9; 57; 31; 1418 ]);
+    (100003, [ 88; 71; 32; 2070 ]);
+    (100004, [ 33; 72; 31; 1285 ]);
+  ]
+
+let test_hunts_pinned () =
+  let n = 4 and faulty = Pset.singleton 3 in
+  let max_steps = 18 * n in
+  let proposals p = if Pset.mem p faulty then 1 else 0 in
+  let pattern = Sim.Failure_pattern.make ~n ~crashes:[ (3, max_steps + 1) ] in
+  let decision = Consensus.Mr.With_quorum.decision in
+  let props =
+    Ex.M.consensus_props ~decision ~proposals
+      ~flavour:Consensus.Spec.Nonuniform ~pattern
+  in
+  let stop =
+    Ex.M.decided_stop ~decision ~scope:(Sim.Failure_pattern.correct pattern)
+  in
+  let menu = Mc.Menu.contamination ~n ~faulty () in
+  List.iter
+    (fun (seed, expected) ->
+      let r =
+        Ex.fuzz ~algo:"naive-sn" ~max_steps ~stop
+          ~decided:(fun st -> decision st <> None)
+          ~seed ~runs:20_000 ~n ~menu ~pattern ~inputs:proposals ~props ()
+      in
+      match r.Ex.violation with
+      | None -> Alcotest.failf "hunt %d found no violation" seed
+      | Some v ->
+        Alcotest.(check string)
+          (Printf.sprintf "hunt %d property" seed)
+          "nonuniform agreement" v.Ex.v_property;
+        Alcotest.(check (list int))
+          (Printf.sprintf "hunt %d runs, raw, shrunk, candidates" seed)
+          expected
+          [
+            r.Ex.runs;
+            List.length v.Ex.v_moves;
+            List.length v.Ex.v_shrunk;
+            v.Ex.v_candidates;
+          ])
+    hunt_pins
+
 (* ---------------------------------------------------------------- *)
 (* Checkpoint / resume                                              *)
 (* ---------------------------------------------------------------- *)
@@ -336,5 +390,6 @@ let () =
             test_shrink_does_not_grow;
           Alcotest.test_case "benign schedule rejected" `Quick
             test_shrink_rejects_benign_schedule;
+          Alcotest.test_case "benchmark hunts pinned" `Quick test_hunts_pinned;
         ] );
     ]

@@ -39,42 +39,49 @@ let check_termination o =
       (Format.asprintf "termination: correct processes %a did not decide"
          Pset.pp undecided)
 
+(* Both safety checks run on every explored state of mc and fuzz, so
+   they walk the arrays in place instead of collecting lists. *)
 let check_validity o =
   let proposed v = Array.exists (Value.equal v) o.proposals in
-  let bad = ref None in
-  Array.iteri
-    (fun p -> function
-      | Some v when not (proposed v) && !bad = None -> bad := Some (p, v)
-      | Some _ | None -> ())
-    o.decisions;
-  match !bad with
-  | None -> Ok ()
-  | Some (p, v) ->
-    Error
-      (Format.asprintf "validity: p%d decided %a, which nobody proposed" p
-         Value.pp v)
+  let rec go p =
+    if p = Array.length o.decisions then Ok ()
+    else
+      match o.decisions.(p) with
+      | Some v when not (proposed v) ->
+        Error
+          (Format.asprintf "validity: p%d decided %a, which nobody proposed" p
+             Value.pp v)
+      | Some _ | None -> go (p + 1)
+  in
+  go 0
 
+(* The highest decided pid in scope is the reference; a violation
+   names the next lower one that disagrees with it. *)
 let check_agreement flavour o =
   let scope =
     match flavour with
     | Uniform -> Pset.full ~n:(Sim.Failure_pattern.n o.pattern)
     | Nonuniform -> Sim.Failure_pattern.correct o.pattern
   in
-  let decided =
-    Pset.fold
-      (fun p acc ->
-        match o.decisions.(p) with Some v -> (p, v) :: acc | None -> acc)
-      scope []
+  let decided p = if Pset.mem p scope then o.decisions.(p) else None in
+  let rec disagreeing p0 v0 p =
+    if p < 0 then Ok ()
+    else
+      match decided p with
+      | Some v when not (Value.equal v v0) ->
+        Error
+          (Format.asprintf "%a agreement: p%d decided %a but p%d decided %a"
+             pp_flavour flavour p0 Value.pp v0 p Value.pp v)
+      | Some _ | None -> disagreeing p0 v0 (p - 1)
   in
-  match decided with
-  | [] -> Ok ()
-  | (p0, v0) :: rest -> (
-    match List.find_opt (fun (_, v) -> not (Value.equal v v0)) rest with
-    | None -> Ok ()
-    | Some (p, v) ->
-      Error
-        (Format.asprintf "%a agreement: p%d decided %a but p%d decided %a"
-           pp_flavour flavour p0 Value.pp v0 p Value.pp v))
+  let rec reference p =
+    if p < 0 then Ok ()
+    else
+      match decided p with
+      | Some v0 -> disagreeing p v0 (p - 1)
+      | None -> reference (p - 1)
+  in
+  reference (Sim.Failure_pattern.n o.pattern - 1)
 
 let ( let* ) = Result.bind
 

@@ -50,6 +50,15 @@ let salt_batch = 0x5347 (* "SG" — swarm generation *)
 
 let salt_run = 0x52 (* "R" *)
 
+(* After the stabilization step only each process's first menu value
+   remains on offer — the detector has converged; network moves are
+   unaffected. Cutting each menu to the values equal to its first is
+   the per-move filter on that value, applied once per run. *)
+let stable_menus menus =
+  Array.map
+    (function [] -> [] | v :: _ as l -> List.filter (Sim.Fd_value.equal v) l)
+    menus
+
 (* Coverage keys are already deep hashes; [Key_set] stores them with
    identity hashing and a single probe per insertion attempt. *)
 module Kset = Mc.Intern.Key_set
@@ -538,20 +547,6 @@ module Make (A : Sim.Automaton.S) = struct
     | [] -> base
     | l -> List.nth l (Random.State.int rng (List.length l))
 
-  (* After the stabilization step only each process's first menu value
-     remains on offer — the detector has converged; network moves are
-     unaffected. *)
-  let stabilize (bc : batch_cfg) step moves =
-    if step < bc.c_stab then moves
-    else
-      List.filter
-        (fun (mv : M.move) ->
-          mv.m_drop
-          ||
-          match bc.c_menus.(mv.m_pid) with
-          | [] -> true
-          | v :: _ -> Sim.Fd_value.equal mv.m_fd v)
-        moves
 
   type run_outcome =
     | Violation of M.move list * string * string
@@ -567,6 +562,8 @@ module Make (A : Sim.Automaton.S) = struct
       | Pct d -> Some (pct_init rng ~n ~d ~max_steps)
     in
     let cfg = ref (S.initial ~n ~inputs) in
+    let verdicts = S.verdicts !cfg in
+    let stable = stable_menus bc.c_menus in
     let moves = ref [] in
     let drops = ref 0 in
     let first_decision = ref None in
@@ -576,17 +573,13 @@ module Make (A : Sim.Automaton.S) = struct
     (try
        for step = 0 to max_steps - 1 do
          let lossy = bc.c_menu.lossy && !drops < bc.c_budget in
-         let enabled =
-           S.enabled ~n ~delivery ~lossy ~menus:bc.c_menus !cfg
-           |> stabilize bc step
-         in
+         let menus = if step < bc.c_stab then bc.c_menus else stable in
          (* Self-loop moves neither change state nor coverage; a run
-            with only self-loop moves left has quiesced. The filter
-            steps only lambda and self-delivery candidates
-            ([S.self_loop]); the run then applies the drawn move. *)
-         let cands =
-           List.filter (fun mv -> not (S.self_loop ~n !cfg mv)) enabled
-         in
+            with only self-loop moves left has quiesced. Each lambda
+            and self-delivery verdict is decided once per process
+            state and self-channel ([S.candidates]); the run then
+            applies the drawn move. *)
+         let cands = S.candidates verdicts ~n ~delivery ~lossy ~menus !cfg in
          if cands = [] then (
            outcome := Quiesced;
            raise Exit);

@@ -67,6 +67,15 @@ type swarm = {
     every list (uniformly, from the batch's derived seed); an empty
     list means "keep the base configuration". *)
 
+val stable_menus : Sim.Fd_value.t list array -> Sim.Fd_value.t list array
+(** The per-process menus in force from a run's stabilization step on:
+    each menu cut to the values equal to its first. Every sampled step
+    draws from {!Mc.Make.Space.candidates} over the menus in force —
+    the checker's own move enumeration less its self-loops, built in
+    one pass with each lambda and self-delivery verdict decided once
+    per process state — so the sampler keeps no copy of the move
+    order. *)
+
 type batch_point = {
   bp_batch : int;
   bp_runs : int;  (** cumulative runs executed after this batch *)

@@ -410,10 +410,17 @@ module Make (A : Sim.Automaton.S) = struct
 
   let invariant ~name f = { prop_name = name; prop_check = f }
 
+  (* The proposals array is built once; a check builds only the
+     decisions array of the state it reads. *)
   let consensus_props ~decision ~proposals ~flavour ~pattern =
+    let n = Sim.Failure_pattern.n pattern in
+    let proposals = Array.init n proposals in
     let outcome states =
-      Consensus.Spec.outcome ~pattern ~proposals ~decisions:(fun p ->
-          decision (states p))
+      {
+        Consensus.Spec.pattern;
+        proposals;
+        decisions = Array.init n (fun p -> decision (states p));
+      }
     in
     [
       {
@@ -801,75 +808,73 @@ module Make (A : Sim.Automaton.S) = struct
       chans = Array.make (n * n) [];
     }
 
-  (* Delivery choices for process [p]. Under [`Fifo] each channel
-     delivers in send order, so only its head is eligible — pending
-     channel states stay suffixes of the send sequence instead of
-     arbitrary sub-multisets, which keeps the reachable space
-     polynomial in the per-channel traffic. Under [`Any], any pending
-     message may be delivered (one representative per payload-distinct
-     entry), matching the runner's full [Matching]-choice latitude. *)
-  let recv_options ~n ~delivery cfg p =
-    let opts = ref [] in
-    for src = n - 1 downto 0 do
+  (* Delivery choices for process [p], as [f src i] calls: sources
+     ascending, and within a source's channel the eligible indices
+     descending. Under [`Fifo] each channel delivers in send order, so
+     only its head is eligible — pending channel states stay suffixes
+     of the send sequence instead of arbitrary sub-multisets, which
+     keeps the reachable space polynomial in the per-channel traffic.
+     Under [`Any], any pending message may be delivered (one
+     representative per payload-distinct entry, its first), matching
+     the runner's full [Matching]-choice latitude. *)
+  let iter_recv ~n ~delivery cfg p f =
+    for src = 0 to n - 1 do
       match (delivery, cfg.chans.((src * n) + p)) with
       | _, [] -> ()
-      | `Fifo, _ :: _ -> opts := (src, 0) :: !opts
+      | `Fifo, _ :: _ -> f src 0
       | `Any, q ->
-        let rec go i seen = function
-          | [] -> ()
+        let rec reps i seen acc = function
+          | [] -> acc
           | m :: rest ->
-            if List.exists (A.equal_message m) seen then go (i + 1) seen rest
-            else begin
-              opts := (src, i) :: !opts;
-              go (i + 1) (m :: seen) rest
-            end
+            if List.exists (A.equal_message m) seen then reps (i + 1) seen acc rest
+            else reps (i + 1) (m :: seen) (i :: acc) rest
         in
-        go 0 [] q
+        List.iter (f src) (reps 0 [] [] q)
+    done
+
+  (* The move alphabet, in the one order every consumer sees it: per
+     process in pid order, each delivery choice and then lambda, each
+     crossed with the process's menu values in menu order; then, when
+     [lossy], per process the drop of each cross-process delivery
+     choice. Network moves come after the process moves so DFS walks
+     the loss-free subtree first. Dropping only deliverable messages
+     loses no generality: under FIFO links the delivered sequence of a
+     channel with arbitrary loss is exactly a subsequence of the send
+     sequence, and every subsequence is generated by the per-head
+     deliver-or-drop choice (and likewise per eligible representative
+     under [`Any]). Self-channels are exempt, as in [Sim.Faults].
+     [iter_moves] calls [f] on each move in that order: [moves_of]
+     collects them, [run]'s expansion and the sampler's candidate
+     build ([Space.candidates]) consume them as they come. *)
+  let iter_moves ~n ~delivery ~lossy ~menus cfg f =
+    for p = 0 to n - 1 do
+      let fds = menus.(p) in
+      iter_recv ~n ~delivery cfg p (fun src i ->
+          let m_recv = Some (src, i) in
+          List.iter
+            (fun m_fd -> f { m_pid = p; m_fd; m_recv; m_drop = false })
+            fds);
+      List.iter
+        (fun m_fd -> f { m_pid = p; m_fd; m_recv = None; m_drop = false })
+        fds
     done;
-    !opts
+    if lossy then
+      for p = 0 to n - 1 do
+        iter_recv ~n ~delivery cfg p (fun src i ->
+            if not (Pid.equal src p) then
+              f
+                {
+                  m_pid = p;
+                  m_fd = Sim.Fd_value.Unit;
+                  m_recv = Some (src, i);
+                  m_drop = true;
+                })
+      done
 
   let moves_of ~n ~delivery ~lossy ~menus cfg =
-    let process_moves =
-      List.concat_map
-        (fun p ->
-          let recvs =
-            List.map (fun r -> Some r) (recv_options ~n ~delivery cfg p)
-            @ [ None ]
-          in
-          List.concat_map
-            (fun m_recv ->
-              List.map
-                (fun m_fd -> { m_pid = p; m_fd; m_recv; m_drop = false })
-                menus.(p))
-            recvs)
-        (Pid.all ~n)
-    in
-    if not lossy then process_moves
-    else
-      (* Network moves, enumerated after the process moves so DFS
-         walks the loss-free subtree first. Dropping only deliverable
-         messages loses no generality: under FIFO links the delivered
-         sequence of a channel with arbitrary loss is exactly a
-         subsequence of the send sequence, and every subsequence is
-         generated by the per-head deliver-or-drop choice (and
-         likewise per eligible representative under [`Any]).
-         Self-channels are exempt, as in [Sim.Faults]. *)
-      process_moves
-      @ List.concat_map
-          (fun p ->
-            List.filter_map
-              (fun (src, i) ->
-                if Pid.equal src p then None
-                else
-                  Some
-                    {
-                      m_pid = p;
-                      m_fd = Sim.Fd_value.Unit;
-                      m_recv = Some (src, i);
-                      m_drop = true;
-                    })
-              (recv_options ~n ~delivery cfg p))
-          (Pid.all ~n)
+    let acc = ref [] in
+    iter_moves ~n ~delivery ~lossy ~menus cfg (fun mv -> acc := mv :: !acc);
+    List.rev !acc
 
   let apply ~n cfg mv =
     let p = mv.m_pid in
@@ -1435,16 +1440,13 @@ module Make (A : Sim.Automaton.S) = struct
         frontier := (cfg, remaining, drops, slept, path_rev) :: !frontier
       else begin
         let tbl = tables.(max 0 (w - 1)) in
-        (* the drop alphabet switches off once the path's loss budget
-           is spent *)
-        let all =
-          moves_of ~n ~delivery ~lossy:(lossy && drops > 0) ~menus cfg
-        in
         (* index the inherited sleepers once per node; earlier
            explored siblings accumulate in the same bucketed form *)
         let sl = Sibs.create ~n and ex = Sibs.create ~n in
         List.iter (Sibs.add ~n sl) slept;
-        List.iter
+        (* the drop alphabet switches off once the path's loss budget
+           is spent *)
+        iter_moves ~n ~delivery ~lossy:(lossy && drops > 0) ~menus cfg
           (fun mv ->
             if sleep && Sibs.mem ~n sl mv then incr sleep_skipped.(w)
             else if dpor && mv.m_recv = None && Packed.known_noop tbl nd mv
@@ -1467,7 +1469,6 @@ module Make (A : Sim.Automaton.S) = struct
                   child_slept (mv :: path_rev);
                 if sleep then Sibs.add ~n ex mv
             end)
-          all
       end
     and pdfs ~w ~sink nd remaining drops slept path_rev =
       if Atomic.get halt then raise Limit;
@@ -1700,6 +1701,81 @@ module Make (A : Sim.Automaton.S) = struct
     let equal = config_equal
     let self_loop ~n cfg mv =
       may_self_loop mv && config_equal (apply ~n cfg mv) cfg
+
+    (* One process's decided verdicts and the slots they were decided
+       on. A lambda's verdict is a function of the process's state and
+       the detector value; a self-delivery's also of the self-channel
+       it takes from and may append to — a step's other channels only
+       grow, and a grown channel is never a self-loop. [apply] shares
+       every slot it leaves alone and values are immutable, so while
+       both slots are physically the ones a verdict was decided on,
+       [self_loop] would answer it again. *)
+    type proc_verdicts = {
+      mutable pv_state : A.state;
+      mutable pv_self : A.message list;
+      mutable pv_lambda : (Sim.Fd_value.t * bool) list;
+      mutable pv_recv : (int * Sim.Fd_value.t * bool) list;
+    }
+
+    type verdicts = proc_verdicts array
+
+    let verdicts cfg =
+      let n = Array.length cfg.states in
+      Array.init n (fun p ->
+          {
+            pv_state = cfg.states.(p);
+            pv_self = cfg.chans.((p * n) + p);
+            pv_lambda = [];
+            pv_recv = [];
+          })
+
+    let same_fd a b = a == b || Sim.Fd_value.equal a b
+
+    let rec lambda_verdict fd = function
+      | [] -> raise Not_found
+      | (v, b) :: rest -> if same_fd v fd then b else lambda_verdict fd rest
+
+    let rec recv_verdict i fd = function
+      | [] -> raise Not_found
+      | (j, v, b) :: rest ->
+        if j = i && same_fd v fd then b else recv_verdict i fd rest
+
+    let cached_self_loop vd ~n cfg mv =
+      may_self_loop mv
+      &&
+      let p = mv.m_pid in
+      let pv = vd.(p) in
+      let self = cfg.chans.((p * n) + p) in
+      if pv.pv_state != cfg.states.(p) then begin
+        pv.pv_state <- cfg.states.(p);
+        pv.pv_self <- self;
+        pv.pv_lambda <- [];
+        pv.pv_recv <- []
+      end;
+      match mv.m_recv with
+      | None -> (
+        try lambda_verdict mv.m_fd pv.pv_lambda
+        with Not_found ->
+          let b = self_loop ~n cfg mv in
+          pv.pv_lambda <- (mv.m_fd, b) :: pv.pv_lambda;
+          b)
+      | Some (_, i) -> (
+        if pv.pv_self != self then begin
+          pv.pv_self <- self;
+          pv.pv_recv <- []
+        end;
+        try recv_verdict i mv.m_fd pv.pv_recv
+        with Not_found ->
+          let b = self_loop ~n cfg mv in
+          pv.pv_recv <- (i, mv.m_fd, b) :: pv.pv_recv;
+          b)
+
+    let candidates vd ~n ~delivery ~lossy ~menus cfg =
+      let acc = ref [] in
+      iter_moves ~n ~delivery ~lossy ~menus cfg (fun mv ->
+          if not (cached_self_loop vd ~n cfg mv) then acc := mv :: !acc);
+      List.rev !acc
+
     let key cfg = config_hash cfg
     let enabled = moves_of
 

@@ -427,6 +427,34 @@ module Make (A : Sim.Automaton.S) : sig
         a self-delivery is applied and compared. The move must be
         {!applicable}. The same rule decides {!run}'s [self_loops]. *)
 
+    type verdicts
+    (** A per-process memo of {!self_loop} verdicts, for the
+        configurations of one sampled run. *)
+
+    val verdicts : config -> verdicts
+    (** An empty memo for [config]'s processes. *)
+
+    val candidates :
+      verdicts ->
+      n:int ->
+      delivery:[ `Fifo | `Any ] ->
+      lossy:bool ->
+      menus:Sim.Fd_value.t list array ->
+      config ->
+      move list
+    (** [candidates vd ~n ~delivery ~lossy ~menus cfg] is
+        [List.filter (fun mv -> not (self_loop ~n cfg mv)) (enabled ~n
+        ~delivery ~lossy ~menus cfg)], built in one pass over
+        {!enabled}'s enumeration: only the moves kept are collected.
+        Only a lambda or self-delivery move consults [vd]. Its verdict
+        is kept per process and decided again through {!self_loop}
+        only when the process's state, or for a self-delivery its
+        self-channel, is no longer physically the slot the verdict was
+        decided on. A lambda's verdict depends on nothing else, a
+        self-delivery's also on its index and detector value, and
+        {!apply} shares every slot it leaves alone, so physical
+        identity is exact invalidation (DESIGN.md §5c). *)
+
     val key : config -> int
     (** The canonical-state hash (the one memoization buckets on);
         collisions are possible, so it is a coverage statistic, not an
@@ -442,7 +470,11 @@ module Make (A : Sim.Automaton.S) : sig
     (** Every move admissible at [config] — exactly the alphabet
         {!run} expands: one move per (process, delivery choice or
         lambda, menu value), plus, when [lossy], one network-drop move
-        per deliverable cross-process message. *)
+        per deliverable cross-process message. The order is written
+        once, in one enumeration that this list, {!run}'s expansion and
+        {!candidates} all walk: processes in pid order, each one's
+        delivery choices and then lambda, each crossed with its menu
+        values in menu order; then the drops, per process. *)
 
     val applicable : n:int -> config -> move -> bool
     (** Whether the move's delivery choice designates a pending

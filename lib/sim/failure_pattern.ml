@@ -1,6 +1,8 @@
 open Procset
 
-type t = { n : int; crash : int option array }
+(* [faulty] and [correct] are derived from [crash] once, at [make]:
+   property checks ask for them on every explored state. *)
+type t = { n : int; crash : int option array; faulty : Pset.t; correct : Pset.t }
 
 let make ~n ~crashes =
   if n < 2 then invalid_arg "Failure_pattern.make: need n >= 2";
@@ -15,7 +17,13 @@ let make ~n ~crashes =
         invalid_arg (Printf.sprintf "Failure_pattern.make: duplicate pid %d" p);
       crash.(p) <- Some tc)
     crashes;
-  { n; crash }
+  let faulty =
+    Array.to_seq crash
+    |> Seq.fold_lefti
+         (fun acc p -> function Some _ -> Pset.add p acc | None -> acc)
+         Pset.empty
+  in
+  { n; crash; faulty; correct = Pset.complement ~n faulty }
 
 let failure_free ~n = make ~n ~crashes:[]
 let n f = f.n
@@ -32,14 +40,9 @@ let crashed_set f t =
          | Some _ | None -> acc)
        Pset.empty
 
-let faulty f =
-  Array.to_seq f.crash
-  |> Seq.fold_lefti
-       (fun acc p -> function Some _ -> Pset.add p acc | None -> acc)
-       Pset.empty
-
-let correct f = Pset.complement ~n:f.n (faulty f)
-let num_faulty f = Pset.cardinal (faulty f)
+let faulty f = f.faulty
+let correct f = f.correct
+let num_faulty f = Pset.cardinal f.faulty
 
 let last_crash_time f =
   Array.fold_left

@@ -262,6 +262,124 @@ let test_hunts_pinned () =
     hunt_pins
 
 (* ---------------------------------------------------------------- *)
+(* The sampler's candidate list                                      *)
+(* ---------------------------------------------------------------- *)
+
+(* [Space.candidates] against the list it replaces: [Space.enabled]
+   over the full menus, cut after the stabilization step to each
+   process's first menu value, then filtered through
+   [Space.self_loop] — element for element and in order, at every
+   step of a random walk that applies the drawn moves, as the sampler
+   does, so the verdict memo sees the same slot sharing. *)
+module Candidate_walk (A : Sim.Automaton.S) = struct
+  module M = Mc.Make (A)
+  module S = M.Space
+
+  let reference ~n ~delivery ~lossy ~menus ~stabilized cfg =
+    S.enabled ~n ~delivery ~lossy ~menus cfg
+    |> List.filter (fun (mv : M.move) ->
+           (not stabilized) || mv.m_drop
+           ||
+           match menus.(mv.m_pid) with
+           | [] -> true
+           | v :: _ -> Sim.Fd_value.equal mv.m_fd v)
+    |> List.filter (fun mv -> not (S.self_loop ~n cfg mv))
+
+  let agrees ~n ~inputs ~(menu : Mc.Menu.t) ~delivery (seed, len) =
+    let rng = Random.State.make [| 0xCA4D; seed |] in
+    let stab = Random.State.int rng (len + 1) in
+    let budget = Random.State.int rng 3 in
+    let menus = Array.init n menu.values in
+    let stable = Explore.stable_menus menus in
+    let cfg0 = S.initial ~n ~inputs in
+    let verdicts = S.verdicts cfg0 in
+    let rec go step drops cfg =
+      step >= len
+      ||
+      let lossy = menu.lossy && drops < budget in
+      let stabilized = step >= stab in
+      let got =
+        S.candidates verdicts ~n ~delivery ~lossy
+          ~menus:(if stabilized then stable else menus)
+          cfg
+      in
+      List.equal ( = ) got
+        (reference ~n ~delivery ~lossy ~menus ~stabilized cfg)
+      &&
+      match got with
+      | [] -> true
+      | _ ->
+        let mv = List.nth got (Random.State.int rng (List.length got)) in
+        go (step + 1)
+          (if mv.M.m_drop then drops + 1 else drops)
+          (S.apply ~n cfg mv)
+    in
+    go 0 0 cfg0
+
+  let qtest ~name ~n ~inputs ~menu =
+    List.map
+      (fun (delivery, dname) ->
+        QCheck_alcotest.to_alcotest
+          (QCheck.Test.make
+             ~name:
+               (Printf.sprintf
+                  "candidates = stabilized enabled less self-loops (%s, %s)"
+                  name dname)
+             ~count:40
+             QCheck.(pair small_nat (int_range 10 60))
+             (agrees ~n ~inputs ~menu ~delivery)))
+      [ (`Fifo, "fifo"); (`Any, "any") ]
+end
+
+module Anuc_walk = Candidate_walk (Core.Anuc)
+module Naive_walk = Candidate_walk (Consensus.Mr.With_quorum)
+
+(* The consensus automata practically never self-loop on a
+   self-delivery, so no walk of theirs can tell a stale self-delivery
+   verdict from a fresh one. This automaton never changes state: a
+   lambda under [Leader l] sends itself [l] (nothing for [Leader 2]),
+   and a delivered message is sent back to itself. Delivering the
+   last message of its self-channel is then a self-loop and delivering
+   an earlier distinct one is not, while the state slot stays
+   physically the same. *)
+module Echo = struct
+  type input = unit
+  type state = unit
+  type message = int
+
+  let name = "echo"
+  let initial ~n:_ ~self:_ () = ()
+
+  let step ~n:_ ~self st received d =
+    match (received, d) with
+    | Some env, _ -> (st, [ (self, env.Sim.Envelope.payload) ])
+    | None, Sim.Fd_value.Leader l when l < 2 -> (st, [ (self, l) ])
+    | None, _ -> (st, [])
+
+  let pp_message = Format.pp_print_int
+  let equal_message = Int.equal
+end
+
+module Echo_walk = Candidate_walk (Echo)
+
+let echo_menu =
+  {
+    Mc.Menu.name = "echo";
+    kind = Mc.Menu.Omega_only;
+    values = (fun _ -> List.map (fun l -> Sim.Fd_value.Leader l) [ 0; 1; 2 ]);
+    lossy = false;
+  }
+
+let qtests_candidates =
+  Anuc_walk.qtest ~name:"anuc contamination" ~n ~inputs:proposals
+    ~menu:(Mc.Menu.contamination ~plus:true ~n ~faulty ())
+  @ Anuc_walk.qtest ~name:"anuc lossy" ~n ~inputs:proposals
+      ~menu:(Mc.Menu.lossy ~plus:true ~n ~faulty ())
+  @ Naive_walk.qtest ~name:"naive lossy" ~n ~inputs:proposals
+      ~menu:(Mc.Menu.lossy ~n ~faulty ())
+  @ Echo_walk.qtest ~name:"echo" ~n:2 ~inputs:(fun _ -> ()) ~menu:echo_menu
+
+(* ---------------------------------------------------------------- *)
 (* Checkpoint / resume                                              *)
 (* ---------------------------------------------------------------- *)
 
@@ -375,6 +493,7 @@ let () =
           Alcotest.test_case "curve consistent with totals" `Quick
             test_curve_consistent_with_totals;
         ] );
+      ("candidates", qtests_candidates);
       ( "checkpoint",
         [
           Alcotest.test_case "interrupted+resumed JSON byte-identical" `Quick

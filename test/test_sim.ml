@@ -75,6 +75,37 @@ let prop_random_pattern =
          Sim.Env.mem e f
          && not (Pset.is_empty (Sim.Failure_pattern.correct f))))
 
+(* [faulty], [correct] and [num_faulty] are computed once, at [make];
+   each must equal its derivation from the crash times. *)
+let prop_pattern_sets_derived =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"faulty, correct and num_faulty match crash times"
+       ~count:300
+       QCheck.(pair (int_range 2 10) int)
+       (fun (n, seed) ->
+         let rng = Random.State.make [| seed |] in
+         let crashes =
+           List.filter_map
+             (fun p ->
+               if Random.State.bool rng then Some (p, Random.State.int rng 50)
+               else None)
+             (Pid.all ~n)
+         in
+         let f = Sim.Failure_pattern.make ~n ~crashes in
+         let faulty =
+           List.fold_left
+             (fun acc p ->
+               match Sim.Failure_pattern.crash_time f p with
+               | Some _ -> Pset.add p acc
+               | None -> acc)
+             Pset.empty (Pid.all ~n)
+         in
+         Pset.equal (Sim.Failure_pattern.faulty f) faulty
+         && Pset.equal
+              (Sim.Failure_pattern.correct f)
+              (Pset.diff (Pset.full ~n) faulty)
+         && Sim.Failure_pattern.num_faulty f = List.length crashes))
+
 (* -------------------------------------------------------------- *)
 (* Mailbox: the O(1)-per-step message buffer                       *)
 (* -------------------------------------------------------------- *)
@@ -1090,6 +1121,7 @@ let () =
           Alcotest.test_case "invalid args" `Quick test_pattern_invalid;
           Alcotest.test_case "environments" `Quick test_env;
           prop_random_pattern;
+          prop_pattern_sets_derived;
         ] );
       ( "mailbox",
         [

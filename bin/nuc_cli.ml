@@ -434,10 +434,16 @@ let universe (target : target) ~n ~t ~bound ~family ~quorum ~swarm =
   in
   { pattern; proposals; menu; swarm_menus; scope }
 
+(* The engines' only file I/O is the checkpoint they read back and
+   the checkpoints and spill segments they write: a rejected resume
+   and a failed write (which names its path) both exit 1. *)
 let resumable f =
-  try f ()
-  with Mc.Resume_rejected e ->
+  try f () with
+  | Mc.Resume_rejected e ->
     pf "checkpoint rejected: %s@." (Mc.Codec.error_to_string e);
+    exit 1
+  | Sys_error reason ->
+    pf "checkpoint write failed: %s@." reason;
     exit 1
 
 (* --selftest-corrupt-checkpoint: flip one byte of the --resume file

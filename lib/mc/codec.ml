@@ -178,15 +178,18 @@ let write_file ~path ~version v =
   Buffer.add_string buf (Digest.bytes payload);
   Buffer.add_bytes buf payload;
   let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  (try
-     Buffer.output_buffer oc buf;
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp path
+  try
+    let oc = open_out_bin tmp in
+    (try
+       Buffer.output_buffer oc buf;
+       close_out oc
+     with e ->
+       close_out_noerr oc;
+       (try Sys.remove tmp with Sys_error _ -> ());
+       raise e);
+    Sys.rename tmp path
+  with Sys_error reason ->
+    raise (Sys_error (Printf.sprintf "cannot write %s: %s" path reason))
 
 let read_file ~path ~version =
   match

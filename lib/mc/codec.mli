@@ -61,8 +61,10 @@ val write_file : path:string -> version:int -> 'a -> unit
 (** Writes [magic | version | payload length | MD5 digest | Marshal
     payload] atomically (temp file + rename): a kill mid-write leaves
     the previous checkpoint intact. A write or final flush that fails
-    removes the temp file and re-raises its [Sys_error] before the
-    rename, so the previous file is never replaced by a partial one. *)
+    removes the temp file before the rename, so the previous file is
+    never replaced by a partial one. Any failure to open, write, flush
+    or rename raises [Sys_error "cannot write PATH: reason"], naming
+    [path]. *)
 
 val read_file : path:string -> version:int -> ('a, error) result
 (** Validates magic, schema version and payload digest {e before}

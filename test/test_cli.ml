@@ -465,6 +465,77 @@ let test_mc_corrupt_selftest_requires_resume () =
   Alcotest.(check bool) "explains the missing flag" true
     (contains out "requires --resume")
 
+(* A checkpoint or spill write that fails (its temp file a link to
+   /dev/full) is a message naming the path and exit 1, never an
+   uncaught exception (125): mc and fuzz checkpoints, and mc's spill
+   segments. *)
+let test_unwritable_checkpoint_exits_1 () =
+  if not (Sys.file_exists "/dev/full") then Alcotest.skip ();
+  let dir = Filename.temp_dir "nuc_full" "" in
+  let path = Filename.concat dir "c.ckpt" in
+  let spill = Filename.concat dir "spill" in
+  let clear () =
+    Array.iter
+      (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+      (Sys.readdir dir)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (try
+         Array.iter
+           (fun f -> Sys.remove (Filename.concat spill f))
+           (Sys.readdir spill);
+         Sys.rmdir spill
+       with Sys_error _ -> ());
+      clear ();
+      Sys.rmdir dir)
+    (fun () ->
+      List.iter
+        (fun (what, target, args) ->
+          Unix.symlink "/dev/full" (target ^ ".tmp");
+          let code, out = run_cli_status args in
+          Alcotest.(check int) (what ^ " exits 1") 1 code;
+          Alcotest.(check bool)
+            (Printf.sprintf "%s names %s: %s" what target out)
+            true
+            (contains out ("checkpoint write failed: cannot write " ^ target));
+          (try Sys.remove (target ^ ".tmp") with Sys_error _ -> ());
+          clear ())
+        [
+          ( "mc checkpoint",
+            path,
+            [
+              "mc"; "--algo"; "anuc"; "-n"; "3"; "-t"; "1"; "--depth"; "6";
+              "--checkpoint"; path; "--ckpt-every"; "100";
+            ] );
+          ( "fuzz checkpoint",
+            path,
+            [
+              "fuzz"; "--algo"; "anuc"; "-n"; "3"; "-t"; "1"; "--runs"; "3000";
+              "--checkpoint"; path; "--ckpt-every"; "1";
+            ] );
+        ];
+      (* every stripe's first segment goes to /dev/full *)
+      Sys.mkdir spill 0o700;
+      for i = 0 to 63 do
+        Unix.symlink "/dev/full"
+          (Filename.concat spill (Printf.sprintf "stripe_%04d.bin.tmp" i))
+      done;
+      let code, out =
+        run_cli_status
+          [
+            "mc"; "--algo"; "anuc"; "-n"; "3"; "-t"; "1"; "--depth"; "6";
+            "--spill-dir"; spill;
+          ]
+      in
+      Alcotest.(check int) "mc spill exits 1" 1 code;
+      Alcotest.(check bool)
+        (Printf.sprintf "spill names its segment: %s" out)
+        true
+        (contains out
+           ("checkpoint write failed: cannot write "
+           ^ Filename.concat spill "stripe_")))
+
 (* serve with snapshot-served reads on the executor's ring transport:
    exits 0, prints an exec row and a B14 row, and the JSON gains the
    b14_ring fragment next to b10_serve — the same invocation shape the
@@ -1007,6 +1078,8 @@ let () =
             test_mc_corrupt_checkpoint_rejected;
           Alcotest.test_case "corrupt selftest requires --resume" `Quick
             test_mc_corrupt_selftest_requires_resume;
+          Alcotest.test_case "unwritable checkpoint exits 1" `Quick
+            test_unwritable_checkpoint_exits_1;
         ] );
       ( "serve",
         [

@@ -410,29 +410,34 @@ module Make (A : Sim.Automaton.S) = struct
 
   let invariant ~name f = { prop_name = name; prop_check = f }
 
-  (* The proposals array is built once; a check builds only the
-     decisions array of the state it reads. *)
+  (* The proposals array is built once. Both properties hold where
+     nobody has decided, so a check builds the decisions array of the
+     state it reads only once some process has decided. *)
   let consensus_props ~decision ~proposals ~flavour ~pattern =
     let n = Sim.Failure_pattern.n pattern in
     let proposals = Array.init n proposals in
-    let outcome states =
-      {
-        Consensus.Spec.pattern;
-        proposals;
-        decisions = Array.init n (fun p -> decision (states p));
-      }
+    let on_outcome check states =
+      let rec undecided p =
+        p = n || (Option.is_none (decision (states p)) && undecided (p + 1))
+      in
+      if undecided 0 then Ok ()
+      else
+        check
+          {
+            Consensus.Spec.pattern;
+            proposals;
+            decisions = Array.init n (fun p -> decision (states p));
+          }
     in
     [
       {
         prop_name = "validity";
-        prop_check = (fun states -> Consensus.Spec.check_validity (outcome states));
+        prop_check = on_outcome Consensus.Spec.check_validity;
       };
       {
         prop_name =
           Format.asprintf "%a agreement" Consensus.Spec.pp_flavour flavour;
-        prop_check =
-          (fun states ->
-            Consensus.Spec.check_agreement flavour (outcome states));
+        prop_check = on_outcome (Consensus.Spec.check_agreement flavour);
       };
     ]
 
@@ -1729,16 +1734,17 @@ module Make (A : Sim.Automaton.S) = struct
             pv_recv = [];
           })
 
-    let same_fd a b = a == b || Sim.Fd_value.equal a b
-
-    let rec lambda_verdict fd = function
+    (* A menu value reaches the memo as the menu's own object, so a
+       scan by physical identity finds it; the structural scan runs
+       only for a value passed in as a copy, and on a miss. *)
+    let rec lambda_verdict eq fd = function
       | [] -> raise Not_found
-      | (v, b) :: rest -> if same_fd v fd then b else lambda_verdict fd rest
+      | (v, b) :: rest -> if eq v fd then b else lambda_verdict eq fd rest
 
-    let rec recv_verdict i fd = function
+    let rec recv_verdict eq i fd = function
       | [] -> raise Not_found
       | (j, v, b) :: rest ->
-        if j = i && same_fd v fd then b else recv_verdict i fd rest
+        if j = i && eq v fd then b else recv_verdict eq i fd rest
 
     let cached_self_loop vd ~n cfg mv =
       may_self_loop mv
@@ -1754,21 +1760,25 @@ module Make (A : Sim.Automaton.S) = struct
       end;
       match mv.m_recv with
       | None -> (
-        try lambda_verdict mv.m_fd pv.pv_lambda
-        with Not_found ->
-          let b = self_loop ~n cfg mv in
-          pv.pv_lambda <- (mv.m_fd, b) :: pv.pv_lambda;
-          b)
+        try lambda_verdict ( == ) mv.m_fd pv.pv_lambda
+        with Not_found -> (
+          try lambda_verdict Sim.Fd_value.equal mv.m_fd pv.pv_lambda
+          with Not_found ->
+            let b = self_loop ~n cfg mv in
+            pv.pv_lambda <- (mv.m_fd, b) :: pv.pv_lambda;
+            b))
       | Some (_, i) -> (
         if pv.pv_self != self then begin
           pv.pv_self <- self;
           pv.pv_recv <- []
         end;
-        try recv_verdict i mv.m_fd pv.pv_recv
-        with Not_found ->
-          let b = self_loop ~n cfg mv in
-          pv.pv_recv <- (i, mv.m_fd, b) :: pv.pv_recv;
-          b)
+        try recv_verdict ( == ) i mv.m_fd pv.pv_recv
+        with Not_found -> (
+          try recv_verdict Sim.Fd_value.equal i mv.m_fd pv.pv_recv
+          with Not_found ->
+            let b = self_loop ~n cfg mv in
+            pv.pv_recv <- (i, mv.m_fd, b) :: pv.pv_recv;
+            b))
 
     let candidates vd ~n ~delivery ~lossy ~menus cfg =
       let acc = ref [] in

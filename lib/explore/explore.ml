@@ -415,30 +415,31 @@ module Make (A : Sim.Automaton.S) = struct
      produces — the minimal §6.3 contamination schedules are made of
      exactly such bursts (a faulty process solo-deciding, a decider
      draining its quorum's messages). *)
-  let inertia = 5.0
+  let inertia = 5
 
   let move_weight ~prev (mv : M.move) =
     let base =
-      if mv.m_drop then 1.0
-      else match mv.m_recv with Some _ -> 3.0 | None -> 1.0
+      if mv.m_drop then 1 else match mv.m_recv with Some _ -> 3 | None -> 1
     in
-    if prev = mv.m_pid then base *. inertia else base
+    if prev = mv.m_pid then base * inertia else base
 
   (* Weighted choice among [cands]; total weight is positive because
-     every move weighs at least 1. *)
+     every move weighs at least 1. Weights are small integers, so the
+     running sums are exact as floats and the draw is compared with
+     them without rounding. *)
   let weighted_pick ~prev rng cands =
     let total =
-      List.fold_left (fun a mv -> a +. move_weight ~prev mv) 0.0 cands
+      List.fold_left (fun a mv -> a + move_weight ~prev mv) 0 cands
     in
-    let x = Random.State.float rng total in
+    let x = Random.State.float rng (float_of_int total) in
     let rec go acc = function
       | [ last ] -> last
       | mv :: rest ->
-        let acc = acc +. move_weight ~prev mv in
-        if x < acc then mv else go acc rest
+        let acc = acc + move_weight ~prev mv in
+        if x < float_of_int acc then mv else go acc rest
       | [] -> assert false
     in
-    go 0.0 cands
+    go 0 cands
 
   (* PCT per-run scheduler state: distinct per-process priorities and
      d-1 priority-change points. [pct_next] is the index of the next
@@ -546,7 +547,6 @@ module Make (A : Sim.Automaton.S) = struct
   let draw rng base = function
     | [] -> base
     | l -> List.nth l (Random.State.int rng (List.length l))
-
 
   type run_outcome =
     | Violation of M.move list * string * string

@@ -831,7 +831,8 @@ module Make (A : Sim.Automaton.S) = struct
         let rec reps i seen acc = function
           | [] -> acc
           | m :: rest ->
-            if List.exists (A.equal_message m) seen then reps (i + 1) seen acc rest
+            if List.exists (A.equal_message m) seen then
+              reps (i + 1) seen acc rest
             else reps (i + 1) (m :: seen) (i :: acc) rest
         in
         List.iter (f src) (reps 0 [] [] q)
@@ -986,34 +987,90 @@ module Make (A : Sim.Automaton.S) = struct
      equal labels are totally ordered and the greedy-minimal
      linearization is a canonical form: two schedules that differ
      only by swaps of adjacent independent moves get the same key.
-     O(length²), fine for the <= ~100-move schedules recorded here. *)
+
+     [move_dependent] is "shares a resource": a process move holds its
+     process and, when it receives, the channel it takes from; a drop
+     holds its channel. So a move is available — every dependent
+     earlier move taken — exactly when it heads the untaken part of
+     each of its resources' chains, and taking a move can only make
+     the next move on its own chains available. The walk keeps the
+     available moves in a list and is linear in the schedule times
+     the number available at once. *)
   let trace_key moves =
     let arr = Array.of_list moves in
     let len = Array.length arr in
-    let indeg = Array.make len 0 in
-    for j = 0 to len - 1 do
-      for i = 0 to j - 1 do
-        if move_dependent arr.(i) arr.(j) then indeg.(j) <- indeg.(j) + 1
-      done
+    (* resource ids: process p is p, channel src -> p is n + src * n + p,
+       with n above every pid the schedule names *)
+    let n =
+      Array.fold_left
+        (fun acc mv ->
+          match mv.m_recv with
+          | Some (src, _) -> max acc (max mv.m_pid src + 1)
+          | None -> max acc (mv.m_pid + 1))
+        1 arr
+    in
+    let res =
+      Array.map
+        (fun mv ->
+          let chan =
+            match mv.m_recv with
+            | Some (src, _) -> n + (src * n) + mv.m_pid
+            | None -> -1
+          in
+          if mv.m_drop then (chan, -1) else (mv.m_pid, chan))
+        arr
+    in
+    let nres = n + (n * n) in
+    let chains = Array.make nres [||] in
+    (let sizes = Array.make nres 0 in
+     let bump r = if r >= 0 then sizes.(r) <- sizes.(r) + 1 in
+     Array.iter (fun (a, b) -> bump a; bump b) res;
+     Array.iteri (fun r k -> chains.(r) <- Array.make k 0) sizes;
+     Array.fill sizes 0 nres 0;
+     let put j r =
+       if r >= 0 then begin
+         chains.(r).(sizes.(r)) <- j;
+         sizes.(r) <- sizes.(r) + 1
+       end
+     in
+     Array.iteri (fun j (a, b) -> put j a; put j b) res);
+    let head = Array.make nres 0 in
+    let heads r j =
+      r < 0 || (head.(r) < Array.length chains.(r) && chains.(r).(head.(r)) = j)
+    in
+    let available j =
+      let a, b = res.(j) in
+      heads a j && heads b j
+    in
+    let avail = ref [] in
+    for j = len - 1 downto 0 do
+      if available j then avail := j :: !avail
     done;
-    let taken = Array.make len false in
     let out = ref [] in
     for _ = 1 to len do
-      let best = ref (-1) in
-      for i = len - 1 downto 0 do
-        if
-          (not taken.(i))
-          && indeg.(i) = 0
-          && (!best < 0 || Stdlib.compare arr.(i) arr.(!best) <= 0)
-        then best := i
-      done;
-      let b = !best in
-      taken.(b) <- true;
-      out := arr.(b) :: !out;
-      for j = b + 1 to len - 1 do
-        if (not taken.(j)) && move_dependent arr.(b) arr.(j) then
-          indeg.(j) <- indeg.(j) - 1
-      done
+      let best =
+        List.fold_left
+          (fun best j ->
+            if best < 0 then j
+            else
+              let c = Stdlib.compare arr.(j) arr.(best) in
+              if c < 0 || (c = 0 && j < best) then j else best)
+          (-1) !avail
+      in
+      avail := List.filter (fun j -> j <> best) !avail;
+      out := arr.(best) :: !out;
+      let a, b = res.(best) in
+      List.iter
+        (fun r ->
+          if r >= 0 then begin
+            head.(r) <- head.(r) + 1;
+            if head.(r) < Array.length chains.(r) then begin
+              let j = chains.(r).(head.(r)) in
+              if available j && not (List.mem j !avail) then
+                avail := j :: !avail
+            end
+          end)
+        [ a; b ]
     done;
     Hashtbl.hash_param 500 1000 (List.rev !out)
 
@@ -1795,7 +1852,7 @@ module Make (A : Sim.Automaton.S) = struct
       | Some (src, i) ->
         ((not mv.m_drop) || not (Pid.equal src mv.m_pid))
         && i >= 0
-        && i < List.length cfg.chans.((src * n) + mv.m_pid)
+        && List.compare_length_with cfg.chans.((src * n) + mv.m_pid) i > 0
 
     let apply = apply
     let concretize = concretize

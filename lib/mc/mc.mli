@@ -238,7 +238,9 @@ module Make (A : Sim.Automaton.S) : sig
       swaps of adjacent independent moves (under {!move_dependent})
       hash to the same key. Computed by greedily linearizing the
       schedule's dependence DAG by minimal move and hashing the
-      resulting label sequence; O(length²). Used by [lib/explore] to
+      resulting label sequence. Dependence is sharing a process or a
+      channel, so the walk tracks each one's next untaken move
+      instead of comparing every pair. Used by [lib/explore] to
       deduplicate fuzz coverage up to commutation, and by the
       independence property tests. *)
 

@@ -2,7 +2,12 @@ open Procset
 
 (* [faulty] and [correct] are derived from [crash] once, at [make]:
    property checks ask for them on every explored state. *)
-type t = { n : int; crash : int option array; faulty : Pset.t; correct : Pset.t }
+type t = {
+  n : int;
+  crash : int option array;
+  faulty : Pset.t;
+  correct : Pset.t;
+}
 
 let make ~n ~crashes =
   if n < 2 then invalid_arg "Failure_pattern.make: need n >= 2";

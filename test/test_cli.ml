@@ -883,7 +883,8 @@ let fuzz_pins_mixed =
   [
     ( "naive-sn", "4", [ "--swarm"; "--delivery"; "any" ],
       "ca1930adaaca442e30772f3738c02d91" );
-    ("naive-sn", "4", [ "--sampler"; "pct3" ], "c4d1f905fa22b14058345ee94d28b743");
+    ( "naive-sn", "4", [ "--sampler"; "pct3" ],
+      "c4d1f905fa22b14058345ee94d28b743" );
     ( "anuc", "3", [ "--swarm"; "--delivery"; "any" ],
       "9fae3e9702b25e19a75b5d04c0426723" );
   ]

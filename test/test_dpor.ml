@@ -536,6 +536,59 @@ let qtest_self_loop_rule =
            (M_naive.Space.initial ~n ~inputs:proposals)
            (random_schedule rng ~len)))
 
+(* [trace_key] against the quadratic linearization it replaced:
+   indegrees over every dependent earlier move, then repeatedly the
+   structurally minimal move of indegree 0, lowest index first. *)
+let reference_trace_key moves =
+  let arr = Array.of_list moves in
+  let len = Array.length arr in
+  let indeg = Array.make len 0 in
+  for j = 0 to len - 1 do
+    for i = 0 to j - 1 do
+      if M_naive.move_dependent arr.(i) arr.(j) then indeg.(j) <- indeg.(j) + 1
+    done
+  done;
+  let taken = Array.make len false in
+  let out = ref [] in
+  for _ = 1 to len do
+    let best = ref (-1) in
+    for i = len - 1 downto 0 do
+      if
+        (not taken.(i))
+        && indeg.(i) = 0
+        && (!best < 0 || Stdlib.compare arr.(i) arr.(!best) <= 0)
+      then best := i
+    done;
+    let b = !best in
+    taken.(b) <- true;
+    out := arr.(b) :: !out;
+    for j = b + 1 to len - 1 do
+      if (not taken.(j)) && M_naive.move_dependent arr.(b) arr.(j) then
+        indeg.(j) <- indeg.(j) - 1
+    done
+  done;
+  Hashtbl.hash_param 500 1000 (List.rev !out)
+
+let qtest_trace_key_reference =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"trace_key matches the quadratic linearization (any moves)"
+         ~count:500
+         QCheck.(list_of_size Gen.(0 -- 40) arb_move)
+         (fun moves -> M_naive.trace_key moves = reference_trace_key moves));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"trace_key matches the quadratic linearization (walks)"
+         ~count:200
+         QCheck.(pair small_nat (int_range 1 80))
+         (fun (seed, len) ->
+           let moves =
+             random_schedule (Random.State.make [| 0x7EA5; seed |]) ~len
+           in
+           M_naive.trace_key moves = reference_trace_key moves));
+  ]
+
 (* Dependent adjacent swaps must NOT be identified by the trace key
    when the moves differ — the canonicalization quotients by
    commutation only. (Equal adjacent moves swap to the same word.) *)
@@ -839,7 +892,8 @@ let () =
           qtest_independent_swap_equivalent;
           qtest_dependent_swap_distinct;
           qtest_self_loop_rule;
-        ] );
+        ]
+        @ qtest_trace_key_reference );
       ( "cover",
         [
           Alcotest.test_case "absorbs dominated revisits" `Quick

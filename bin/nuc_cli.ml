@@ -20,7 +20,8 @@
      0    verdict established
      1    no trustworthy verdict (mc truncation, an uncertified
           counterexample, a failed experiment, serve gate or detector
-          check), or flags that do not fit together (t >= n, a
+          check, a checkpoint or spill file that cannot be written),
+          or flags that do not fit together (t >= n, a
           --partition pid >= n, a quorum family that does not tile n,
           --quorum on a uniform algorithm)
      2    a serve config refused by Load.check

@@ -52,8 +52,8 @@ let salt_run = 0x52 (* "R" *)
 
 (* After the stabilization step only each process's first menu value
    remains on offer — the detector has converged; network moves are
-   unaffected. Cutting each menu to the values equal to its first is
-   the per-move filter on that value, applied once per run. *)
+   unaffected. A menu cut to the values equal to its first offers
+   exactly the moves whose value equals it, repeats included. *)
 let stable_menus menus =
   Array.map
     (function [] -> [] | v :: _ as l -> List.filter (Sim.Fd_value.equal v) l)

@@ -23,10 +23,7 @@ let make ~n ~crashes =
       crash.(p) <- Some tc)
     crashes;
   let faulty =
-    Array.to_seq crash
-    |> Seq.fold_lefti
-         (fun acc p -> function Some _ -> Pset.add p acc | None -> acc)
-         Pset.empty
+    List.fold_left (fun acc (p, _) -> Pset.add p acc) Pset.empty crashes
   in
   { n; crash; faulty; correct = Pset.complement ~n faulty }
 

@@ -452,10 +452,11 @@ module Make (A : Sim.Automaton.S) : sig
         is kept per process and decided again through {!self_loop}
         only when the process's state, or for a self-delivery its
         self-channel, is no longer physically the slot the verdict was
-        decided on. A lambda's verdict depends on nothing else, a
-        self-delivery's also on its index and detector value, and
-        {!apply} shares every slot it leaves alone, so physical
-        identity is exact invalidation (DESIGN.md §5c). *)
+        decided on. Besides those slots a verdict depends only on the
+        move's detector value and, for a self-delivery, its index —
+        the memo's keys — and {!apply} shares every slot it leaves
+        alone, so physical identity is exact invalidation (DESIGN.md
+        §5c). *)
 
     val key : config -> int
     (** The canonical-state hash (the one memoization buckets on);

@@ -850,6 +850,62 @@ let mc_dpor_pins =
        decided leaves, 718 depth leaves" );
   ]
 
+(* Depth-6 mc lines under flags the pins above leave at their
+   defaults: any-order delivery, which enumerates one representative
+   per payload-distinct pending message; no reduction at all; DPOR over
+   the lossy menu's drops; and any-order delivery with drops. Each
+   list reads (algo, flags, stats line). *)
+let mc_flag_pins =
+  let every algos flags stats = List.map2 (fun a s -> (a, flags, s)) algos stats in
+  let five = [ "anuc"; "naive-sn"; "mr-sigma"; "mr-majority"; "ct" ] in
+  let line t s d l sp r b dl =
+    Printf.sprintf
+      "%d transitions, %d distinct states (%d dedup hits, %d self-loops, %d \
+       sleep-pruned, %d races, %d backtracks), 0 decided leaves, %d depth \
+       leaves"
+      t s d l sp r b dl
+  in
+  every five [ "--delivery"; "any" ]
+    [
+      line 17734 6858 4029 5710 8755 0 0 6206;
+      line 10737 3501 2758 3849 5417 0 0 3064;
+      line 171918 17642 101972 46409 56660 0 0 18872;
+      line 87653 15070 42042 25318 33661 0 0 16001;
+      line 10443 1187 4267 4499 3198 0 0 1106;
+    ]
+  @ every five [ "--reduction"; "none" ]
+      [
+        line 14028 3392 6489 3591 0 0 0 2828;
+        line 8672 1747 4174 2445 0 0 0 1375;
+        line 95702 7384 62707 23913 0 0 0 6566;
+        line 53924 6867 31866 13580 0 0 0 6058;
+        line 9063 802 4738 3203 0 0 0 704;
+      ]
+  @ every [ "anuc"; "naive-sn" ] [ "--family"; "lossy"; "--reduction"; "dpor" ]
+      [
+        line 13571 10571 1909 8081 18574 18665 9248 8853;
+        line 8252 6256 1322 6211 13260 11383 6188 5005;
+      ]
+  @ every [ "anuc"; "naive-sn" ]
+      [ "--family"; "lossy"; "--delivery"; "any"; "--max-drops"; "2" ]
+      [
+        line 69314 20805 16585 16909 29889 0 0 30101;
+        line 47807 11983 13159 13145 19951 0 0 17576;
+      ]
+
+let test_mc_flags_pinned () =
+  List.iter
+    (fun (algo, flags, stats) ->
+      let args =
+        [ "mc"; "--algo"; algo; "-n"; "3"; "-t"; "1"; "--depth"; "6" ] @ flags
+      in
+      let out = run_cli args in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s stats: %s" (String.concat " " args) out)
+        true
+        (contains out (stats ^ ", ")))
+    mc_flag_pins
+
 (* MD5 of `fuzz --algo A -n 3 -t 1 --runs 300 --seed 1 --json`, plain
    and with --swarm. *)
 let fuzz_pins =
@@ -1094,6 +1150,8 @@ let () =
             `Quick test_bad_flags;
           Alcotest.test_case "every mc/fuzz target pinned" `Quick
             test_every_target_pinned;
+          Alcotest.test_case "mc pinned under any-order, no reduction and drops"
+            `Quick test_mc_flags_pinned;
           Alcotest.test_case "naive-sn n = 4 fuzz pinned" `Quick
             test_fuzz_n4_pinned;
           Alcotest.test_case "any-order, PCT and swarm fuzz pinned" `Quick

@@ -30,10 +30,13 @@
    collide, [Bytes.equal] is the exact backstop. The offset basis is
    the 64-bit FNV one truncated to OCaml's 63-bit int range;
    multiplication wraps in native int arithmetic. *)
+let fnv_basis = 0x2bf29ce484222325
+let fnv_prime = 0x100000001b3
+
 let bytes_hash (b : Bytes.t) =
-  let h = ref 0x2bf29ce484222325 in
+  let h = ref fnv_basis in
   for i = 0 to Bytes.length b - 1 do
-    h := (!h lxor Char.code (Bytes.unsafe_get b i)) * 0x100000001b3
+    h := (!h lxor Char.code (Bytes.unsafe_get b i)) * fnv_prime
   done;
   !h land max_int
 
@@ -54,6 +57,44 @@ let write_varint buf n =
     done;
     Buffer.add_char buf (Char.unsafe_chr !n)
   end
+
+(* A reusable byte buffer that folds each byte into [bytes_hash]'s
+   FNV-1a as it is written: a key written through it costs one pass
+   and one copy, and [hash] equals [bytes_hash] of [contents]. *)
+module Scratch = struct
+  type t = { mutable buf : Bytes.t; mutable len : int; mutable fnv : int }
+
+  let create () = { buf = Bytes.create 64; len = 0; fnv = fnv_basis }
+
+  let reset t =
+    t.len <- 0;
+    t.fnv <- fnv_basis
+
+  let byte t c =
+    Bytes.unsafe_set t.buf t.len (Char.unsafe_chr c);
+    t.len <- t.len + 1;
+    t.fnv <- (t.fnv lxor c) * fnv_prime
+
+  let rec put t n =
+    if n < 0x80 then byte t n
+    else begin
+      byte t (n land 0x7f lor 0x80);
+      put t (n lsr 7)
+    end
+
+  (* [write_varint]'s bytes; a 63-bit varint is at most 9 of them *)
+  let varint t n =
+    if n < 0 then invalid_arg "Codec.Scratch.varint: negative";
+    if t.len + 9 > Bytes.length t.buf then begin
+      let buf = Bytes.create (2 * Bytes.length t.buf) in
+      Bytes.blit t.buf 0 buf 0 t.len;
+      t.buf <- buf
+    end;
+    put t n
+
+  let contents t = Bytes.sub t.buf 0 t.len
+  let hash t = t.fnv land max_int
+end
 
 (* [read_varint b pos] reads at [!pos], advancing it. Raises
    [Invalid_argument] past the end — callers decoding trusted,

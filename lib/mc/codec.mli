@@ -12,6 +12,29 @@ val bytes_hash : Bytes.t -> int
 val write_varint : Buffer.t -> int -> unit
 (** LEB128 unsigned varint. Raises [Invalid_argument] on negatives. *)
 
+(** A reusable write buffer that hashes as it writes: each byte is
+    folded into {!bytes_hash}'s FNV-1a on the way in, so a key costs
+    one pass and one copy. [hash t] is [bytes_hash (contents t)], and
+    {!varint} writes {!write_varint}'s bytes. *)
+module Scratch : sig
+  type t
+
+  val create : unit -> t
+
+  val reset : t -> unit
+  (** Empties the buffer and restarts the hash. *)
+
+  val varint : t -> int -> unit
+  (** Appends a LEB128 varint. Raises [Invalid_argument] on
+      negatives. *)
+
+  val contents : t -> Bytes.t
+  (** A fresh copy of the bytes written since the last {!reset}. *)
+
+  val hash : t -> int
+  (** {!bytes_hash} of those bytes. *)
+end
+
 val read_varint : Bytes.t -> int ref -> int
 (** Reads at the position ref, advancing it. Raises past the end —
     only ever run on digest-verified bytes, where that is a bug, not

@@ -17,6 +17,11 @@ type 'a hashed = private { ih : int;  (** the cached hash *) iv : 'a }
 val hashed : ('a -> int) -> 'a -> 'a hashed
 (** [hashed hash v] computes [hash v] once and packages it with [v]. *)
 
+val of_hash : int -> 'a -> 'a hashed
+(** [of_hash h v] packages [v] with [h], a hash of [v] the caller has
+    already computed — a writer that hashes the bytes it writes, or a
+    checkpoint whose stored hashes were re-verified. *)
+
 module type KEY = sig
   type t
 
@@ -51,22 +56,28 @@ module Striped (K : KEY) : sig
   (** An N-way striped hash table with a per-stripe mutex: the shared
       visited set of the model checker. The stripe is chosen by the
       key's cached hash, so a lookup locks exactly one mutex and never
-      re-hashes. The stripe index is read from hash bits 40 and up,
-      which no stripe's bucket index uses, so the keys of one stripe
-      spread over all of that stripe's buckets. Keys should therefore
-      carry a full-width hash such as [Codec.bytes_hash]; a hash
-      narrower than 41 bits stays correct but puts every key in one
-      stripe. Insertions draw compact ids from a single
-      atomic counter; {!length} is an O(1) read of that id watermark
-      (no stripe lock), which is what lets the checker read
-      [distinct_states] and enforce [max_states] cheaply. *)
+      re-hashes. Each stripe is open-addressed: the cached hashes sit
+      in an [int array] probed linearly from the key's home slot (the
+      hash's low bits), with keys and values in parallel arrays, and
+      at most half the slots in use. [K.equal] runs only on a slot
+      whose cached hash equals the key's. The stripe index is read
+      from hash bits 40 and up, which no home slot uses, so the keys
+      of one stripe spread over all of its slots. Keys should
+      therefore carry a full-width hash such as [Codec.bytes_hash]; a
+      hash narrower than 41 bits stays correct but puts every key in
+      one stripe. Cached hashes must be nonnegative (-1 marks an empty
+      slot): a negative one raises [Invalid_argument]. Insertions
+      draw compact ids from a single atomic counter; {!length} is an
+      O(1) read of that id watermark (no stripe lock), which is what
+      lets the checker read [distinct_states] and enforce
+      [max_states] cheaply. *)
 
   type 'v t
 
   val create : ?stripes:int -> int -> 'v t
   (** [create ~stripes cap] makes a table of [stripes] (rounded up to
-      a power of two, default 64) shards with a total initial
-      capacity of [cap]. *)
+      a power of two, default 64) shards with room for [cap] keys
+      before the first stripe grows. *)
 
   val length : 'v t -> int
   (** Total insertions so far — the compact-id watermark. *)
@@ -85,9 +96,18 @@ module Striped (K : KEY) : sig
       [id] is a fresh compact id; returns the value and whether it
       was inserted. Atomic per key, like {!with_key}. *)
 
-  val stripe_stats : 'v t -> Hashtbl.statistics array
-  (** [Hashtbl.stats] of each stripe's in-memory table, in stripe
-      order: how evenly each stripe's keys fill its buckets. *)
+  type probe_stats = {
+    keys : int;  (** keys in the stripe's memory *)
+    slots : int;
+    longest : int;  (** the largest displacement of one of its keys *)
+    mean : float;  (** the mean displacement over its keys *)
+  }
+  (** A key's displacement is how many slots past its home slot it
+      sits: the extra slots every probe for it reads. *)
+
+  val stripe_stats : 'v t -> probe_stats array
+  (** Each stripe's probe lengths, in stripe order: how evenly its
+      keys spread over its slots. *)
 
   val set_spill_dir : 'v t -> string -> unit
   (** Enables disk spill: {!spill} writes stripe segments under this

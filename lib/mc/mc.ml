@@ -323,7 +323,7 @@ let history_legal ~kind ~pattern samples =
      per-pid: a sleeper is woken only by a move it actually races
      with, and drop moves are slept too), plus a skip at move
      generation of every lambda step the transition table already
-     knows to be a self-loop ([Packed.known_noop]). The
+     knows to be a self-loop ([Packed.Known_noop]). The
      woken sleepers are exactly the classical DPOR backtrack points:
      a detected race re-inserts the slept move into the sibling
      exploration instead of pruning it. *)
@@ -391,10 +391,8 @@ module Make (A : Sim.Automaton.S) = struct
            delivered; no process steps, [m_fd] is [Unit] *)
   }
 
-  (* [m_recv] is matched out by hand: moves are compared once per
-     sleeper per node (sleep membership, [Cover]'s subset and
-     intersection), where a polymorphic [=] on the option shows up as
-     the single hottest call of the whole walk. *)
+  (* Structural move equality, the one [Code] codes realize: [run]'s
+     walk compares codes instead. *)
   let move_equal a b =
     a.m_pid = b.m_pid && a.m_drop = b.m_drop
     && (match (a.m_recv, b.m_recv) with
@@ -502,17 +500,162 @@ module Make (A : Sim.Automaton.S) = struct
     | None -> true
     | Some (src, _) -> Pid.equal src mv.m_pid
 
-  (* A structural hash over detector values, so the transition table
-     can use a monomorphic [Hashtbl.Make] instance instead of the
-     generic table's [caml_hash]/[caml_compare] calls per probe. The
-     [Pset.t] leaves are immediate ints, so [Hashtbl.hash] on them is
-     a constant-time word mix, not a traversal. *)
-  let rec fd_hash : Sim.Fd_value.t -> int = function
-    | Sim.Fd_value.Unit -> 0x2545f491
-    | Leader p -> 0x01000193 + p
-    | Quorum q -> 0x811c9dc5 lxor Hashtbl.hash q
-    | Suspects s -> 0x7feb352d lxor Hashtbl.hash s
-    | Pair (a, b) -> (fd_hash a * 0x01000193) lxor fd_hash b
+  (* Delivery choices for process [p], as [f src i] calls: sources
+     ascending, and within a source's channel the eligible indices
+     descending. Under [`Fifo] each channel delivers in send order, so
+     only its head is eligible — pending channel states stay suffixes
+     of the send sequence instead of arbitrary sub-multisets, which
+     keeps the reachable space polynomial in the per-channel traffic.
+     Under [`Any], any pending message may be delivered (one
+     representative per payload-distinct entry, its first, by
+     [equal]), matching the runner's full [Matching]-choice latitude.
+     [chans] is any per-channel array of queues: under [`Fifo] only
+     emptiness is read. *)
+  let iter_recv ~n ~delivery ~equal chans p f =
+    for src = 0 to n - 1 do
+      match (delivery, chans.((src * n) + p)) with
+      | _, [] -> ()
+      | `Fifo, _ :: _ -> f src 0
+      | `Any, q ->
+        let rec reps i seen acc = function
+          | [] -> acc
+          | m :: rest ->
+            if List.exists (equal m) seen then reps (i + 1) seen acc rest
+            else reps (i + 1) (m :: seen) (i :: acc) rest
+        in
+        List.iter (f src) (reps 0 [] [] q)
+    done
+
+  (* The move alphabet, in the one order every consumer sees it: per
+     process in pid order, each delivery choice and then lambda, each
+     crossed with the process's menu values in menu order; then, when
+     [lossy], per process the drop of each cross-process delivery
+     choice. Network moves come after the process moves so DFS walks
+     the loss-free subtree first. Dropping only deliverable messages
+     loses no generality: under FIFO links the delivered sequence of a
+     channel with arbitrary loss is exactly a subsequence of the send
+     sequence, and every subsequence is generated by the per-head
+     deliver-or-drop choice (and likewise per eligible representative
+     under [`Any]). Self-channels are exempt, as in [Sim.Faults].
+
+     [iter_alphabet] calls [choice p src i] once per delivery choice
+     ([src = -1] for lambda), for the caller to cross with the menu in
+     menu order, and [drop p src i] once per drop. [iter_moves] builds
+     [move] records from it over a configuration's value channels
+     ([moves_of] collects them, the sampler's [Space.candidates]
+     consumes them as they come); [run]'s walk builds move codes from
+     it over a node's index channels ([Packed.iter_codes]). *)
+  let iter_alphabet ~n ~delivery ~lossy ~equal chans ~choice ~drop =
+    for p = 0 to n - 1 do
+      iter_recv ~n ~delivery ~equal chans p (choice p);
+      choice p (-1) 0
+    done;
+    if lossy then
+      for p = 0 to n - 1 do
+        iter_recv ~n ~delivery ~equal chans p (fun src i ->
+            if not (Pid.equal src p) then drop p src i)
+      done
+
+  (* -------------------------------------------------------------- *)
+  (* Moves as integer codes                                          *)
+  (* -------------------------------------------------------------- *)
+
+  (* [run]'s walk carries every move as one int: sleep sets, memo
+     coverage, frontier tasks and the path are int lists, a sleep-set
+     probe is an int comparison, and the transition table reads its
+     key out of the code. A code packs, from the low bits up:
+
+     - the canonical menu index of the detector value: the first
+       position of the process's menu holding a [Sim.Fd_value.equal]
+       value (0 for a drop);
+     - the drop flag;
+     - the pid;
+     - the receive source plus one (0 for lambda);
+     - above them, the receive index, the one unbounded field.
+
+     The fields below the index have widths fixed by [n] and the
+     menus, so the packing is a bijection, and because the menu index
+     is canonical two codes are equal exactly when their moves are
+     [move_equal]. A code becomes a [move] again only for a
+     counterexample and at the checkpoint boundary. *)
+  module Code = struct
+    type alphabet = {
+      n : int;
+      menus : Sim.Fd_value.t array array;
+      canon : int array array;  (* per pid and menu position *)
+      drop_bit : int;
+      pid_shift : int;
+      src_shift : int;
+      index_shift : int;
+    }
+
+    (* bits to hold 0 .. k - 1 *)
+    let rec width k = if k <= 1 then 0 else 1 + width ((k + 1) / 2)
+
+    let alphabet ~n ~menus =
+      let menus = Array.map Array.of_list menus in
+      let canon =
+        Array.map
+          (fun m ->
+            Array.mapi
+              (fun j v ->
+                let rec first i =
+                  if Sim.Fd_value.equal m.(i) v then i else first (i + 1)
+                in
+                if j = 0 then 0 else first 0)
+              m)
+          menus
+      in
+      let drop_bit =
+        width (Array.fold_left (fun k m -> max k (Array.length m)) 1 menus)
+      in
+      let pid_shift = drop_bit + 1 in
+      let src_shift = pid_shift + width n in
+      { n; menus; canon; drop_bit; pid_shift; src_shift;
+        index_shift = src_shift + width (n + 1) }
+
+    let field c shift next = (c lsr shift) land ((1 lsl (next - shift)) - 1)
+    let pid a c = field c a.pid_shift a.src_shift
+    let src a c = field c a.src_shift a.index_shift - 1
+    let index a c = c lsr a.index_shift
+    let is_drop a c = (c lsr a.drop_bit) land 1 = 1
+    let menu_index a c = field c 0 a.drop_bit
+
+    (* everything but the receive index *)
+    let stem a c = c land ((1 lsl a.index_shift) - 1)
+
+    (* the channel a delivery or drop consumes from *)
+    let channel a c = (src a c * a.n) + pid a c
+
+    (* a delivery choice's code less its menu index *)
+    let base a p src i =
+      (i lsl a.index_shift) lor ((src + 1) lsl a.src_shift)
+      lor (p lsl a.pid_shift)
+
+    let drop a p src i = base a p src i lor (1 lsl a.drop_bit)
+
+    let code a mv =
+      let src, i = match mv.m_recv with None -> (-1, 0) | Some r -> r in
+      if mv.m_drop then drop a mv.m_pid src i
+      else
+        let m = a.menus.(mv.m_pid) in
+        let rec first j =
+          if j = Array.length m then
+            invalid_arg "Mc.Code.code: detector value outside the menu"
+          else if Sim.Fd_value.equal m.(j) mv.m_fd then j
+          else first (j + 1)
+        in
+        base a mv.m_pid src i lor first 0
+
+    let move a c =
+      let m_pid = pid a c and s = src a c in
+      let m_recv = if s < 0 then None else Some (s, index a c) in
+      if is_drop a c then
+        { m_pid; m_fd = Sim.Fd_value.Unit; m_recv; m_drop = true }
+      else
+        { m_pid; m_fd = a.menus.(m_pid).(menu_index a c); m_recv;
+          m_drop = false }
+  end
 
   (* -------------------------------------------------------------- *)
   (* Packed canonical-state encoding                                  *)
@@ -593,33 +736,49 @@ module Make (A : Sim.Automaton.S) = struct
           { ix_states; ix_chans })
 
     (* The values behind [nd], read from the pools: a walk reads the
-       states of every fresh node, the channels only where it expands. *)
+       states of every fresh node; whole configs are rebuilt only for
+       checkpoints and [decode]. *)
     let states p nd =
       locked p (fun () -> Array.map (Codec.Pool.get p.pk_states) nd.ix_states)
 
-    let chans p nd =
-      locked p (fun () ->
-          Array.map (List.map (Codec.Pool.get p.pk_msgs)) nd.ix_chans)
+    let config p nd =
+      {
+        states = states p nd;
+        chans =
+          locked p (fun () ->
+              Array.map (List.map (Codec.Pool.get p.pk_msgs)) nd.ix_chans);
+      }
 
-    (* [nd]'s packed key, written into [buf] (cleared first) and copied
-       out: the walk reuses one buffer per worker. *)
-    let key buf nd =
-      let put = Codec.write_varint buf in
-      Buffer.clear buf;
-      Array.iter put nd.ix_states;
-      put
-        (Array.fold_left (fun k q -> if q = [] then k else k + 1) 0 nd.ix_chans);
+    let rec put_all scr = function
+      | [] -> ()
+      | x :: rest ->
+        Codec.Scratch.varint scr x;
+        put_all scr rest
+
+    (* [nd]'s packed key with its [Codec.bytes_hash], written in one
+       pass into the worker's scratch (reset first) and copied out. *)
+    let key scr nd =
+      let put = Codec.Scratch.varint scr in
+      Codec.Scratch.reset scr;
+      let nonempty = ref 0 in
+      for p = 0 to Array.length nd.ix_states - 1 do
+        put nd.ix_states.(p)
+      done;
+      for c = 0 to Array.length nd.ix_chans - 1 do
+        if nd.ix_chans.(c) <> [] then incr nonempty
+      done;
+      put !nonempty;
       for c = 0 to Array.length nd.ix_chans - 1 do
         match nd.ix_chans.(c) with
         | [] -> ()
         | q ->
           put c;
           put (List.length q);
-          List.iter put q
+          put_all scr q
       done;
-      Buffer.to_bytes buf
+      Intern.of_hash (Codec.Scratch.hash scr) (Codec.Scratch.contents scr)
 
-    let encode p cfg = key (Buffer.create 64) (node p cfg)
+    let encode p cfg = (key (Codec.Scratch.create ()) (node p cfg)).Intern.iv
 
     let decode p b =
       let n = p.pk_n and pos = ref 0 in
@@ -632,76 +791,122 @@ module Make (A : Sim.Automaton.S) = struct
       done;
       if !pos <> Bytes.length b then
         invalid_arg "Packed.decode: trailing bytes";
-      let nd = { ix_states; ix_chans } in
-      { states = states p nd; chans = chans p nd }
+      config p { ix_states; ix_chans }
 
     (* The transition table. [A.step] is a function of (n, self, state,
        received sender and payload, detector value) — the abstraction
        the walk already rests on (see the module header) — so one step
-       per distinct (pid, state index, received (src, message index) or
-       lambda, detector value) serves every transition with that key.
-       An entry holds the successor state's index and the
-       (destination, message index) pairs the step sends, destinations
-       ascending, each destination's in send order. *)
+       per distinct (state index, message index, move code less its
+       receive index) serves every transition with that key: the
+       code's remaining fields are the pid, the source or lambda, and
+       the canonical menu index, which names the detector value. An
+       entry holds the successor state's index and the (destination,
+       message index) pairs the step sends, destinations ascending,
+       each destination's in send order.
+
+       One open-addressed table per worker over the shared pool: the
+       key's three ints sit in parallel arrays next to the step, a
+       probe compares ints from the key's home slot to its slot or the
+       first empty one, and a hit reads no value, hashes no value,
+       allocates no key and takes no lock. *)
     type step = { st_state : int; st_sends : (Pid.t * int) list }
 
-    type step_key = {
-      k_pid : Pid.t;
-      k_state : int;
-      k_src : Pid.t;  (* -1 for lambda *)
-      k_msg : int;
-      k_fd : Sim.Fd_value.t;
+    let no_step = { st_state = -1; st_sends = [] }
+
+    type table = {
+      tb_pool : pool;
+      tb_alpha : Code.alphabet;
+      mutable tb_state : int array;  (* -1 marks an empty slot *)
+      mutable tb_msg : int array;  (* -1 for lambda *)
+      mutable tb_stem : int array;
+      mutable tb_step : step array;
+      mutable tb_used : int;
     }
 
-    module Steps = Hashtbl.Make (struct
-      type t = step_key
+    let table p alpha =
+      let slots = 1024 in
+      {
+        tb_pool = p;
+        tb_alpha = alpha;
+        tb_state = Array.make slots (-1);
+        tb_msg = Array.make slots 0;
+        tb_stem = Array.make slots 0;
+        tb_step = Array.make slots no_step;
+        tb_used = 0;
+      }
 
-      let equal a b =
-        a.k_pid = b.k_pid && a.k_state = b.k_state && a.k_src = b.k_src
-        && a.k_msg = b.k_msg
-        && Sim.Fd_value.equal a.k_fd b.k_fd
-
-      let hash k =
-        ((((((k.k_pid * 31) + k.k_state) * 31) + k.k_src) * 31) + k.k_msg)
-        * 0x01000193
-        lxor fd_hash k.k_fd
-    end)
-
-    (* One table per worker over the shared pool: a hit reads no
-       value, hashes no state and takes no lock. *)
-    type table = { tb_pool : pool; tb_steps : step Steps.t }
-
-    let table p = { tb_pool = p; tb_steps = Steps.create 1024 }
-
-    let step_key nd mv =
-      let n = Array.length nd.ix_states and p = mv.m_pid in
-      let k_src, k_msg =
-        match mv.m_recv with
-        | None -> (-1, -1)
-        | Some (src, i) -> (src, List.nth nd.ix_chans.((src * n) + p) i)
+    let home st msg stem mask =
+      let h =
+        (st * 0x9e3779b97f4a7c1) lxor (msg * 0x2545f4914f6cdd1)
+        lxor (stem * 0x100000001b3)
       in
-      { k_pid = p; k_state = nd.ix_states.(p); k_src; k_msg; k_fd = mv.m_fd }
+      (h lxor (h lsr 29)) land mask
+
+    let rec probe tb mask j st msg stem =
+      let s = Array.unsafe_get tb.tb_state j in
+      if
+        s < 0
+        || s = st
+           && Array.unsafe_get tb.tb_msg j = msg
+           && Array.unsafe_get tb.tb_stem j = stem
+      then j
+      else probe tb mask ((j + 1) land mask) st msg stem
+
+    (* the slot holding the key, or the empty slot a probe stops at *)
+    let slot tb st msg stem =
+      let mask = Array.length tb.tb_state - 1 in
+      probe tb mask (home st msg stem mask) st msg stem
+
+    let set tb j st msg stem s =
+      tb.tb_state.(j) <- st;
+      tb.tb_msg.(j) <- msg;
+      tb.tb_stem.(j) <- stem;
+      tb.tb_step.(j) <- s
+
+    (* binds the key at [j], the empty slot [slot] returned for it, and
+       doubles the slots past half full *)
+    let add_at tb j st msg stem s =
+      set tb j st msg stem s;
+      tb.tb_used <- tb.tb_used + 1;
+      if 2 * tb.tb_used > Array.length tb.tb_state then begin
+        let states = tb.tb_state and msgs = tb.tb_msg
+        and stems = tb.tb_stem and steps = tb.tb_step in
+        let slots = 2 * Array.length states in
+        tb.tb_state <- Array.make slots (-1);
+        tb.tb_msg <- Array.make slots 0;
+        tb.tb_stem <- Array.make slots 0;
+        tb.tb_step <- Array.make slots no_step;
+        Array.iteri
+          (fun i st ->
+            if st >= 0 then
+              let msg = msgs.(i) and stem = stems.(i) in
+              set tb (slot tb st msg stem) st msg stem steps.(i))
+          states
+      end
 
     (* A miss steps [A] once on the pool's values, then interns the new
        state and the sent messages, destinations ascending: the order
        [encode] meets them in the child, so the pool indices, and hence
        every key, are those of encoding each child whole. *)
-    let fresh_step p k =
-      let st, received =
+    let fresh_step tb c st msg =
+      let a = tb.tb_alpha and p = tb.tb_pool in
+      let pid = Code.pid a c and src = Code.src a c in
+      let st_v, received =
         locked p (fun () ->
-            ( Codec.Pool.get p.pk_states k.k_state,
-              if k.k_src < 0 then None
+            ( Codec.Pool.get p.pk_states st,
+              if src < 0 then None
               else
                 Some
                   {
-                    Sim.Envelope.src = k.k_src;
-                    dst = k.k_pid;
+                    Sim.Envelope.src;
+                    dst = pid;
                     seq = 0;
                     sent_at = 0;
-                    payload = Codec.Pool.get p.pk_msgs k.k_msg;
+                    payload = Codec.Pool.get p.pk_msgs msg;
                   } ))
       in
-      let st', sends = A.step ~n:p.pk_n ~self:k.k_pid st received k.k_fd in
+      let fd = a.Code.menus.(pid).(Code.menu_index a c) in
+      let st', sends = A.step ~n:p.pk_n ~self:pid st_v received fd in
       locked p (fun () ->
           let st_state = Codec.Pool.intern p.pk_states st' in
           let st_sends =
@@ -711,76 +916,118 @@ module Make (A : Sim.Automaton.S) = struct
           in
           { st_state; st_sends })
 
-    let step tb nd mv =
-      let k = step_key nd mv in
-      match Steps.find_opt tb.tb_steps k with
-      | Some s -> s
-      | None ->
-        let s = fresh_step tb.tb_pool k in
-        Steps.add tb.tb_steps k s;
-        s
+    (* [chans] less the message at index [i] of the [src -> p] channel,
+       or [chans] itself for lambda *)
+    let cut ~n chans p src i =
+      if src < 0 then chans
+      else begin
+        let a = Array.copy chans in
+        let c = (src * n) + p in
+        a.(c) <- remove_nth i a.(c);
+        a
+      end
 
-    let is_noop k s = k.k_src < 0 && s.st_state = k.k_state && s.st_sends = []
+    type derived = Known_noop | Self_loop | Child of node
 
-    (* A lambda step already in the table as one that changes nothing. *)
-    let known_noop tb nd mv =
-      let k = step_key nd mv in
-      match Steps.find_opt tb.tb_steps k with
-      | Some s -> is_noop k s
-      | None -> false
+    (* [child tb ~skip_noops (node p cfg) c] is [Child (node p (apply ~n
+       cfg mv))] for the move [mv] coded by [c], or [Self_loop] when
+       that child equals [cfg] — the [Space.self_loop] rule, decided
+       on indices. With [skip_noops], a lambda step the table already
+       holds as changing nothing is [Known_noop] instead: [Dpor]'s
+       skip, decided by the same single probe that would otherwise
+       serve the step. *)
+    let child tb ~skip_noops nd c =
+      let a = tb.tb_alpha in
+      let n = a.Code.n and p = Code.pid a c and src = Code.src a c in
+      let i = Code.index a c in
+      if Code.is_drop a c then Child { nd with ix_chans = cut ~n nd.ix_chans p src i }
+      else begin
+        let st = nd.ix_states.(p) in
+        let msg = if src < 0 then -1 else List.nth nd.ix_chans.((src * n) + p) i in
+        let stem = Code.stem a c in
+        let j = slot tb st msg stem in
+        let known = tb.tb_state.(j) >= 0 in
+        let s =
+          if known then tb.tb_step.(j)
+          else begin
+            let s = fresh_step tb c st msg in
+            add_at tb j st msg stem s;
+            s
+          end
+        in
+        let same_state = s.st_state = st in
+        if skip_noops && known && src < 0 && same_state && s.st_sends = [] then
+          Known_noop
+        else begin
+          let ix_chans =
+            match s.st_sends with
+            | [] -> cut ~n nd.ix_chans p src i
+            | sends ->
+              let ch = cut ~n nd.ix_chans p src i in
+              let ch = if ch == nd.ix_chans then Array.copy ch else ch in
+              List.iter
+                (fun (dst, m) ->
+                  ch.((p * n) + dst) <- ch.((p * n) + dst) @ [ m ])
+                sends;
+              ch
+          in
+          if (src < 0 || src = p) && same_state && slots_equal ix_chans nd.ix_chans
+          then Self_loop
+          else if same_state then Child { nd with ix_chans }
+          else begin
+            let ix_states = Array.copy nd.ix_states in
+            ix_states.(p) <- s.st_state;
+            Child { ix_states; ix_chans }
+          end
+        end
+      end
+
+    (* Under [`Any] the representative test compares pool values. *)
+    let msg_equal p a b =
+      a = b
+      || locked p (fun () ->
+             A.equal_message (Codec.Pool.get p.pk_msgs a)
+               (Codec.Pool.get p.pk_msgs b))
+
+    (* The alphabet at [nd] as codes, in [iter_alphabet]'s order. *)
+    let iter_codes tb ~delivery ~lossy nd f =
+      let a = tb.tb_alpha in
+      iter_alphabet ~n:a.Code.n ~delivery ~lossy ~equal:(msg_equal tb.tb_pool)
+        nd.ix_chans
+        ~choice:(fun p src i ->
+          let base = Code.base a p src i and canon = a.Code.canon.(p) in
+          for j = 0 to Array.length canon - 1 do
+            f (base lor canon.(j))
+          done)
+        ~drop:(fun p src i -> f (Code.drop a p src i))
+
+    let codes tb ~delivery ~lossy nd =
+      let acc = ref [] in
+      iter_codes tb ~delivery ~lossy nd (fun c -> acc := c :: !acc);
+      List.rev !acc
 
     (* The table's lambda no-op entries as [(pid, state index, detector
        value)], the form checkpoints store them in, and back. *)
     let noops tb =
-      Steps.fold
-        (fun k s acc ->
-          if is_noop k s then (k.k_pid, k.k_state, k.k_fd) :: acc else acc)
-        tb.tb_steps []
+      let a = tb.tb_alpha and acc = ref [] in
+      Array.iteri
+        (fun j st ->
+          let s = tb.tb_step.(j) in
+          if st >= 0 && tb.tb_msg.(j) < 0 && s.st_state = st && s.st_sends = []
+          then begin
+            let c = tb.tb_stem.(j) in
+            let p = Code.pid a c in
+            acc := (p, st, a.Code.menus.(p).(Code.menu_index a c)) :: !acc
+          end)
+        tb.tb_state;
+      !acc
 
-    let add_noop tb (k_pid, k_state, k_fd) =
-      Steps.replace tb.tb_steps
-        { k_pid; k_state; k_src = -1; k_msg = -1; k_fd }
-        { st_state = k_state; st_sends = [] }
-
-    (* [nd]'s channels less the message [mv] consumes, if any *)
-    let cut ~n nd mv =
-      match mv.m_recv with
-      | None -> nd.ix_chans
-      | Some (src, i) ->
-        let a = Array.copy nd.ix_chans in
-        let c = (src * n) + mv.m_pid in
-        a.(c) <- remove_nth i a.(c);
-        a
-
-    (* [child tb (node p cfg) mv] is [Some (node p (apply ~n cfg mv))],
-       or [None] when that child equals [cfg] — the [Space.self_loop]
-       rule, decided on indices. *)
-    let child tb nd mv =
-      let n = Array.length nd.ix_states and p = mv.m_pid in
-      if mv.m_drop then Some { nd with ix_chans = cut ~n nd mv }
-      else begin
-        let s = step tb nd mv in
-        let ix_chans =
-          match s.st_sends with
-          | [] -> cut ~n nd mv
-          | sends ->
-            let a = cut ~n nd mv in
-            let a = if a == nd.ix_chans then Array.copy a else a in
-            List.iter
-              (fun (dst, m) -> a.((p * n) + dst) <- a.((p * n) + dst) @ [ m ])
-              sends;
-            a
-        in
-        let same_state = s.st_state = nd.ix_states.(p) in
-        if may_self_loop mv && same_state && slots_equal ix_chans nd.ix_chans
-        then None
-        else if same_state then Some { nd with ix_chans }
-        else begin
-          let ix_states = Array.copy nd.ix_states in
-          ix_states.(p) <- s.st_state;
-          Some { ix_states; ix_chans }
-        end
-      end
+    let add_noop tb (pid, st, fd) =
+      let c = Code.code tb.tb_alpha { m_pid = pid; m_fd = fd; m_recv = None; m_drop = false } in
+      let j = slot tb st (-1) c in
+      let s = { st_state = st; st_sends = [] } in
+      if tb.tb_state.(j) >= 0 then set tb j st (-1) c s
+      else add_at tb j st (-1) c s
   end
 
   module BKey = struct
@@ -789,8 +1036,8 @@ module Make (A : Sim.Automaton.S) = struct
     let equal = Bytes.equal
   end
 
-  (* Memo keys are the interned *packed bytes*, hashed once with the
-     full-width [Codec.bytes_hash] at encode time ([Intern.hashed]);
+  (* Memo keys are the interned *packed bytes*, hashed with the
+     full-width [Codec.bytes_hash] as [Packed.key] writes them;
      equality prefilters on the cached hash with [Bytes.equal] — i.e.
      [config_equal], by injectivity of [encode] — as the collision
      backstop (pinned in test_codec.ml). The table retains one flat
@@ -798,14 +1045,10 @@ module Make (A : Sim.Automaton.S) = struct
   module Shared = Intern.Striped (BKey)
 
   (* The memo-coverage record (remaining depth, remaining loss budget,
-     sleep set) lives in [Cover]; every absorption/update decision of
-     the walker goes through [Cov.revisit], which enforces the
-     no-mixture rule. *)
-  module Cov = Cover.Make (struct
-    type t = move
-
-    let equal = move_equal
-  end)
+     sleep set of move codes) lives in [Cover]; every
+     absorption/update decision of the walker goes through
+     [Cov.revisit], which enforces the no-mixture rule. *)
+  module Cov = Cover.Make (Int)
 
   let initial_config ~n ~inputs =
     {
@@ -813,69 +1056,23 @@ module Make (A : Sim.Automaton.S) = struct
       chans = Array.make (n * n) [];
     }
 
-  (* Delivery choices for process [p], as [f src i] calls: sources
-     ascending, and within a source's channel the eligible indices
-     descending. Under [`Fifo] each channel delivers in send order, so
-     only its head is eligible — pending channel states stay suffixes
-     of the send sequence instead of arbitrary sub-multisets, which
-     keeps the reachable space polynomial in the per-channel traffic.
-     Under [`Any], any pending message may be delivered (one
-     representative per payload-distinct entry, its first), matching
-     the runner's full [Matching]-choice latitude. *)
-  let iter_recv ~n ~delivery cfg p f =
-    for src = 0 to n - 1 do
-      match (delivery, cfg.chans.((src * n) + p)) with
-      | _, [] -> ()
-      | `Fifo, _ :: _ -> f src 0
-      | `Any, q ->
-        let rec reps i seen acc = function
-          | [] -> acc
-          | m :: rest ->
-            if List.exists (A.equal_message m) seen then
-              reps (i + 1) seen acc rest
-            else reps (i + 1) (m :: seen) (i :: acc) rest
-        in
-        List.iter (f src) (reps 0 [] [] q)
-    done
-
-  (* The move alphabet, in the one order every consumer sees it: per
-     process in pid order, each delivery choice and then lambda, each
-     crossed with the process's menu values in menu order; then, when
-     [lossy], per process the drop of each cross-process delivery
-     choice. Network moves come after the process moves so DFS walks
-     the loss-free subtree first. Dropping only deliverable messages
-     loses no generality: under FIFO links the delivered sequence of a
-     channel with arbitrary loss is exactly a subsequence of the send
-     sequence, and every subsequence is generated by the per-head
-     deliver-or-drop choice (and likewise per eligible representative
-     under [`Any]). Self-channels are exempt, as in [Sim.Faults].
-     [iter_moves] calls [f] on each move in that order: [moves_of]
-     collects them, [run]'s expansion and the sampler's candidate
-     build ([Space.candidates]) consume them as they come. *)
+  (* [iter_alphabet] as [move] records over [cfg]'s value channels: one
+     [m_recv] per delivery choice, shared by its menu values. *)
   let iter_moves ~n ~delivery ~lossy ~menus cfg f =
-    for p = 0 to n - 1 do
-      let fds = menus.(p) in
-      iter_recv ~n ~delivery cfg p (fun src i ->
-          let m_recv = Some (src, i) in
-          List.iter
-            (fun m_fd -> f { m_pid = p; m_fd; m_recv; m_drop = false })
-            fds);
-      List.iter
-        (fun m_fd -> f { m_pid = p; m_fd; m_recv = None; m_drop = false })
-        fds
-    done;
-    if lossy then
-      for p = 0 to n - 1 do
-        iter_recv ~n ~delivery cfg p (fun src i ->
-            if not (Pid.equal src p) then
-              f
-                {
-                  m_pid = p;
-                  m_fd = Sim.Fd_value.Unit;
-                  m_recv = Some (src, i);
-                  m_drop = true;
-                })
-      done
+    iter_alphabet ~n ~delivery ~lossy ~equal:A.equal_message cfg.chans
+      ~choice:(fun p src i ->
+        let m_recv = if src < 0 then None else Some (src, i) in
+        List.iter
+          (fun m_fd -> f { m_pid = p; m_fd; m_recv; m_drop = false })
+          menus.(p))
+      ~drop:(fun p src i ->
+        f
+          {
+            m_pid = p;
+            m_fd = Sim.Fd_value.Unit;
+            m_recv = Some (src, i);
+            m_drop = true;
+          })
 
   let moves_of ~n ~delivery ~lossy ~menus cfg =
     let acc = ref [] in
@@ -925,20 +1122,13 @@ module Make (A : Sim.Automaton.S) = struct
   (* Exploration                                                     *)
   (* -------------------------------------------------------------- *)
 
-  exception Found of string * string * move list
+  (* a violated property: its name, the detail, the path's codes *)
+  exception Found of string * string * int list
   exception Limit
 
   (* ------------------------------------------------------------- *)
   (* The independence relation                                       *)
   (* ------------------------------------------------------------- *)
-
-  (* The channel a move consumes from, if any: a delivery or drop of
-     (src, i) consumes from the src -> m_pid channel; a lambda
-     consumes nothing. *)
-  let consumes mv =
-    match mv.m_recv with
-    | Some (src, _) -> Some (src, mv.m_pid)
-    | None -> None
 
   (* [move_dependent a b]: the static dependence (non-commutation)
      relation over the move alphabet. Two moves are independent when,
@@ -1123,46 +1313,39 @@ module Make (A : Sim.Automaton.S) = struct
       moves;
     (List.rev !steps, List.rev !samples, states)
 
-  (* Per-node sibling index for race partitioning. [move_dependent]
-     couples a move only with same-pid non-drop moves (when itself a
-     non-drop) or with the consumers of one channel (when a drop is
-     involved), so bucketing siblings by that key — non-drop moves by
-     pid, drop moves by consumed channel — lets race detection for a
-     taken move read just its own buckets instead of walking the whole
-     sibling list. With a lossy menu a node's sibling list is
-     O(n * |menu| + channels) long while a message has O(|menu|)
-     consumers; the old [List.partition] walk made sleep inheritance
-     quadratic in the sibling list per node, the B11 wall-clock
-     regression of dpor against sleep-sets at depth >= 11. *)
+  (* Per-node sibling index for race partitioning, over move codes.
+     [move_dependent] couples a move only with same-pid non-drop moves
+     (when itself a non-drop) or with the consumers of one channel
+     (when a drop is involved), so bucketing siblings by that key —
+     non-drop codes by pid, drop codes by consumed channel — lets race
+     detection for a taken move read just its own buckets instead of
+     walking the whole sibling list, and a membership probe scan one
+     bucket of ints. *)
   module Sibs = struct
     type t = {
-      s_pid : move list array;  (* non-drop moves, indexed by m_pid *)
-      s_chan : move list array;
-          (* drop moves, indexed by consumed channel src * n + dst *)
+      s_pid : int list array;  (* non-drop codes, indexed by pid *)
+      s_chan : int list array;
+          (* drop codes, indexed by consumed channel src * n + dst *)
     }
 
     let create ~n = { s_pid = Array.make n []; s_chan = Array.make (n * n) [] }
 
-    let chan ~n mv =
-      match mv.m_recv with
-      | Some (src, _) -> (src * n) + mv.m_pid
-      | None -> invalid_arg "Sibs.chan: lambda move"
-
-    let add ~n t mv =
-      if mv.m_drop then begin
-        let c = chan ~n mv in
-        t.s_chan.(c) <- mv :: t.s_chan.(c)
+    let add a t c =
+      if Code.is_drop a c then begin
+        let ch = Code.channel a c in
+        t.s_chan.(ch) <- c :: t.s_chan.(ch)
       end
-      else t.s_pid.(mv.m_pid) <- mv :: t.s_pid.(mv.m_pid)
+      else
+        let p = Code.pid a c in
+        t.s_pid.(p) <- c :: t.s_pid.(p)
 
-    (* membership probes only the one bucket the move could be in; one
-       probe per enabled move, so the walk allocates no closure for it *)
-    let mem ~n t mv =
-      let rec any = function
-        | [] -> false
-        | m :: rest -> move_equal mv m || any rest
-      in
-      any (if mv.m_drop then t.s_chan.(chan ~n mv) else t.s_pid.(mv.m_pid))
+    let rec any (c : int) = function [] -> false | m :: rest -> m = c || any c rest
+
+    (* membership probes only the one bucket the code could be in *)
+    let mem a t c =
+      any c
+        (if Code.is_drop a c then t.s_chan.(Code.channel a c)
+         else t.s_pid.(Code.pid a c))
   end
 
   (* Sleep-set inheritance, per reduction. [Sleep_sets] keeps a
@@ -1180,14 +1363,14 @@ module Make (A : Sim.Automaton.S) = struct
      distinct-state equality across all three reductions).
 
      The inherited set is computed bucket-wise from the [Sibs]
-     indices: the buckets dependence couples to [mv] are counted as
+     indices: the buckets dependence couples to [c] are counted as
      races (and, from [slept], as backtracks), every other bucket is
-     kept wholesale. The *set* of kept sleepers is exactly the old
-     [List.partition] filter's — only the list order differs, and
-     every consumer of sleep sets (membership, [Cover]'s subset and
-     intersection, the counters) is order-insensitive. *)
-  let inherit_slept ~reduction ~lossy ~races ~backtracks ~n
-      ~(explored : Sibs.t) ~(slept : Sibs.t) mv =
+     kept wholesale. Every consumer of sleep sets (membership,
+     [Cover]'s subset and intersection, the counters) is
+     order-insensitive, so the list order is free. *)
+  let inherit_slept a ~reduction ~lossy ~races ~backtracks
+      ~(explored : Sibs.t) ~(slept : Sibs.t) c =
+    let n = a.Code.n and pid = Code.pid a c in
     match reduction with
     | No_reduction -> []
     | Sleep_sets ->
@@ -1195,61 +1378,44 @@ module Make (A : Sim.Automaton.S) = struct
          buckets are never slept under this reduction *)
       let acc = ref [] in
       for p = n - 1 downto 0 do
-        if p <> mv.m_pid then
+        if p <> pid then
           acc :=
             List.rev_append explored.Sibs.s_pid.(p)
               (List.rev_append slept.Sibs.s_pid.(p) !acc)
       done;
       !acc
     | Dpor ->
+      let src = Code.src a c and drop = Code.is_drop a c in
       let keep = ref [] in
       let nraces = ref 0 and nbt = ref 0 in
       let scan is_slept (t : Sibs.t) =
         let dep = ref 0 in
-        (match consumes mv with
-        | Some (src, dst) ->
-          (* the consumed channel's drops race with [mv] whether or
-             not [mv] is itself a drop; every other channel's drops
-             commute with it. A reliable menu generates no drop
-             moves, so its [s_chan] buckets are all empty — skip the
-             n^2 bucket walk outright. *)
-          if lossy then begin
-            let c = (src * n) + dst in
-            for c' = (n * n) - 1 downto 0 do
-              if c' = c then dep := !dep + List.length t.Sibs.s_chan.(c')
-              else keep := List.rev_append t.Sibs.s_chan.(c') !keep
-            done
-          end;
-          if mv.m_drop then
+        (* the consumed channel's drops race with [c] whether or not
+           [c] is itself a drop; every other channel's drops, and
+           every drop when [c] is a lambda, commute with it. A
+           reliable menu generates no drop moves, so its [s_chan]
+           buckets are all empty — skip the n^2 bucket walk
+           outright. *)
+        if lossy then begin
+          let ch = if src < 0 then -1 else (src * n) + pid in
+          for c' = (n * n) - 1 downto 0 do
+            if c' = ch then dep := !dep + List.length t.Sibs.s_chan.(c')
+            else keep := List.rev_append t.Sibs.s_chan.(c') !keep
+          done
+        end;
+        for p = n - 1 downto 0 do
+          if p <> pid then keep := List.rev_append t.Sibs.s_pid.(p) !keep
+          else if drop then
             (* a drop races with the dropped channel's deliveries —
                all in the consumer's pid bucket, filtered by source —
                and with nothing else the process does *)
-            for p = n - 1 downto 0 do
-              if p <> dst then keep := List.rev_append t.Sibs.s_pid.(p) !keep
-              else
-                List.iter
-                  (fun m ->
-                    match m.m_recv with
-                    | Some (s, _) when s = src -> incr dep
-                    | _ -> keep := m :: !keep)
-                  t.Sibs.s_pid.(p)
-            done
+            List.iter
+              (fun m -> if Code.src a m = src then incr dep else keep := m :: !keep)
+              t.Sibs.s_pid.(p)
           else
-            for p = n - 1 downto 0 do
-              if p = mv.m_pid then dep := !dep + List.length t.Sibs.s_pid.(p)
-              else keep := List.rev_append t.Sibs.s_pid.(p) !keep
-            done
-        | None ->
-          (* lambda: dependent only on its own process's non-drop
-             moves; every drop commutes with it *)
-          if lossy then
-            for c' = (n * n) - 1 downto 0 do
-              keep := List.rev_append t.Sibs.s_chan.(c') !keep
-            done;
-          for p = n - 1 downto 0 do
-            if p = mv.m_pid then dep := !dep + List.length t.Sibs.s_pid.(p)
-            else keep := List.rev_append t.Sibs.s_pid.(p) !keep
-          done);
+            (* a process move races with its own process's moves *)
+            dep := !dep + List.length t.Sibs.s_pid.(p)
+        done;
         nraces := !nraces + !dep;
         if is_slept then nbt := !nbt + !dep
       in
@@ -1289,11 +1455,16 @@ module Make (A : Sim.Automaton.S) = struct
     fp_root : int;
   }
 
+  (* A memo entry as the checkpoint stores it: the walk's [Cov.entry]
+     with its sleep set decoded into moves. The file layout predates
+     move codes, so checkpoints stay readable across the change. *)
+  type ck_cover = { cc_remaining : int; cc_drops : int; cc_slept : move list }
+
   type ckpt = {
     ck_fp : fingerprint;
     ck_states : A.state array;  (* Packed state pool, index order *)
     ck_msgs : A.message array;  (* Packed message pool, index order *)
-    ck_visited : (int * Bytes.t * Cov.entry) array;
+    ck_visited : (int * Bytes.t * ck_cover) array;
         (* (cached hash, packed key, coverage) per visited state *)
     ck_noops : (Pid.t * int * Sim.Fd_value.t) array;
         (* the transition tables' lambda no-op entries, all workers' *)
@@ -1411,7 +1582,9 @@ module Make (A : Sim.Automaton.S) = struct
     let t0 = Sim.Clock.now () in
     let jobs = max 1 jobs in
     let lossy = menu.Menu.lossy in
-    let menus = Array.init n (fun p -> menu.Menu.values p) in
+    let alpha =
+      Code.alphabet ~n ~menus:(Array.init n (fun p -> menu.Menu.values p))
+    in
     let sleep = reduction <> No_reduction in
     let dpor = reduction = Dpor in
     let visited : Cov.entry Shared.t = Shared.create ~stripes:64 65536 in
@@ -1452,16 +1625,17 @@ module Make (A : Sim.Automaton.S) = struct
     and decided_leaves = counters ()
     and depth_leaves = counters ()
     and max_depths = counters () in
-    (* The walk runs on nodes ([Packed.node]): each transition derives
-       its child's indices through the worker's transition table, and
-       the child's memo key — its packed bytes with their full-width
-       hash, computed once per visit — is written from those indices
-       into the worker's scratch buffer. Values are read back from the
-       pools only where a value is read: properties and the stop test
-       at a fresh state, move generation at an expanded node, the
-       frontier task queue.
+    (* The walk runs on nodes ([Packed.node]) and move codes
+       ([Code]): each transition derives its child's indices through
+       the worker's transition table, and the child's memo key — its
+       packed bytes with their full-width hash, both written in one
+       pass — goes through the worker's scratch. Values are read back
+       from the pools only where a value is read: properties and the
+       stop test at a fresh state, and the representative test of
+       [`Any] delivery. Frontier tasks hold nodes and codes; only
+       checkpoints turn them into configs and moves.
 
-       One table and one buffer per worker instead of a shared locked
+       One table and one scratch per worker instead of a shared locked
        table: the table is a pure memo of [A.step], so divergence
        between workers only costs repeated misses. The coordinator's
        prefix walk ends before any worker starts and shares worker 0's,
@@ -1472,15 +1646,19 @@ module Make (A : Sim.Automaton.S) = struct
        sleep check could record it), so memo coverage domination is
        untouched. Checkpoints carry those lambda no-op entries, so a
        resumed [Dpor] walk skips what the straight walk skips. *)
-    let tables = Array.init jobs (fun _ -> Packed.table pool) in
-    let bufs = Array.init jobs (fun _ -> Buffer.create 64) in
+    let tables = Array.init jobs (fun _ -> Packed.table pool alpha) in
+    let scratches = Array.init jobs (fun _ -> Codec.Scratch.create ()) in
+    let codes = List.map (Code.code alpha) in
+    let moves = List.map (Code.move alpha) in
     (match resumed with
     | None -> ()
     | Some (c, _) ->
       Shared.import visited
         (Array.map
-           (fun (ih, b, e) ->
-             (Intern.hashed (fun (_ : Bytes.t) -> ih) b, e))
+           (fun (ih, b, cc) ->
+             ( Intern.of_hash ih b,
+               Cov.make ~remaining:cc.cc_remaining ~drops:cc.cc_drops
+                 ~slept:(codes cc.cc_slept) ))
            c.ck_visited);
       Array.iteri
         (fun i r -> r.(0) := c.ck_counts.(i))
@@ -1496,56 +1674,48 @@ module Make (A : Sim.Automaton.S) = struct
        expansions instead of performing them; workers ([sink=false])
        expand in place. A queued task resumes exactly at the
        expansion step — its node is already in the table, claiming
-       the coverage the task will perform. [nd] is [cfg]'s node. *)
-    let rec expand ~w ~sink cfg nd remaining drops slept path_rev =
+       the coverage the task will perform. *)
+    let rec expand ~w ~sink nd remaining drops slept path_rev =
       if sink && depth - remaining >= spawn_depth then
-        frontier := (cfg, remaining, drops, slept, path_rev) :: !frontier
+        frontier := (nd, remaining, drops, slept, path_rev) :: !frontier
       else begin
         let tbl = tables.(max 0 (w - 1)) in
         (* index the inherited sleepers once per node; earlier
            explored siblings accumulate in the same bucketed form *)
         let sl = Sibs.create ~n and ex = Sibs.create ~n in
-        List.iter (Sibs.add ~n sl) slept;
+        List.iter (Sibs.add alpha sl) slept;
         (* the drop alphabet switches off once the path's loss budget
            is spent *)
-        iter_moves ~n ~delivery ~lossy:(lossy && drops > 0) ~menus cfg
-          (fun mv ->
-            if sleep && Sibs.mem ~n sl mv then incr sleep_skipped.(w)
-            else if dpor && mv.m_recv = None && Packed.known_noop tbl nd mv
-            then incr self_loops.(w)
-            else begin
-              incr transitions.(w);
-              match Packed.child tbl nd mv with
-              | None ->
-                (* self-loop (e.g. a lambda step whose detector value
-                   unlocks nothing): no new state, and every move
-                   enabled at the child is enabled here — skip *)
+        Packed.iter_codes tbl ~delivery ~lossy:(lossy && drops > 0) nd
+          (fun c ->
+            if sleep && Sibs.mem alpha sl c then incr sleep_skipped.(w)
+            else
+              match Packed.child tbl ~skip_noops:dpor nd c with
+              | Packed.Known_noop -> incr self_loops.(w)
+              | Packed.Self_loop ->
+                (* e.g. a lambda step whose detector value unlocks
+                   nothing: no new state, and every move enabled at
+                   the child is enabled here — skip *)
+                incr transitions.(w);
                 incr self_loops.(w)
-              | Some child ->
+              | Packed.Child child ->
+                incr transitions.(w);
                 let child_slept =
-                  inherit_slept ~reduction ~lossy ~races:races.(w)
-                    ~backtracks:backtracks.(w) ~n ~explored:ex ~slept:sl mv
+                  inherit_slept alpha ~reduction ~lossy ~races:races.(w)
+                    ~backtracks:backtracks.(w) ~explored:ex ~slept:sl c
                 in
                 pdfs ~w ~sink child (remaining - 1)
-                  (if mv.m_drop then drops - 1 else drops)
-                  child_slept (mv :: path_rev);
-                if sleep then Sibs.add ~n ex mv
-            end)
+                  (if Code.is_drop alpha c then drops - 1 else drops)
+                  child_slept (c :: path_rev);
+                if sleep then Sibs.add alpha ex c)
       end
     and pdfs ~w ~sink nd remaining drops slept path_rev =
       if Atomic.get halt then raise Limit;
       if depth - remaining > !(max_depths.(w)) then
         max_depths.(w) := depth - remaining;
-      let hc =
-        Intern.hashed Codec.bytes_hash (Packed.key bufs.(max 0 (w - 1)) nd)
-      in
+      let hc = Packed.key scratches.(max 0 (w - 1)) nd in
       let states = lazy (Packed.states pool nd) in
-      let expand slept =
-        let cfg =
-          { states = Lazy.force states; chans = Packed.chans pool nd }
-        in
-        expand ~w ~sink cfg nd remaining drops slept path_rev
-      in
+      let expand slept = expand ~w ~sink nd remaining drops slept path_rev in
       let act = function
         | `Absorbed -> incr dedup_hits.(w)
         | `Expand slept' ->
@@ -1570,8 +1740,8 @@ module Make (A : Sim.Automaton.S) = struct
         Shared.with_key visited hc (function
           | Some e when dedup ->
             ( (Cov.revisit e ~remaining ~drops ~slept
-                : [ `Absorbed | `Expand of move list ]
-                :> [> `Absorbed | `Expand of move list ]),
+                : [ `Absorbed | `Expand of int list ]
+                :> [> `Absorbed | `Expand of int list ]),
               None )
           | Some _ -> (`Known, None)
           | None -> on_fresh ())
@@ -1612,8 +1782,8 @@ module Make (A : Sim.Automaton.S) = struct
     let guard f =
       try f () with
       | Limit -> ()
-      | Found (prop, detail, moves) ->
-        ignore (Atomic.compare_and_set violation None (Some (prop, detail, moves)));
+      | Found (prop, detail, path) ->
+        ignore (Atomic.compare_and_set violation None (Some (prop, detail, path)));
         Atomic.set halt true
     in
     let root = initial_config ~n ~inputs in
@@ -1622,7 +1792,12 @@ module Make (A : Sim.Automaton.S) = struct
        imported visited set *)
     let tasks, start =
       match resumed with
-      | Some (c, _) -> (c.ck_tasks, c.ck_next)
+      | Some (c, _) ->
+        ( Array.map
+            (fun (cfg, remaining, drops, slept, path_rev) ->
+              (Packed.node pool cfg, remaining, drops, codes slept, codes path_rev))
+            c.ck_tasks,
+          c.ck_next )
       | None ->
         guard (fun () ->
             pdfs ~w:0 ~sink:true (Packed.node pool root) depth max_drops [] []);
@@ -1646,7 +1821,13 @@ module Make (A : Sim.Automaton.S) = struct
         let vis =
           Array.map
             (fun ((k : Bytes.t Intern.hashed), e) ->
-              (k.Intern.ih, k.Intern.iv, e))
+              ( k.Intern.ih,
+                k.Intern.iv,
+                {
+                  cc_remaining = Cov.remaining e;
+                  cc_drops = Cov.drops e;
+                  cc_slept = moves (Cov.slept e);
+                } ))
             (Shared.export visited)
         in
         let sp, mp = Packed.export_pools pool in
@@ -1661,7 +1842,15 @@ module Make (A : Sim.Automaton.S) = struct
               Array.of_list
                 (List.sort_uniq compare
                    (List.concat_map Packed.noops (Array.to_list tables)));
-            ck_tasks = tasks;
+            ck_tasks =
+              Array.map
+                (fun (nd, remaining, drops, slept, path_rev) ->
+                  ( Packed.config pool nd,
+                    remaining,
+                    drops,
+                    moves slept,
+                    moves path_rev ))
+                tasks;
             ck_next = next;
             ck_counts = snapshot ();
           };
@@ -1669,10 +1858,10 @@ module Make (A : Sim.Automaton.S) = struct
     in
     let run_task ~worker i =
       if not (Atomic.get halt) then begin
-        let cfg, remaining, drops, slept, path_rev = tasks.(i) in
+        let nd, remaining, drops, slept, path_rev = tasks.(i) in
         guard (fun () ->
-            expand ~w:(worker + 1) ~sink:false cfg (Packed.node pool cfg)
-              remaining drops slept path_rev)
+            expand ~w:(worker + 1) ~sink:false nd remaining drops slept
+              path_rev)
       end
     in
     (* The task loop: budget check, then a joined chunk of tasks, then
@@ -1741,7 +1930,8 @@ module Make (A : Sim.Automaton.S) = struct
     let violation =
       match Atomic.get violation with
       | None -> None
-      | Some (cx_property, cx_detail, cx_moves) ->
+      | Some (cx_property, cx_detail, path) ->
+        let cx_moves = moves path in
         let cx_steps, cx_samples, cx_states = concretize ~n ~inputs cx_moves in
         Some { cx_property; cx_detail; cx_moves; cx_steps; cx_samples; cx_states }
     in

@@ -217,6 +217,35 @@ module Make (A : Sim.Automaton.S) : sig
             and the concretized trace contains no step for it *)
   }
 
+  val move_equal : move -> move -> bool
+  (** Structural equality of moves; detector values compare with
+      [Sim.Fd_value.equal]. *)
+
+  (** Moves as integer codes, the form {!run}'s walk carries them in:
+      sleep sets, memo coverage, frontier tasks and the path are int
+      lists, and the transition table reads its key out of a code. A
+      code packs the pid, the receive source or lambda, the receive
+      index, the drop flag and the {e canonical} menu index of the
+      detector value — the first position of the process's menu
+      holding a [Sim.Fd_value.equal] value (0 for a drop) — so two
+      codes are equal exactly when their moves are, and a menu that
+      lists one value twice gives both positions one code. *)
+  module Code : sig
+    type alphabet
+    (** The field widths and canonical menu indices of one universe:
+        [n] and each process's menu. *)
+
+    val alphabet : n:int -> menus:Sim.Fd_value.t list array -> alphabet
+
+    val code : alphabet -> move -> int
+    (** Raises [Invalid_argument] on a non-drop move whose detector
+        value is not in its process's menu. *)
+
+    val move : alphabet -> int -> move
+    (** The inverse of {!code} up to equal moves: the detector value is
+        the menu's own value at the canonical index. *)
+  end
+
   val move_dependent : move -> move -> bool
   (** The static dependence (non-commutation) relation over the move
       alphabet — the happens-before core of the [Dpor] reduction. Two
@@ -337,10 +366,15 @@ module Make (A : Sim.Automaton.S) : sig
       so absorption stays sound across paths that reach a state with
       different budgets.
 
-      The walk steps each distinct (pid, state, received sender and
-      payload or lambda, detector value) once: every later transition
-      with the same key reads its successor from a per-worker
-      transition table ({!Packed.table}). That is sound because
+      The walk carries moves as integer codes ({!Code}) and
+      configurations as pool-index nodes ({!Packed.node}): sleep sets,
+      memo coverage, frontier tasks and the path hold codes, and a
+      code becomes a {!move} again only for the counterexample and in
+      a checkpoint. It steps each distinct (pid, state, received
+      sender and payload or lambda, detector value) once: every later
+      transition with the same key reads its successor from a
+      per-worker transition table ({!Packed.table}), in one probe that
+      also answers [Dpor]'s known-no-op skip. That is sound because
       [A.step] must be a function of exactly those arguments and [n]
       — the envelope's [seq] and [sent_at] are abstracted away, as
       everywhere in this checker.
@@ -504,10 +538,12 @@ module Make (A : Sim.Automaton.S) : sig
       becomes a flat byte string of varint pool indices (process
       states in pid order, then the non-empty channels in canonical
       order with length-prefixed queues). {!run} walks on the index
-      configurations these keys serialize ({!node}) and derives each
-      child's indices through a transition table ({!child}). Exposed
-      for the B12 memory benchmark and the round-trip and
-      differential test batteries. *)
+      configurations these keys serialize ({!node}), enumerates each
+      node's moves as codes ({!codes}), derives each child's indices
+      from a code through a transition table ({!child}), and writes
+      each child's key and its hash in one pass ({!key}). Exposed for
+      the B12 memory benchmark and the round-trip and differential
+      test batteries. *)
   module Packed : sig
     type pool
     (** The interning pools (mutex-protected; parallel workers intern
@@ -530,30 +566,52 @@ module Make (A : Sim.Automaton.S) : sig
     (** Interns the configuration's values in the order {!encode}
         does; [encode p cfg] is [key buf (node p cfg)]. *)
 
-    val key : Buffer.t -> node -> Bytes.t
-    (** The node's packed key, written into the buffer (cleared first)
-        and copied out, so a walk reuses one buffer. *)
+    val key : Codec.Scratch.t -> node -> Bytes.t Intern.hashed
+    (** The node's packed key with its [Codec.bytes_hash], written in
+        one pass through the scratch (reset first) and copied out, so a
+        walk reuses one scratch per worker. *)
 
     type table
-    (** A transition table over one pool: per (pid, state index,
-        received (src, message index) or lambda, detector value), the
-        successor state's index and the message indices the step
-        appends per channel. It rests on [A.step] being a function of
-        [(n, self, state, received src and payload, detector value)] —
-        the abstraction {!run} already assumes; envelope [seq] and
+    (** A transition table over one pool and one {!Code.alphabet}: per
+        (state index, message index or lambda, move code less its
+        receive index), the successor state's index and the message
+        indices the step appends per channel. The code's remaining
+        fields name the pid, the source and the detector value, so the
+        key is exact, and a probe allocates nothing and hashes no
+        value. It rests on [A.step] being a function of [(n, self,
+        state, received src and payload, detector value)] — the
+        abstraction {!run} already assumes; envelope [seq] and
         [sent_at] are never read. *)
 
-    val table : pool -> table
+    val table : pool -> Code.alphabet -> table
 
-    val child : table -> node -> move -> node option
-    (** [child tb (node p cfg) mv] is [Some (node p (Space.apply ~n cfg
-        mv))], or [None] exactly when [Space.self_loop ~n cfg mv]. A
-        table miss runs [A.step] once on the pools' values and interns
-        the new state, then the appended messages by ascending
-        channel, which is the order {!encode} meets them in the child,
-        so keys and pool indices are those of encoding the child
-        whole. A hit runs no step and takes no lock. Drops never touch
-        the table. The move must be {!Space.applicable}. *)
+    val codes :
+      table -> delivery:[ `Fifo | `Any ] -> lossy:bool -> node -> int list
+    (** The codes of the moves {!Space.enabled} lists at the node's
+        configuration, in the same order: the walk's enumeration, which
+        reads the node's index channels (under [`Any] it compares the
+        pool values to pick representatives). *)
+
+    type derived =
+      | Known_noop
+          (** only with [~skip_noops]: a lambda step the table already
+              holds as changing nothing *)
+      | Self_loop
+      | Child of node
+
+    val child : table -> skip_noops:bool -> node -> int -> derived
+    (** [child tb ~skip_noops:false (node p cfg) (Code.code a mv)] is
+        [Child (node p (Space.apply ~n cfg mv))], or [Self_loop]
+        exactly when [Space.self_loop ~n cfg mv]. One table probe
+        serves the step: a miss runs [A.step] once on the pools'
+        values and interns the new state, then the appended messages
+        by ascending channel, which is the order {!encode} meets them
+        in the child, so keys and pool indices are those of encoding
+        the child whole. A hit runs no step and takes no lock. Drops
+        never touch the table. With [~skip_noops:true] (the [Dpor]
+        walk) the same probe answers [Known_noop] for a lambda step
+        already in the table as a no-op. The move must be
+        {!Space.applicable}. *)
 
     val sizes : pool -> int * int
     (** Distinct (process states, message payloads) interned so far. *)

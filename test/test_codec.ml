@@ -253,9 +253,12 @@ let walk_configs ~menu ~lossy ~steps seed =
   root :: List.map (fun (_, _, child) -> child) moves
 
 (* Along a walk, under one pool and one transition table: [decode]
-   inverts [encode] and re-encoding is stable (the memo key is
-   reproducible); and at every config of the walk, for every enabled
-   move, the derived child ([Packed.child]) is [None] exactly when
+   inverts [encode], re-encoding is stable (the memo key is
+   reproducible), and the hash [Packed.key] computes while writing is
+   [bytes_hash] of what it wrote. At every config of the walk the
+   node's codes ([Packed.codes]) are the codes of [Space.enabled]'s
+   moves, in order, and for every enabled move the child derived from
+   its code ([Packed.child]) is [Self_loop] exactly when
    [Space.self_loop] holds, and otherwise its key equals the full
    [encode] of [Space.apply] — which, run after it, interns nothing
    new — and equals it in a second pool that only ever encodes whole
@@ -265,46 +268,67 @@ let walk_configs ~menu ~lossy ~steps seed =
 let round_trip_walk ?(delivery = `Fifo) ~menu ~lossy seed =
   let pool = M_anuc.Packed.create ~n in
   let whole = M_anuc.Packed.create ~n in
-  let tbl = M_anuc.Packed.table pool in
-  let buf = Buffer.create 64 in
   let menus = Array.init n (fun p -> menu.Mc.Menu.values p) in
-  let round_trip cfg b =
-    let cfg' = M_anuc.Packed.decode pool b in
-    M_anuc.Space.equal cfg cfg'
-    && Bytes.equal b (M_anuc.Packed.encode pool cfg)
-    && Mc.Codec.bytes_hash b
-       = Mc.Codec.bytes_hash (M_anuc.Packed.encode pool cfg')
+  let alpha = M_anuc.Code.alphabet ~n ~menus in
+  let tbl = M_anuc.Packed.table pool alpha in
+  let scr = Mc.Codec.Scratch.create () in
+  let key nd =
+    let k = M_anuc.Packed.key scr nd in
+    if k.Mc.Intern.ih = Mc.Codec.bytes_hash k.Mc.Intern.iv then
+      Some k.Mc.Intern.iv
+    else None
+  in
+  let round_trip cfg = function
+    | None -> false
+    | Some b ->
+      let cfg' = M_anuc.Packed.decode pool b in
+      M_anuc.Space.equal cfg cfg'
+      && Bytes.equal b (M_anuc.Packed.encode pool cfg)
+      && Mc.Codec.bytes_hash b
+         = Mc.Codec.bytes_hash (M_anuc.Packed.encode pool cfg')
   in
   let derives cfg nd =
-    List.for_all
-      (fun mv ->
-        let self_loop = M_anuc.Space.self_loop ~n cfg mv in
-        match M_anuc.Packed.child tbl nd mv with
-        | None -> self_loop
-        | Some c ->
-          let derived = M_anuc.Packed.key buf c in
-          let sizes = M_anuc.Packed.sizes pool in
-          let applied = M_anuc.Space.apply ~n cfg mv in
-          (not self_loop)
-          && Bytes.equal derived (M_anuc.Packed.encode pool applied)
-          && M_anuc.Packed.sizes pool = sizes
-          && Bytes.equal derived (M_anuc.Packed.encode whole applied))
-      (M_anuc.Space.enabled ~n ~delivery ~lossy ~menus cfg)
+    let moves = M_anuc.Space.enabled ~n ~delivery ~lossy ~menus cfg in
+    M_anuc.Packed.codes tbl ~delivery ~lossy nd
+    = List.map (M_anuc.Code.code alpha) moves
+    && List.for_all
+         (fun mv ->
+           let self_loop = M_anuc.Space.self_loop ~n cfg mv in
+           match
+             M_anuc.Packed.child tbl ~skip_noops:false nd
+               (M_anuc.Code.code alpha mv)
+           with
+           | M_anuc.Packed.Known_noop -> false
+           | M_anuc.Packed.Self_loop -> self_loop
+           | M_anuc.Packed.Child c -> (
+             match key c with
+             | None -> false
+             | Some derived ->
+               let sizes = M_anuc.Packed.sizes pool in
+               let applied = M_anuc.Space.apply ~n cfg mv in
+               (not self_loop)
+               && Bytes.equal derived (M_anuc.Packed.encode pool applied)
+               && M_anuc.Packed.sizes pool = sizes
+               && Bytes.equal derived (M_anuc.Packed.encode whole applied)))
+         moves
   in
   let root, moves = walk ~delivery ~menu ~lossy ~steps:25 seed in
   let root_node = M_anuc.Packed.node pool root in
   ignore (M_anuc.Packed.encode whole root : Bytes.t);
-  round_trip root (M_anuc.Packed.key buf root_node)
+  round_trip root (key root_node)
   && snd
        (List.fold_left
           (fun (nd, ok) (cfg, mv, child) ->
             let ok = ok && derives cfg nd in
             let nd =
-              match M_anuc.Packed.child tbl nd mv with
-              | Some c -> c
-              | None -> nd
+              match
+                M_anuc.Packed.child tbl ~skip_noops:false nd
+                  (M_anuc.Code.code alpha mv)
+              with
+              | M_anuc.Packed.Child c -> c
+              | M_anuc.Packed.Known_noop | M_anuc.Packed.Self_loop -> nd
             in
-            (nd, ok && round_trip child (M_anuc.Packed.key buf nd)))
+            (nd, ok && round_trip child (key nd)))
           (root_node, true) moves)
 
 let test_packed_round_trip_qcheck =
@@ -361,6 +385,96 @@ let test_self_loop_rule_qcheck =
               ~lossy:true seed
          && self_loop_rule_walk ~delivery:`Any ~menu:any_lossy_menu
               ~lossy:true seed))
+
+(* Move codes against the moves they code, over the two automata the
+   checker is pinned on, each under FIFO and [`Any]: at every config a
+   random walk visits, each move [Space.enabled] lists decodes from its
+   code to a [move_equal] move, and two codes are equal exactly when
+   their moves are [move_equal]. The repeat variant of each menu lists
+   a copy of one value at a second position, so two enabled moves are
+   [move_equal] but for the menu position they came from: their codes
+   must still agree, which only the canonical menu index gives. *)
+module Codes_walk (A : Sim.Automaton.S) = struct
+  module M = Mc.Make (A)
+
+  let check ~delivery ~menu ~lossy ~inputs ~steps seed =
+    let menus = Array.init n (fun p -> menu.Mc.Menu.values p) in
+    let alpha = M.Code.alphabet ~n ~menus in
+    let rng = Random.State.make [| seed |] in
+    let rec go k cfg =
+      let moves = M.Space.enabled ~n ~delivery ~lossy ~menus cfg in
+      let codes = List.map (M.Code.code alpha) moves in
+      let decodes =
+        List.for_all2
+          (fun mv c -> M.move_equal (M.Code.move alpha c) mv)
+          moves codes
+      in
+      let equal_iff =
+        List.for_all2
+          (fun m1 c1 ->
+            List.for_all2 (fun m2 c2 -> c1 = c2 = M.move_equal m1 m2) moves codes)
+          moves codes
+      in
+      decodes && equal_iff
+      && (k = 0 || moves = []
+         ||
+         let mv = List.nth moves (Random.State.int rng (List.length moves)) in
+         go (k - 1) (M.Space.apply ~n cfg mv))
+    in
+    go steps (M.Space.initial ~n ~inputs)
+end
+
+module Codes_anuc = Codes_walk (Core.Anuc)
+module Codes_naive = Codes_walk (Consensus.Mr.With_quorum)
+
+(* [menu] with a structural copy of each process's first value listed
+   again last *)
+let with_repeat menu =
+  let copy v = Marshal.from_string (Marshal.to_string v []) 0 in
+  {
+    menu with
+    Mc.Menu.values =
+      (fun p ->
+        match menu.Mc.Menu.values p with
+        | [] -> []
+        | v :: _ as vs -> vs @ [ (copy v : Sim.Fd_value.t) ]);
+  }
+
+let codes_match_moves seed =
+  let contamination = Mc.Menu.contamination ~plus:true ~n ~faulty () in
+  let lossy = Mc.Menu.lossy ~n ~faulty () in
+  List.for_all
+    (fun delivery ->
+      List.for_all
+        (fun repeat ->
+          let menu m = if repeat then with_repeat m else m in
+          Codes_anuc.check ~delivery ~menu:(menu contamination) ~lossy:false
+            ~inputs:proposals ~steps:20 seed
+          && Codes_naive.check ~delivery ~menu:(menu lossy) ~lossy:true
+               ~inputs:proposals ~steps:20 seed)
+        [ false; true ])
+    [ `Fifo; `Any ]
+
+let test_codes_match_moves_qcheck =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"codes decode to their moves, equal iff move_equal"
+       ~count:40 QCheck.small_nat codes_match_moves)
+
+(* The repeat menus do put two equal moves side by side. *)
+let test_repeat_menu_has_equal_moves () =
+  let menu = with_repeat (Mc.Menu.contamination ~plus:true ~n ~faulty ()) in
+  let menus = Array.init n (fun p -> menu.Mc.Menu.values p) in
+  let cfg = M_anuc.Space.initial ~n ~inputs:proposals in
+  let moves = M_anuc.Space.enabled ~n ~delivery:`Fifo ~lossy:false ~menus cfg in
+  let pairs =
+    List.concat_map
+      (fun (i, m1) ->
+        List.filter_map
+          (fun (j, m2) -> if i < j && M_anuc.move_equal m1 m2 then Some () else None)
+          (List.mapi (fun j m -> (j, m)) moves))
+      (List.mapi (fun i m -> (i, m)) moves)
+  in
+  Alcotest.(check bool) "two positions give equal moves" true (pairs <> [])
 
 (* Queue length of channel [c], read back from a packed key's layout. *)
 let packed_chan_len key c =
@@ -500,13 +614,13 @@ let test_striped_collisions_through_spill () =
       let exported = Striped_bytes.export t in
       Alcotest.(check int) "export sees both" 2 (Array.length exported))
 
-(* Each stripe's table indexes its buckets by the low hash bits, so
-   the stripe index must come from other bits: with the stripe taken
-   from the low bits, the keys of stripe i all land in the buckets
-   whose index is congruent to i, and a 64-way table fills 1/64 of
-   each stripe's buckets. Full-width packed-state hashes must reach
-   most buckets of every stripe instead. *)
-let test_striped_keys_spread_over_buckets () =
+(* A key's home slot in its stripe is the low bits of its hash, so the
+   stripe index must come from other bits: with the stripe taken from
+   the low bits, the keys of stripe i all have home slots congruent to
+   i, 1/64 of the slots of a 64-way table, and pile up in probe runs
+   hundreds of slots long. Full-width packed-state hashes must keep
+   every stripe's keys near their home slots instead. *)
+let test_striped_keys_spread_over_slots () =
   let t = Striped_bytes.create ~stripes:64 16 in
   for i = 0 to (64 * 512) - 1 do
     let b = Bytes.of_string (Printf.sprintf "packed state %d" i) in
@@ -515,13 +629,14 @@ let test_striped_keys_spread_over_buckets () =
          (fun id -> id))
   done;
   Array.iteri
-    (fun i (s : Hashtbl.statistics) ->
-      let used = s.num_buckets - s.bucket_histogram.(0) in
+    (fun i (s : Striped_bytes.probe_stats) ->
       Alcotest.(check bool)
-        (Printf.sprintf "stripe %d: %d of %d buckets hold its %d keys" i used
-           s.num_buckets s.num_bindings)
+        (Printf.sprintf
+           "stripe %d: %d keys over %d slots, mean displacement %.2f, \
+            longest %d"
+           i s.keys s.slots s.mean s.longest)
         true
-        (2 * used >= min s.num_bindings s.num_buckets))
+        (s.keys > 0 && s.mean <= 2.0 && s.longest <= 48))
     (Striped_bytes.stripe_stats t)
 
 (* -------------------------------------------------------------- *)
@@ -692,6 +807,9 @@ let () =
           Alcotest.test_case "garbage bytes rejected" `Quick
             test_packed_decode_rejects_garbage;
           test_self_loop_rule_qcheck;
+          test_codes_match_moves_qcheck;
+          Alcotest.test_case "repeat menus give equal moves" `Quick
+            test_repeat_menu_has_equal_moves;
         ] );
       ( "collisions",
         [
@@ -699,8 +817,8 @@ let () =
             test_striped_collisions_distinct;
           Alcotest.test_case "collisions through spill" `Quick
             test_striped_collisions_through_spill;
-          Alcotest.test_case "stripes spread keys over their buckets" `Quick
-            test_striped_keys_spread_over_buckets;
+          Alcotest.test_case "stripes keep keys near their home slots" `Quick
+            test_striped_keys_spread_over_slots;
         ] );
       ( "checkpoint",
         [

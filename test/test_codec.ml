@@ -388,10 +388,11 @@ let test_self_loop_rule_qcheck =
 
 (* Move codes against the moves they code, over the two automata the
    checker is pinned on, each under FIFO and [`Any]: at every config a
-   random walk visits, each move [Space.enabled] lists decodes from its
-   code to a [move_equal] move, and two codes are equal exactly when
-   their moves are [move_equal]. The repeat variant of each menu lists
-   a copy of one value at a second position, so two enabled moves are
+   random walk visits, the walk's codes for the node ([Packed.codes])
+   are the codes of [Space.enabled]'s moves in order, each decodes to
+   a [move_equal] move, and two codes are equal exactly when their
+   moves are [move_equal]. The repeat variant of each menu lists a
+   copy of one value at a second position, so two enabled moves are
    [move_equal] but for the menu position they came from: their codes
    must still agree, which only the canonical menu index gives. *)
 module Codes_walk (A : Sim.Automaton.S) = struct
@@ -400,22 +401,24 @@ module Codes_walk (A : Sim.Automaton.S) = struct
   let check ~delivery ~menu ~lossy ~inputs ~steps seed =
     let menus = Array.init n (fun p -> menu.Mc.Menu.values p) in
     let alpha = M.Code.alphabet ~n ~menus in
+    let pool = M.Packed.create ~n in
+    let tbl = M.Packed.table pool alpha in
     let rng = Random.State.make [| seed |] in
     let rec go k cfg =
       let moves = M.Space.enabled ~n ~delivery ~lossy ~menus cfg in
-      let codes = List.map (M.Code.code alpha) moves in
-      let decodes =
-        List.for_all2
-          (fun mv c -> M.move_equal (M.Code.move alpha c) mv)
-          moves codes
-      in
-      let equal_iff =
+      let codes = M.Packed.codes tbl ~delivery ~lossy (M.Packed.node pool cfg) in
+      let equal_iff () =
         List.for_all2
           (fun m1 c1 ->
             List.for_all2 (fun m2 c2 -> c1 = c2 = M.move_equal m1 m2) moves codes)
           moves codes
       in
-      decodes && equal_iff
+      List.compare_lengths moves codes = 0
+      && List.for_all2
+           (fun mv c ->
+             M.move_equal (M.Code.move alpha c) mv && M.Code.code alpha mv = c)
+           moves codes
+      && equal_iff ()
       && (k = 0 || moves = []
          ||
          let mv = List.nth moves (Random.State.int rng (List.length moves)) in

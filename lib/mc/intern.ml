@@ -111,7 +111,8 @@ module Striped (K : KEY) = struct
   let stripe_shift = 40
   let stripe t (k : _ hashed) = (k.ih lsr stripe_shift) land t.mask
 
-  let empty_stripe slots = { hs = Array.make slots (-1); ks = [||]; vs = [||]; used = 0 }
+  let empty_stripe slots =
+    { hs = Array.make slots (-1); ks = [||]; vs = [||]; used = 0 }
 
   let create ?(stripes = 64) cap =
     let s = pow2 (max 1 (min stripes 4096)) 1 in
@@ -151,7 +152,9 @@ module Striped (K : KEY) = struct
     Array.iteri
       (fun j h ->
         if h >= 0 then begin
-          let rec free i = if hs'.(i) < 0 then i else free ((i + 1) land mask) in
+          let rec free i =
+            if hs'.(i) < 0 then i else free ((i + 1) land mask)
+          in
           let i = free (h land mask) in
           hs'.(i) <- h;
           ks'.(i) <- ks.(j);
@@ -179,7 +182,8 @@ module Striped (K : KEY) = struct
   let fold_stripe f s acc =
     let acc = ref acc in
     Array.iteri
-      (fun j h -> if h >= 0 then acc := f { ih = h; iv = s.ks.(j) } s.vs.(j) !acc)
+      (fun j h ->
+        if h >= 0 then acc := f { ih = h; iv = s.ks.(j) } s.vs.(j) !acc)
       s.hs;
     !acc
 

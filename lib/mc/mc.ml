@@ -592,20 +592,19 @@ module Make (A : Sim.Automaton.S) = struct
     (* bits to hold 0 .. k - 1 *)
     let rec width k = if k <= 1 then 0 else 1 + width ((k + 1) / 2)
 
+    (* the canonical index of [v]: its first position in menu [m] *)
+    let position m v =
+      let rec first j =
+        if j = Array.length m then
+          invalid_arg "Mc.Code.code: detector value outside the menu"
+        else if Sim.Fd_value.equal m.(j) v then j
+        else first (j + 1)
+      in
+      first 0
+
     let alphabet ~n ~menus =
       let menus = Array.map Array.of_list menus in
-      let canon =
-        Array.map
-          (fun m ->
-            Array.mapi
-              (fun j v ->
-                let rec first i =
-                  if Sim.Fd_value.equal m.(i) v then i else first (i + 1)
-                in
-                if j = 0 then 0 else first 0)
-              m)
-          menus
-      in
+      let canon = Array.map (fun m -> Array.map (position m) m) menus in
       let drop_bit =
         width (Array.fold_left (fun k m -> max k (Array.length m)) 1 menus)
       in
@@ -637,15 +636,7 @@ module Make (A : Sim.Automaton.S) = struct
     let code a mv =
       let src, i = match mv.m_recv with None -> (-1, 0) | Some r -> r in
       if mv.m_drop then drop a mv.m_pid src i
-      else
-        let m = a.menus.(mv.m_pid) in
-        let rec first j =
-          if j = Array.length m then
-            invalid_arg "Mc.Code.code: detector value outside the menu"
-          else if Sim.Fd_value.equal m.(j) mv.m_fd then j
-          else first (j + 1)
-        in
-        base a mv.m_pid src i lor first 0
+      else base a mv.m_pid src i lor position a.menus.(mv.m_pid) mv.m_fd
 
     let move a c =
       let m_pid = pid a c and s = src a c in
@@ -940,10 +931,13 @@ module Make (A : Sim.Automaton.S) = struct
       let a = tb.tb_alpha in
       let n = a.Code.n and p = Code.pid a c and src = Code.src a c in
       let i = Code.index a c in
-      if Code.is_drop a c then Child { nd with ix_chans = cut ~n nd.ix_chans p src i }
+      if Code.is_drop a c then
+        Child { nd with ix_chans = cut ~n nd.ix_chans p src i }
       else begin
         let st = nd.ix_states.(p) in
-        let msg = if src < 0 then -1 else List.nth nd.ix_chans.((src * n) + p) i in
+        let msg =
+          if src < 0 then -1 else List.nth nd.ix_chans.((src * n) + p) i
+        in
         let stem = Code.stem a c in
         let j = slot tb st msg stem in
         let known = tb.tb_state.(j) >= 0 in
@@ -971,7 +965,11 @@ module Make (A : Sim.Automaton.S) = struct
                 sends;
               ch
           in
-          if (src < 0 || src = p) && same_state && slots_equal ix_chans nd.ix_chans
+          (* [may_self_loop], read off the code *)
+          if
+            (src < 0 || src = p)
+            && same_state
+            && slots_equal ix_chans nd.ix_chans
           then Self_loop
           else if same_state then Child { nd with ix_chans }
           else begin
@@ -1023,7 +1021,10 @@ module Make (A : Sim.Automaton.S) = struct
       !acc
 
     let add_noop tb (pid, st, fd) =
-      let c = Code.code tb.tb_alpha { m_pid = pid; m_fd = fd; m_recv = None; m_drop = false } in
+      let c =
+        Code.code tb.tb_alpha
+          { m_pid = pid; m_fd = fd; m_recv = None; m_drop = false }
+      in
       let j = slot tb st (-1) c in
       let s = { st_state = st; st_sends = [] } in
       if tb.tb_state.(j) >= 0 then set tb j st (-1) c s
@@ -1339,7 +1340,9 @@ module Make (A : Sim.Automaton.S) = struct
         let p = Code.pid a c in
         t.s_pid.(p) <- c :: t.s_pid.(p)
 
-    let rec any (c : int) = function [] -> false | m :: rest -> m = c || any c rest
+    let rec any (c : int) = function
+      | [] -> false
+      | m :: rest -> m = c || any c rest
 
     (* membership probes only the one bucket the code could be in *)
     let mem a t c =
@@ -1410,7 +1413,8 @@ module Make (A : Sim.Automaton.S) = struct
                all in the consumer's pid bucket, filtered by source —
                and with nothing else the process does *)
             List.iter
-              (fun m -> if Code.src a m = src then incr dep else keep := m :: !keep)
+              (fun m ->
+                if Code.src a m = src then incr dep else keep := m :: !keep)
               t.Sibs.s_pid.(p)
           else
             (* a process move races with its own process's moves *)
@@ -1783,7 +1787,8 @@ module Make (A : Sim.Automaton.S) = struct
       try f () with
       | Limit -> ()
       | Found (prop, detail, path) ->
-        ignore (Atomic.compare_and_set violation None (Some (prop, detail, path)));
+        ignore
+          (Atomic.compare_and_set violation None (Some (prop, detail, path)));
         Atomic.set halt true
     in
     let root = initial_config ~n ~inputs in
@@ -1795,7 +1800,11 @@ module Make (A : Sim.Automaton.S) = struct
       | Some (c, _) ->
         ( Array.map
             (fun (cfg, remaining, drops, slept, path_rev) ->
-              (Packed.node pool cfg, remaining, drops, codes slept, codes path_rev))
+              ( Packed.node pool cfg,
+                remaining,
+                drops,
+                codes slept,
+                codes path_rev ))
             c.ck_tasks,
           c.ck_next )
       | None ->

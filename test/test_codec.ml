@@ -406,11 +406,15 @@ module Codes_walk (A : Sim.Automaton.S) = struct
     let rng = Random.State.make [| seed |] in
     let rec go k cfg =
       let moves = M.Space.enabled ~n ~delivery ~lossy ~menus cfg in
-      let codes = M.Packed.codes tbl ~delivery ~lossy (M.Packed.node pool cfg) in
+      let codes =
+        M.Packed.codes tbl ~delivery ~lossy (M.Packed.node pool cfg)
+      in
       let equal_iff () =
         List.for_all2
           (fun m1 c1 ->
-            List.for_all2 (fun m2 c2 -> c1 = c2 = M.move_equal m1 m2) moves codes)
+            List.for_all2
+              (fun m2 c2 -> c1 = c2 = M.move_equal m1 m2)
+              moves codes)
           moves codes
       in
       List.compare_lengths moves codes = 0
@@ -473,7 +477,8 @@ let test_repeat_menu_has_equal_moves () =
     List.concat_map
       (fun (i, m1) ->
         List.filter_map
-          (fun (j, m2) -> if i < j && M_anuc.move_equal m1 m2 then Some () else None)
+          (fun (j, m2) ->
+            if i < j && M_anuc.move_equal m1 m2 then Some () else None)
           (List.mapi (fun j m -> (j, m)) moves))
       (List.mapi (fun i m -> (i, m)) moves)
   in

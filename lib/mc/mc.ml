@@ -273,7 +273,11 @@ module Menu = struct
           | None -> v)
         h
     in
-    let as_err = Result.map_error (Format.asprintf "%a" Fd.Check.pp_violation) in
+    (* the message is formatted only for a violation: a partial
+       [Format.asprintf] would build a formatter on every check *)
+    let as_err r =
+      Result.map_error (fun v -> Format.asprintf "%a" Fd.Check.pp_violation v) r
+    in
     match kind with
     | Omega_only | Suspects_menu -> Ok ()
     | Sigma -> as_err (Fd.Check.intersection ~uniform:true pattern (quorums_only h))
